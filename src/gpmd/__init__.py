@@ -45,7 +45,6 @@ from .wind import (
     energy_move,
     energy_service,
     ingest_wind_csv,
-    propagate_bounds,
     service_objective,
     synthetic_wind_table,
 )

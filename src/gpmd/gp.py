@@ -1,11 +1,18 @@
 """Exact Gaussian-process regression over action-context feature vectors.
 
-The model keeps a lower Cholesky factor of (K_t + lam*I), extended by
+The model keeps a lower Cholesky factor L of (K_t + lam*I), extended by
 border updates as observations arrive and rebuilt from scratch every
 ``REFACTOR_EVERY`` points to keep rounding drift in check. Snapshots are
-immutable: ``update`` returns a new model. Consecutive snapshots share the
-underlying storage, so appending at the tip costs O(t^2) instead of O(t^3);
-updating an older snapshot forks a private copy first.
+immutable: ``update`` returns a new model that owns its own contiguous
+inputs, targets and factor, so appending costs one O(t^2) copy of the factor
+plus the O(t^2) border solve, and any snapshot can be updated again without
+affecting the others. Each snapshot counts the points added since its last
+refactor, so a branch taken from an older snapshot follows its own refactor
+schedule; the harness only ever extends the newest snapshot.
+
+The factor is stored mirrored: L in the lower triangle and L^T in the upper.
+LAPACK then reads either triangle in the memory order it expects, and every
+triangular solve runs on the stored array without a copy.
 """
 
 from __future__ import annotations
@@ -32,10 +39,6 @@ class Normalizer:
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         return (X - self.offset) / self.scale
-
-    @classmethod
-    def identity(cls) -> "Normalizer":
-        return cls(offset=np.zeros(1), scale=np.ones(1))
 
     @classmethod
     def from_data(cls, X: np.ndarray) -> "Normalizer":
@@ -159,39 +162,11 @@ def kernel_from_dict(spec: dict):
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
-class _Store:
-    """Growable training arrays shared by a chain of model snapshots."""
-
-    def __init__(self, dim: int, capacity: int = 64):
-        self.X = np.zeros((capacity, dim))
-        self.y = np.zeros(capacity)
-        self.L = np.zeros((capacity, capacity))
-        self.count = 0
-        self.since_refactor = 0
-
-    def _grow(self, needed: int):
-        cap = self.X.shape[0]
-        if needed <= cap:
-            return
-        new_cap = cap
-        while new_cap < needed:
-            new_cap *= 2
-        X = np.zeros((new_cap, self.X.shape[1]))
-        y = np.zeros(new_cap)
-        L = np.zeros((new_cap, new_cap))
-        X[: self.count] = self.X[: self.count]
-        y[: self.count] = self.y[: self.count]
-        L[: self.count, : self.count] = self.L[: self.count, : self.count]
-        self.X, self.y, self.L = X, y, L
-
-    def fork(self, n: int) -> "_Store":
-        other = _Store(self.X.shape[1], capacity=max(64, n))
-        other.X[:n] = self.X[:n]
-        other.y[:n] = self.y[:n]
-        other.L[:n, :n] = self.L[:n, :n]
-        other.count = n
-        other.since_refactor = min(self.since_refactor, n)
-        return other
+def _mirrored(L: np.ndarray) -> np.ndarray:
+    """L in the lower triangle and L^T in the upper; L must be lower triangular."""
+    out = L + L.T
+    np.fill_diagonal(out, L.diagonal())
+    return out
 
 
 class GpModel:
@@ -213,8 +188,10 @@ class GpModel:
         delta: float = 0.1,
         beta_mode: str = "constant",
         beta_value: float = 2.0,
-        _store: _Store | None = None,
-        _n: int = 0,
+        _X: np.ndarray | None = None,
+        _y: np.ndarray | None = None,
+        _factor: np.ndarray | None = None,
+        _since_refactor: int = 0,
     ):
         if lam <= 0:
             raise ValueError(f"lam must be positive, got {lam}")
@@ -229,13 +206,14 @@ class GpModel:
         self.delta = float(delta)
         self.beta_mode = beta_mode
         self.beta_value = float(beta_value)
-        self._store = _store
-        self._n = _n
+        self._X, self._y, self._factor = _X, _y, _factor
+        self._since_refactor = _since_refactor
+        self._n = 0 if _y is None else _y.shape[0]
         self._alpha = None
-        if _store is not None and _n > 0:
-            L = _store.L[:_n, :_n]
-            z = solve_triangular(L, _store.y[:_n], lower=True)
-            self._alpha = solve_triangular(L.T, z, lower=False)
+        if self._n:
+            z = solve_triangular(_factor, _y, lower=True, check_finite=False)
+            # the upper triangle holds L^T
+            self._alpha = solve_triangular(_factor, z, lower=False, check_finite=False)
 
     @property
     def n(self) -> int:
@@ -264,65 +242,62 @@ class GpModel:
         if not np.all(np.isfinite(y_new)) or not np.all(np.isfinite(X_new)):
             raise ValueError("observations must be finite")
 
-        store = self._store
-        if store is None:
-            store = _Store(X_new.shape[1])
-        elif store.count != self._n:
-            store = store.fork(self._n)
         t, b = self._n, y_new.shape[0]
-        store._grow(t + b)
-        store.X[t : t + b] = X_new
-        store.y[t : t + b] = y_new
-        store.count = t + b
-        store.since_refactor += b
-
-        if store.since_refactor >= REFACTOR_EVERY or t == 0:
-            self._refactor(store)
+        if t:
+            X = np.concatenate([self._X, X_new])
+            y = np.concatenate([self._y, y_new])
         else:
-            self._extend_cholesky(store, t, b)
-        return GpModel(_store=store, _n=t + b, **self._config())
+            X, y = X_new.copy(), y_new.copy()
+        since = self._since_refactor + b
+        factor = self._extend_cholesky(X, t) if t and since < REFACTOR_EVERY else None
+        if factor is None:
+            factor, since = self._factorize(X), 0
+        return GpModel(_X=X, _y=y, _factor=factor, _since_refactor=since, **self._config())
 
-    def _refactor(self, store: _Store):
-        n = store.count
-        K = self.kernel(store.X[:n], store.X[:n])
+    def _factorize(self, X: np.ndarray) -> np.ndarray:
+        n = X.shape[0]
+        K = self.kernel(X, X)
         K[np.diag_indices(n)] += self.lam
         try:
-            store.L[:n, :n] = sp_cholesky(K, lower=True)
+            return _mirrored(sp_cholesky(K, lower=True))
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"kernel matrix is not positive definite: {exc}") from None
-        store.since_refactor = 0
 
-    def _extend_cholesky(self, store: _Store, t: int, b: int):
-        Xo, Xn = store.X[:t], store.X[t : t + b]
-        C = self.kernel(Xo, Xn)
-        S = self.kernel(Xn, Xn)
+    def _extend_cholesky(self, X: np.ndarray, t: int) -> np.ndarray | None:
+        """The factor of all of ``X`` from this snapshot's factor of ``X[:t]``,
+        or None if the border block is not numerically positive definite."""
+        b = X.shape[0] - t
+        C = self.kernel(X[:t], X[t:])
+        S = self.kernel(X[t:], X[t:])
         S[np.diag_indices(b)] += self.lam
-        L = store.L[:t, :t]
-        Bk = solve_triangular(L, C, lower=True)
+        Bk = solve_triangular(self._factor, C, lower=True, check_finite=False)
         S_cond = S - Bk.T @ Bk
         try:
             Lb = sp_cholesky(S_cond, lower=True)
         except np.linalg.LinAlgError:
-            # Conditional block lost positive definiteness to rounding;
-            # fall back to a clean factorization of the full matrix.
-            self._refactor(store)
-            return
-        store.L[t : t + b, :t] = Bk.T
-        store.L[t : t + b, t : t + b] = Lb
+            # Conditional block lost positive definiteness to rounding; the
+            # caller falls back to a clean factorization of the full matrix.
+            return None
+        factor = np.empty((t + b, t + b))
+        factor[:t, :t] = self._factor
+        factor[t:, :t] = Bk.T
+        factor[:t, t:] = Bk
+        factor[t:, t:] = _mirrored(Lb)
+        return factor
 
     # -- queries -----------------------------------------------------------
 
     def posterior(self, Xq) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation at the query rows."""
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+        if not np.isfinite(Xq).all():
+            raise ValueError("query rows must be finite")
         kdiag = self.kernel.diag(Xq)
         if self._n == 0:
             return np.zeros(Xq.shape[0]), np.sqrt(kdiag)
-        store = self._store
-        t = self._n
-        k_cross = self.kernel(store.X[:t], Xq)
+        k_cross = self.kernel(self._X, Xq)
         mean = k_cross.T @ self._alpha
-        v = solve_triangular(store.L[:t, :t], k_cross, lower=True)
+        v = solve_triangular(self._factor, k_cross, lower=True, check_finite=False)
         var = kdiag - (v * v).sum(axis=0)
         low = var.min()
         if low < -VAR_CLAMP:
@@ -333,7 +308,7 @@ class GpModel:
         """Realized information gain 0.5 * log det(I + K_t / lam)."""
         if self._n == 0:
             return 0.0
-        diag = np.diag(self._store.L[: self._n, : self._n])
+        diag = np.diag(self._factor)
         return float(np.log(diag).sum() - 0.5 * self._n * math.log(self.lam))
 
     def beta_t(self) -> float:
@@ -355,12 +330,6 @@ class GpModel:
         mean, std = self.posterior(Xq)
         return mean - beta * std
 
-    def ucb(self, Xq, beta: float | None = None) -> np.ndarray:
-        if beta is None:
-            beta = self.beta_t()
-        mean, std = self.posterior(Xq)
-        return mean + beta * std
-
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -372,8 +341,8 @@ class GpModel:
             "delta": self.delta,
             "beta_mode": self.beta_mode,
             "beta_value": self.beta_value,
-            "X": self._store.X[: self._n].tolist() if self._n else [],
-            "y": self._store.y[: self._n].tolist() if self._n else [],
+            "X": self._X.tolist() if self._n else [],
+            "y": self._y.tolist() if self._n else [],
         }
 
     def dump_json(self, path) -> None:

@@ -103,6 +103,10 @@ class RunConfig:
             errors.append("steps: horizon must be at least 1")
         if self.episodes < 1:
             errors.append("episodes: must be at least 1")
+        elif self.kind == "wind" and self.episodes != 1:
+            errors.append("episodes: wind runs have one episode")
+        if self.starts and self.kind != "wind":
+            errors.append("starts: only wind runs take a start")
         if any(r <= 0 for r in self.rhos):
             errors.append("rhos: every rho must be positive")
         if self.tau <= 1:
@@ -332,7 +336,9 @@ def _wind_policy(cfg: RunConfig, env: WindEnv, name: str, rho: float, seed: int)
 
 def run_wind_cell(cfg: RunConfig, env: WindEnv, name: str, rho: float, seed: int, start: int):
     table = env.table
-    steps = min(cfg.steps, table.n_times)
+    steps = cfg.steps
+    if steps > table.n_times:
+        raise ValueError(f"wind cell asks for {steps} steps but the table has {table.n_times} rows")
     f_eff = rho * env.f_matrix
     policy = _wind_policy(cfg, env, name, rho, seed)
     policy.begin_episode(start)

@@ -75,13 +75,16 @@ def energy_service_interval(params: EnergyParams, lo: float, hi: float):
     """(min, max) of E_S over a windspeed interval, via the critical points."""
     if lo > hi:
         raise ValueError("empty windspeed interval")
-    lo = max(0.0, lo)
-    hi = max(lo, hi)
+    lo = max(0.0, float(lo))
+    hi = max(lo, float(hi))
+    c1, c2, v_r, dt = params.c1, params.c2, params.v_rated, params.dt_minutes
     candidates = [lo, hi]
-    for crit in (params.stall_speed, params.v_rated):
+    for crit in (params.stall_speed, v_r):
         if lo < crit < hi:
             candidates.append(crit)
-    vals = [float(energy_service(params, c)) for c in candidates]
+    # Scalar arithmetic in energy_service's order of operations, so the
+    # result matches it bit for bit (an array ``**3`` may differ in the last bit).
+    vals = [(c1 * min(v, v_r) ** 3 - c2 * (v * v)) * dt for v in candidates]
     return min(vals), max(vals)
 
 
@@ -228,18 +231,12 @@ def propagate_bounds_all(
     mean, std = gp.posterior(feats)
     lo = np.maximum(0.0, mean - beta * std)
     hi = np.maximum(lo, mean + beta * std)
-    bounds = [energy_service_interval(params, float(a), float(b)) for a, b in zip(lo, hi)]
-    es_lo = np.array([b[0] for b in bounds])
-    es_hi = np.array([b[1] for b in bounds])
+    bounds = [energy_service_interval(params, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    es_lo, es_hi = np.array(bounds).T
     ceiling = es_hi.max()
     lcb_f = np.maximum(0.0, ceiling - es_hi)
     ucb_f = ceiling - es_lo
     return lcb_f, ucb_f
-
-
-def propagate_bounds(gp: GpModel, params: EnergyParams, altitudes, x_idx: int, hour, beta):
-    lcb_f, ucb_f = propagate_bounds_all(gp, params, np.asarray(altitudes, dtype=float), hour, beta)
-    return float(lcb_f[x_idx]), float(ucb_f[x_idx])
 
 
 def default_altitudes(n: int = 25, low: float = 10.0, high: float = 1600.0) -> np.ndarray:

@@ -61,6 +61,12 @@ class TestPosterior:
         assert np.abs(mean - dmean).max() <= 1e-8
         assert np.abs(std - dstd).max() <= 1e-8
 
+    def test_rejects_nonfinite_query(self):
+        model = make_model().update([[0.0]], [1.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                model.posterior([[0.2], [bad]])
+
     def test_variance_never_above_prior(self, rng):
         model = make_model()
         X = rng.uniform(0, 1, size=(30, 1))
@@ -101,6 +107,28 @@ class TestUpdate:
         m_base, _ = base.posterior([[0.5]])
         m_grown, _ = grown.posterior([[0.5]])
         assert m_base[0] != pytest.approx(m_grown[0])
+
+    def test_branch_from_older_snapshot_matches_fresh_build(self, rng):
+        X = rng.uniform(-1, 1, size=(40, 2))
+        y = rng.normal(size=40)
+
+        def grow(model, rows):
+            for i in rows:
+                model = model.update(X[i : i + 1], y[i : i + 1])
+            return model
+
+        base = grow(make_model(), range(20))
+        tip = grow(base, range(20, 30))
+        branch = grow(base, range(30, 40))  # taken after the tip has grown
+        fresh = grow(make_model(), [*range(20), *range(30, 40)])
+        Xq = rng.uniform(-1, 1, size=(15, 2))
+        m_branch, s_branch = branch.posterior(Xq)
+        m_fresh, s_fresh = fresh.posterior(Xq)
+        assert np.array_equal(m_branch, m_fresh) and np.array_equal(s_branch, s_fresh)
+        # the tip is untouched by the branch
+        m_tip, _ = tip.posterior(Xq)
+        tip_fresh = make_model().update(X[:30], y[:30])
+        assert np.abs(m_tip - tip_fresh.posterior(Xq)[0]).max() <= 1e-8
 
     def test_variance_monotone_along_trace(self, rng):
         model = make_model(lam=0.05)
@@ -295,7 +323,7 @@ def test_cholesky_reconstructs_regularized_kernel(rng):
     X = rng.uniform(0, 1, size=(50, 2))
     for i in range(50):  # incremental path, no refactor below 256
         model = model.update(X[i : i + 1], rng.normal(size=1))
-    L = model._store.L[:50, :50]
+    L = np.tril(model._factor)
     K = kernel(X, X) + 0.2 * np.eye(50)
     rel = np.abs(L @ L.T - K).max() / np.abs(K).max()
     assert rel <= 1e-8

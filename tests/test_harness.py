@@ -54,6 +54,25 @@ class TestConfig:
         assert cfg.steps == 9
         assert cfg.policies == ["gp-md"]
 
+    def test_wind_runs_have_one_episode(self, tmp_path):
+        code = cli_main(
+            ["run", "--kind", "wind", "--episodes", "3", "--steps", "48",
+             "--set", "wind_hours=48", "--policies", "stationary", "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert "episodes: wind runs have one episode" in small_cfg(
+            tmp_path, kind="wind", episodes=3
+        ).validate()
+
+    def test_synthetic_runs_take_no_start(self, tmp_path, capsys):
+        code = cli_main(
+            ["run", "--kind", "synthetic", "--policies", "md-known", "--starts", "3,5",
+             "--steps", "5", "--set", "grid=[5,5]", "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert "starts: only wind runs take a start" in capsys.readouterr().out
+        assert not (tmp_path / "o").exists()
+
     def test_hash_stable(self, tmp_path):
         assert small_cfg(tmp_path).config_hash() == small_cfg(tmp_path).config_hash()
 
@@ -168,6 +187,19 @@ class TestWindRun:
         assert run(cfg) == 0
         data = json.load(open(next((tmp_path / "out").glob("*.summary.json"))))
         assert data["energy"]["movement_energy"] == 0.0
+
+    def test_steps_beyond_table_fail_the_cell(self, tmp_path):
+        out = tmp_path / "o"
+        code = cli_main(
+            ["run", "--kind", "wind", "--steps", "5000", "--set", "wind_hours=48",
+             "--policies", "stationary", "--starts", "12", "--out", str(out)]
+        )
+        assert code == 2
+        failed = list(out.glob("*.failed.json"))
+        assert len(failed) == 1
+        error = json.loads(failed[0].read_text())["error"]
+        assert "5000 steps" in error and "48 rows" in error
+        assert not list(out.glob("*.steps.csv"))
 
     def test_dataset_csv_replay(self, tmp_path):
         from gpmd.wind import default_altitudes, synthetic_wind_table, write_wind_csv

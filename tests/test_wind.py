@@ -13,8 +13,6 @@ from gpmd.wind import (
     energy_service,
     energy_service_interval,
     ingest_wind_csv,
-    make_wind_gp,
-    propagate_bounds,
     propagate_bounds_all,
     service_matrix,
     service_objective,
@@ -123,6 +121,21 @@ class TestIntervalPropagation:
         assert lo == pytest.approx(slo, abs=1e-3)
         assert hi == pytest.approx(shi, abs=1e-3)
 
+    def test_matches_energy_service_bit_for_bit(self, rng):
+        # Intervals straddling the stall speed and the rated speed: the
+        # bounds equal energy_service at the candidate points exactly.
+        for params in (P10, EnergyParams()):
+            crits = (params.stall_speed, params.v_rated)
+            for _ in range(500):
+                a = rng.uniform(0.0, 1.2 * crits[0])
+                b = rng.uniform(0.8 * crits[1], 1.6 * crits[1])
+                lo, hi = energy_service_interval(params, float(a), float(b))
+                points = [float(a), float(b)] + [c for c in crits if a < c < b]
+                vals = [float(energy_service(params, v)) for v in points]
+                assert (lo, hi) == (min(vals), max(vals))
+            for c in crits:
+                assert energy_service_interval(params, c, c) == (energy_service(params, c),) * 2
+
     def test_random_intervals_against_scan(self, rng):
         # The scan can miss the kinked maximum at the rated speed by up to
         # slope * step, so the upper comparison carries that allowance.
@@ -173,12 +186,6 @@ class TestPropagateBounds:
         assert np.all(lcb_f <= shifted + 1e-9)
         assert np.all(shifted <= ucb_f + 1e-9)
         assert np.all(lcb_f >= 0.0)
-
-    def test_scalar_wrapper(self):
-        table = toy_table([[5.0], [7.0]])
-        gp = make_wind_gp(table.altitudes)
-        lo, hi = propagate_bounds(gp, P10, table.altitudes, 1, 0.0, beta=2.0)
-        assert 0.0 <= lo <= hi
 
 
 class TestWindCsv:
