@@ -33,7 +33,6 @@ from .policies import (
     ExactCostModel,
     GpServiceModel,
     MirrorDescentPolicy,
-    StepOutcome,
     WindServiceModel,
     make_policy,
 )

@@ -97,10 +97,15 @@ def offline_optimal_matrix(cost_matrix: np.ndarray, dist: np.ndarray, x0: int):
         raise ValueError(f"unknown start {x0}")
     value = cost_matrix[0] + dist[x0]
     back = np.zeros((H, n), dtype=np.int64)
+    # Each row of reach is one target's costs over every predecessor, so the
+    # minimum over predecessors runs along contiguous memory.
+    dist_t = np.ascontiguousarray(np.asarray(dist, dtype=float).T)
+    reach = np.empty((n, n))
+    rows = np.arange(n)
     for h in range(1, H):
-        reach = value[:, None] + dist  # (from, to)
-        back[h] = np.argmin(reach, axis=0)
-        value = cost_matrix[h] + reach[back[h], np.arange(n)]
+        np.add(dist_t, value, out=reach)  # reach[to, from] = dist[from, to] + value[from]
+        back[h] = np.argmin(reach, axis=1)
+        value = cost_matrix[h] + reach[rows, back[h]]
     last = int(np.argmin(value))
     seq = [last]
     for h in range(H - 1, 0, -1):
@@ -217,40 +222,6 @@ def synth_instance(
     )
 
 
-def hallucinated_optimal(metric: FiniteMetric, lcb_table: np.ndarray, contexts, x0: int):
-    """Offline DP on clamped confidence lower bounds; diagnostic counterpart
-    of the true-cost optimum."""
-    clamped = np.maximum(np.asarray(lcb_table, dtype=float), 0.0)
-    return offline_optimal(metric, clamped, contexts, x0)
-
-
 def log_alpha(n: int) -> float:
     """Default competitive factor (log n)^2 used in regret reports."""
     return math.log(n) ** 2 if n > 1 else 1.0
-
-
-def write_f_table_csv(path, f_table: np.ndarray, contexts=None) -> None:
-    """Dense service-cost table: one row per action, one column per context."""
-    import csv
-
-    f_table = np.asarray(f_table, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["action"] + [
-            repr(float(c)) if contexts is not None else f"context_{j}"
-            for j, c in enumerate(contexts if contexts is not None else range(f_table.shape[1]))
-        ]
-        writer.writerow(header)
-        for i in range(f_table.shape[0]):
-            writer.writerow([i] + [repr(float(v)) for v in f_table[i]])
-
-
-def write_dp_solution_csv(path, sequence, cost: float) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "action"])
-        for h, a in enumerate(sequence, start=1):
-            writer.writerow([h, int(a)])
-        writer.writerow(["total_cost", repr(float(cost))])

@@ -1,10 +1,11 @@
 """Seeded experiment engine: cells, artifacts, and aggregation.
 
-A run is a grid of independent cells (policy, seed, rho, start). Every cell
-with the same seed consumes identical context and observation-noise
-sequences, so policies are compared on the same realized environment. Each
-cell emits a per-step CSV and a summary JSON; a manifest records the config
-hash and seeds for exact replay.
+A run is a grid of cells (policy, seed, rho, start). The seed is the unit of
+work: its environment is built once and every cell of the seed runs on it,
+so policies are compared on the same realized contexts and observation
+noise, and the offline optimum is solved once per rho (and start) rather
+than once per policy. Each cell emits a per-step CSV and a summary JSON; a
+manifest records the config hash and seeds for exact replay.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .policies import (
     POLICY_NAMES,
     ExactCostModel,
     GpServiceModel,
-    StepOutcome,
     WindServiceModel,
     make_policy,
 )
@@ -168,6 +168,18 @@ class SyntheticEnv:
     contexts: np.ndarray  # (episodes, steps) context ids
     noise: np.ndarray  # (episodes, steps)
     x0: np.ndarray  # (episodes,)
+    optima: dict = field(default_factory=dict, repr=False)  # rho -> per-episode optimal costs
+
+    def offline_optima(self, rho: float) -> list:
+        """Offline optimal cost of every episode at service weight ``rho``, solved once."""
+        if rho not in self.optima:
+            f_eff = rho * self.instance.f_table
+            dist = self.instance.metric.dist
+            self.optima[rho] = [
+                offline_optimal_matrix(f_eff[:, ctx].T, dist, int(x0))[1]
+                for ctx, x0 in zip(self.contexts, self.x0)
+            ]
+        return self.optima[rho]
 
 
 def build_synthetic_env(cfg: RunConfig, seed: int) -> SyntheticEnv:
@@ -193,6 +205,15 @@ class WindEnv:
     tree: object
     f_matrix: np.ndarray  # (n_altitudes, n_times)
     noise: np.ndarray  # (steps,) observation noise on windspeed
+    optima: dict = field(default_factory=dict, repr=False)  # (rho, start, steps) -> optimal cost
+
+    def offline_optimum(self, rho: float, start: int, steps: int) -> float:
+        """Offline optimal cost of the first ``steps`` rows from ``start``, solved once."""
+        key = (rho, start, steps)
+        if key not in self.optima:
+            f_eff = rho * self.f_matrix[:, :steps]
+            self.optima[key] = offline_optimal_matrix(f_eff.T, self.metric.dist, start)[1]
+        return self.optima[key]
 
 
 def build_wind_env(cfg: RunConfig, seed: int) -> WindEnv:
@@ -264,7 +285,6 @@ def run_synthetic_cell(cfg: RunConfig, env: SyntheticEnv, name: str, rho: float,
     f_eff = rho * inst.f_table
     policy = _synthetic_policy(cfg, env, name, rho, seed)
     logs = []
-    opt_costs = []
     for m in range(cfg.episodes):
         x0 = int(env.x0[m])
         policy.begin_episode(x0)
@@ -272,25 +292,21 @@ def run_synthetic_cell(cfg: RunConfig, env: SyntheticEnv, name: str, rho: float,
         prev = x0
         for h in range(cfg.steps):
             ctx = int(env.contexts[m, h])
-            action, diag = policy.act(ctx)
-            outcome = StepOutcome(
-                action=action,
-                service_true=float(f_eff[action, ctx]),
-                movement_true=float(metric.dist[prev, action]),
-                y=float(inst.f_table[action, ctx] + env.noise[m, h]),
-                diagnostics=diag,
-            )
-            policy.observe(action, ctx, outcome.y)
+            action, _ = policy.act(ctx)
+            y = float(inst.f_table[action, ctx] + env.noise[m, h])
+            policy.observe(action, ctx, y)
             log.append(
-                inst.contexts[ctx], action, outcome.service_true, outcome.movement_true, outcome.y
+                inst.contexts[ctx],
+                action,
+                float(f_eff[action, ctx]),
+                float(metric.dist[prev, action]),
+                y,
             )
             prev = action
         policy.end_episode()
         logs.append(log)
-        cost_matrix = f_eff[:, env.contexts[m]].T
-        opt_costs.append(offline_optimal_matrix(cost_matrix, metric.dist, x0)[1])
     alpha = cfg.regret_alpha if cfg.regret_alpha is not None else log_alpha(metric.n)
-    report = regret(logs, opt_costs, alpha=alpha, beta=cfg.regret_beta)
+    report = regret(logs, env.offline_optima(rho), alpha=alpha, beta=cfg.regret_beta)
     return logs, report, {}
 
 
@@ -345,26 +361,20 @@ def run_wind_cell(cfg: RunConfig, env: WindEnv, name: str, rho: float, seed: int
     log = EpisodeLog(x0=start)
     prev = start
     for t in range(steps):
-        action, diag = policy.act(t)
-        outcome = StepOutcome(
-            action=action,
-            service_true=float(f_eff[action, t]),
-            movement_true=float(env.metric.dist[prev, action]),
-            # the wind learner observes measured windspeed, not the cost
-            y=max(0.0, float(table.speeds[action, t] + env.noise[t])),
-            diagnostics=diag,
-        )
-        policy.observe(action, t, outcome.y)
+        action, _ = policy.act(t)
+        # the wind learner observes measured windspeed, not the cost
+        y = max(0.0, float(table.speeds[action, t] + env.noise[t]))
+        policy.observe(action, t, y)
         log.append(
             table.timestamps[t].isoformat(),
             action,
-            outcome.service_true,
-            outcome.movement_true,
-            outcome.y,
+            float(f_eff[action, t]),
+            float(env.metric.dist[prev, action]),
+            y,
         )
         prev = action
     policy.end_episode()
-    opt_cost = offline_optimal_matrix(f_eff[:, :steps].T, env.metric.dist, start)[1]
+    opt_cost = env.offline_optimum(rho, start, steps)
     alpha = cfg.regret_alpha if cfg.regret_alpha is not None else log_alpha(table.n_altitudes)
     report = regret([log], [opt_cost], alpha=alpha, beta=cfg.regret_beta)
     energy = trajectory_energy(env.params, table, log.actions, range(steps), start)
@@ -429,39 +439,67 @@ def summarize_cell(kind, policy, seed, rho, start, logs, report, energy) -> dict
     return summary
 
 
-def _execute_cell(args):
-    cfg_data, seed, policy, rho, start = args
+def _write_failure(cfg: RunConfig, name: str, seed: int, phase: str, err: str) -> None:
+    try:
+        with open(Path(cfg.out_dir) / f"{name}.failed.json", "w") as fh:
+            json.dump({"cell": name, "seed": seed, "phase": phase, "error": err}, fh, indent=1)
+    except OSError:
+        pass
+
+
+def _execute_seed(args):
+    """Build one seed's environment, then run and write each of its cells.
+
+    Returns ``(cell name, traceback or None)`` per cell, in rho, start,
+    policy order. A failure is confined to its phase: an env failure fails
+    every cell of the seed, a cell or write failure only that cell.
+    """
+    cfg_data, seed = args
     cfg = RunConfig.from_dict(cfg_data)
+    starts = cfg.starts if cfg.starts else [None]
+    grid = [(rho, start, policy) for rho in cfg.rhos for start in starts for policy in cfg.policies]
     try:
         if cfg.kind == "synthetic":
             env = build_synthetic_env(cfg, seed)
-            logs, report, energy = run_synthetic_cell(cfg, env, policy, rho, seed)
-            start_used = None
         else:
             env = build_wind_env(cfg, seed)
-            start_used = start if start is not None else env.table.n_altitudes // 2
-            logs, report, energy = run_wind_cell(cfg, env, policy, rho, seed, start_used)
-        name = cell_name(policy, seed, rho, start)
-        out = Path(cfg.out_dir)
-        write_steps_csv(out / f"{name}.steps.csv", logs)
-        summary = summarize_cell(cfg.kind, policy, seed, rho, start_used, logs, report, energy)
-        with open(out / f"{name}.summary.json", "w") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
-        return name, None
     except Exception:
-        name = cell_name(policy, seed, rho, start)
         err = traceback.format_exc()
+        results = []
+        for rho, start, policy in grid:
+            name = cell_name(policy, seed, rho, start)
+            _write_failure(cfg, name, seed, "env", err)
+            results.append((name, err))
+        return results
+
+    out = Path(cfg.out_dir)
+    results = []
+    for rho, start, policy in grid:
+        name = cell_name(policy, seed, rho, start)
+        phase = "cell"
         try:
-            with open(Path(cfg.out_dir) / f"{name}.failed.json", "w") as fh:
-                json.dump({"cell": name, "error": err}, fh, indent=1)
-        except OSError:
-            pass
-        return name, err
+            if cfg.kind == "synthetic":
+                logs, report, energy = run_synthetic_cell(cfg, env, policy, rho, seed)
+                start_used = None
+            else:
+                start_used = start if start is not None else env.table.n_altitudes // 2
+                logs, report, energy = run_wind_cell(cfg, env, policy, rho, seed, start_used)
+            phase = "write"
+            write_steps_csv(out / f"{name}.steps.csv", logs)
+            summary = summarize_cell(cfg.kind, policy, seed, rho, start_used, logs, report, energy)
+            with open(out / f"{name}.summary.json", "w") as fh:
+                json.dump(summary, fh, indent=1, sort_keys=True)
+            results.append((name, None))
+        except Exception:
+            err = traceback.format_exc()
+            _write_failure(cfg, name, seed, phase, err)
+            results.append((name, err))
+    return results
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute every cell of the config grid. Exit codes: 0 ok, 1 config
-    error, 2 at least one cell failed."""
+    """Execute every cell of the config grid, one task per seed. Exit codes:
+    0 ok, 1 config error, 2 at least one cell failed."""
     errors = cfg.validate()
     if errors:
         for e in errors:
@@ -472,21 +510,14 @@ def run(cfg: RunConfig) -> int:
         return 0
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    starts = cfg.starts if cfg.starts else [None]
-    cells = [
-        (cfg.to_dict(), seed, policy, rho, start)
-        for seed in cfg.seeds
-        for rho in cfg.rhos
-        for start in starts
-        for policy in cfg.policies
-    ]
+    tasks = [(cfg.to_dict(), seed) for seed in cfg.seeds]
     workers = int(os.environ.get(WORKERS_ENV, "1"))
-    results = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_execute_cell, cells))
+            per_seed = list(pool.map(_execute_seed, tasks))
     else:
-        results = [_execute_cell(c) for c in cells]
+        per_seed = [_execute_seed(t) for t in tasks]
+    results = [cell for cells in per_seed for cell in cells]
     manifest = {
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),

@@ -106,13 +106,14 @@ class HstTree:
                 raise ValueError(f"vertex {v} is both a leaf and internal")
             if not is_leaf[v] and not has_kids:
                 raise ValueError(f"internal vertex {v} has no children")
-        # tau-decay on every edge whose parent edge exists (parent not root).
+        # tau-decay on every edge whose parent edge exists (parent not root),
+        # with a relative slack of a few ulps for rounding in the embedding.
         root = self.root
         for v in range(self.n_vertices):
             p = self.parent[v]
             if p < 0 or p == root:
                 continue
-            if self.weight[v] > self.weight[p] / self.tau + 1e-12:
+            if self.weight[v] > self.weight[p] / self.tau * (1 + 1e-12):
                 raise ValueError(
                     f"weight decay violated at vertex {v}: "
                     f"{self.weight[v]} > {self.weight[p]}/{self.tau}"

@@ -17,8 +17,6 @@ Policies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .gp import GpModel
@@ -28,18 +26,6 @@ from .transport import optimal_coupling, sample_next
 from .wind import EnergyParams, propagate_bounds_all
 
 POLICY_NAMES = ("gp-md", "cgp-lcb", "md-known", "minc-known", "stationary")
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """What one environment step produced: the action, its true costs, the
-    observation fed back to the learner, and policy diagnostics."""
-
-    action: int
-    service_true: float
-    movement_true: float
-    y: float
-    diagnostics: dict = field(default_factory=dict)
 
 
 class ExactCostModel:

@@ -68,6 +68,45 @@ class TestOfflineOptimal:
         assert cost == pytest.approx(1.0 + 3.0)
 
 
+def column_layout_dp(cost_matrix, dist, x0):
+    """The DP as first written: a strided minimum down each column of
+    reach[from, to]. Reference for the row-layout sweep."""
+    H, n = cost_matrix.shape
+    value = cost_matrix[0] + dist[x0]
+    back = np.zeros((H, n), dtype=np.int64)
+    for h in range(1, H):
+        reach = value[:, None] + dist
+        back[h] = np.argmin(reach, axis=0)
+        value = cost_matrix[h] + reach[back[h], np.arange(n)]
+    last = int(np.argmin(value))
+    seq = [last]
+    for h in range(H - 1, 0, -1):
+        last = int(back[h, last])
+        seq.append(last)
+    seq.reverse()
+    return seq, float(value.min())
+
+
+class TestRowLayoutDp:
+    def test_bit_identical_to_column_layout(self, rng):
+        for trial in range(20):
+            n = int(rng.integers(2, 30))
+            H = int(rng.integers(1, 40))
+            # L1 distances on an integer lattice tie often; a few entries get
+            # an asymmetric nudge that the metric's tolerance still accepts.
+            pts = rng.integers(0, 4, (n, 2))
+            dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).astype(float)
+            nudge = np.triu(rng.integers(0, 2, (n, n)) * 1e-10, k=1)
+            nudge[0, n - 1] = 1e-10
+            metric = FiniteMetric.from_matrix(dist + nudge)
+            cost_matrix = rng.integers(0, 5, (H, n)).astype(float)
+            x0 = int(rng.integers(0, n))
+            seq, cost = offline_optimal_matrix(cost_matrix, metric.dist, x0)
+            ref_seq, ref_cost = column_layout_dp(cost_matrix, metric.dist, x0)
+            assert seq == ref_seq, trial
+            assert cost == ref_cost, trial
+
+
 class TestRegret:
     def test_exact_compensation_gives_zero(self):
         alpha, beta = 2.0, 5.0
@@ -142,37 +181,3 @@ class TestSynthInstance:
         metric = FiniteMetric.from_matrix(np.where(np.eye(3), 0.0, 1.0))
         with pytest.raises(ValueError, match="coordinates"):
             synth_instance(0, metric=metric)
-
-
-class TestCsvHelpers:
-    def test_f_table_roundtrip_shape(self, tmp_path):
-        inst = synth_instance(1, metric=grid_metric(3, 3), n_contexts=4)
-        path = tmp_path / "f.csv"
-        from gpmd.bench import write_f_table_csv
-
-        write_f_table_csv(path, inst.f_table, contexts=inst.contexts)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == inst.n_actions + 1
-        assert len(lines[0].split(",")) == inst.n_contexts + 1
-
-    def test_dp_solution_csv(self, tmp_path):
-        from gpmd.bench import write_dp_solution_csv
-
-        path = tmp_path / "dp.csv"
-        write_dp_solution_csv(path, [2, 0, 1], 3.75)
-        lines = path.read_text().strip().splitlines()
-        assert lines[1] == "1,2"
-        assert lines[-1].startswith("total_cost,")
-
-
-class TestHallucinatedOptimal:
-    def test_clamps_then_runs_same_dp(self, rng):
-        from gpmd.bench import hallucinated_optimal
-
-        metric = FiniteMetric.from_coords(rng.uniform(0, 1, (4, 2)))
-        lcb_table = rng.uniform(-1.0, 1.0, (4, 3))
-        contexts = [0, 2, 1]
-        seq, cost = hallucinated_optimal(metric, lcb_table, contexts, x0=0)
-        clamped = np.maximum(lcb_table, 0.0)
-        seq2, cost2 = offline_optimal(metric, clamped, contexts, x0=0)
-        assert seq == seq2 and cost == pytest.approx(cost2)

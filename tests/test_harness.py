@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from gpmd import harness
 from gpmd.cli import main as cli_main
 from gpmd.harness import (
     RunConfig,
@@ -13,6 +14,7 @@ from gpmd.harness import (
     report,
     rng_stream,
     run,
+    run_synthetic_cell,
 )
 
 
@@ -197,8 +199,9 @@ class TestWindRun:
         assert code == 2
         failed = list(out.glob("*.failed.json"))
         assert len(failed) == 1
-        error = json.loads(failed[0].read_text())["error"]
-        assert "5000 steps" in error and "48 rows" in error
+        record = json.loads(failed[0].read_text())
+        assert record["phase"] == "cell" and record["seed"] == 0
+        assert "5000 steps" in record["error"] and "48 rows" in record["error"]
         assert not list(out.glob("*.steps.csv"))
 
     def test_dataset_csv_replay(self, tmp_path):
@@ -330,12 +333,123 @@ def test_wind_gp_config_passthrough(tmp_path):
     assert (tmp_path / "out" / "manifest.json").exists()
 
 
+def _artifacts(out):
+    return {
+        p.name: p.read_bytes()
+        for p in sorted(out.iterdir())
+        if p.name == "manifest.json" or p.name.endswith((".steps.csv", ".summary.json"))
+    }
+
+
 def test_parallel_workers_match_sequential(tmp_path, monkeypatch):
-    cfg_a = small_cfg(tmp_path, policies=["stationary", "minc-known"], out_dir=str(tmp_path / "seq"))
-    assert run(cfg_a) == 0
+    # Both runs write to the same directory, so the manifests' configs match.
+    cfg = small_cfg(tmp_path, policies=["stationary", "minc-known"], seeds=[1, 2], rhos=[0.5, 1.0])
+    out = tmp_path / "out"
+    assert run(cfg) == 0
+    sequential = _artifacts(out)
+    for p in out.iterdir():
+        p.unlink()
     monkeypatch.setenv("GPMD_WORKERS", "2")
-    cfg_b = small_cfg(tmp_path, policies=["stationary", "minc-known"], out_dir=str(tmp_path / "par"))
-    assert run(cfg_b) == 0
-    for p in sorted((tmp_path / "seq").glob("*.steps.csv")):
-        q = tmp_path / "par" / p.name
-        assert p.read_bytes() == q.read_bytes()
+    assert run(cfg) == 0
+    parallel = _artifacts(out)
+    assert len(sequential) == 1 + 2 * 2 * 2 * 2
+    assert sequential.keys() == parallel.keys()
+    for name in sequential:
+        assert sequential[name] == parallel[name], name
+
+
+class TestSeedSharing:
+    @staticmethod
+    def count(monkeypatch, attr):
+        calls = []
+        original = getattr(harness, attr)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, attr, counted)
+        return calls
+
+    def test_synthetic_env_and_dp_once_per_seed(self, tmp_path, monkeypatch):
+        builds = self.count(monkeypatch, "build_synthetic_env")
+        dps = self.count(monkeypatch, "offline_optimal_matrix")
+        cfg = small_cfg(
+            tmp_path,
+            policies=["stationary", "minc-known", "md-known"],
+            seeds=[1, 2],
+            rhos=[0.5, 1.0],
+            episodes=2,
+        )
+        assert run(cfg) == 0
+        assert len(builds) == 2
+        assert len(dps) == 2 * 2 * 2  # seeds x rhos x episodes
+        assert len(list((tmp_path / "out").glob("*.summary.json"))) == 2 * 2 * 3
+
+    def test_wind_env_once_and_dp_once_per_rho(self, tmp_path, monkeypatch):
+        builds = self.count(monkeypatch, "build_wind_env")
+        dps = self.count(monkeypatch, "offline_optimal_matrix")
+        cfg = small_cfg(
+            tmp_path,
+            kind="wind",
+            policies=["stationary", "minc-known", "md-known"],
+            rhos=[1.0, 2.0],
+            steps=12,
+            wind_hours=12,
+            starts=[3],
+        )
+        assert run(cfg) == 0
+        assert len(builds) == 1
+        assert len(dps) == 2
+
+    def test_shared_optima_equal_fresh_envs(self, tmp_path):
+        cfg = small_cfg(tmp_path, episodes=2)
+        shared = build_synthetic_env(cfg, 1)
+        for rho, policy in ((0.5, "md-known"), (1.0, "stationary"), (0.5, "stationary")):
+            _, reused, _ = run_synthetic_cell(cfg, shared, policy, rho, 1)
+            _, fresh, _ = run_synthetic_cell(cfg, build_synthetic_env(cfg, 1), policy, rho, 1)
+            assert reused.optimal_costs.tolist() == fresh.optimal_costs.tolist()
+
+
+def test_env_failure_fails_only_its_seed(tmp_path, monkeypatch):
+    build = harness.build_synthetic_env
+
+    def faulty(cfg, seed):
+        if seed == 2:
+            raise RuntimeError("no environment for seed 2")
+        return build(cfg, seed)
+
+    monkeypatch.setattr(harness, "build_synthetic_env", faulty)
+    cfg = small_cfg(tmp_path, policies=["stationary", "minc-known"], seeds=[1, 2], rhos=[0.5, 1.0])
+    assert run(cfg) == 2
+    out = tmp_path / "out"
+    failed = {p.name: json.loads(p.read_text()) for p in out.glob("*.failed.json")}
+    assert len(failed) == 2 * 2
+    for name, record in failed.items():
+        assert "_seed2_" in name and record["cell"] + ".failed.json" == name
+        assert record["seed"] == 2 and record["phase"] == "env"
+        assert "Traceback" in record["error"] and "no environment for seed 2" in record["error"]
+    assert len(list(out.glob("*_seed1_*.steps.csv"))) == 2 * 2
+    assert len(list(out.glob("*_seed1_*.summary.json"))) == 2 * 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["failed"]) == sorted(r["cell"] for r in failed.values())
+    assert len(manifest["cells"]) == 2 * 2 * 2
+
+
+def test_cell_failure_spares_the_other_policies(tmp_path, monkeypatch):
+    original = harness.run_synthetic_cell
+
+    def faulty(cfg, env, name, rho, seed):
+        if name == "minc-known":
+            raise RuntimeError("policy broke")
+        return original(cfg, env, name, rho, seed)
+
+    monkeypatch.setattr(harness, "run_synthetic_cell", faulty)
+    cfg = small_cfg(tmp_path, policies=["stationary", "minc-known", "md-known"])
+    assert run(cfg) == 2
+    out = tmp_path / "out"
+    (failed,) = out.glob("*.failed.json")
+    record = json.loads(failed.read_text())
+    assert failed.name.startswith("minc-known_seed1_")
+    assert record["seed"] == 1 and record["phase"] == "cell"
+    assert {p.name.split("_")[0] for p in out.glob("*.summary.json")} == {"stationary", "md-known"}

@@ -185,3 +185,42 @@ class TestFrtEmbed:
             p = t.parent[v]
             if p >= 0 and p != root:
                 assert t.weight[v] <= t.weight[p] / t.tau + 1e-12
+
+
+class TestWeightDecayCheck:
+    @staticmethod
+    def chain_tree(parent_weight: float, child_weight: float) -> HstTree:
+        # root -> a -> {l0, l1}, root -> l2: the edge a -> l_i decays from a.
+        d = 2 * child_weight
+        far = parent_weight + child_weight
+        metric = FiniteMetric.from_matrix(
+            np.array([[0.0, d, far], [d, 0.0, far], [far, far, 0.0]])
+        )
+        return HstTree(
+            parent=np.array([-1, 0, 1, 1, 0]),
+            weight=np.array([0.0, parent_weight, child_weight, child_weight, parent_weight]),
+            leaf_vertex=np.array([2, 3, 4]),
+            tau=5.0,
+            metric=metric,
+        )
+
+    def test_wind_seed_twelve_runs(self, tmp_path):
+        # This seed's embedding of the wind altitude metric sits one rounding
+        # step above weight/tau at distances near 1e5.
+        from gpmd.cli import main as cli_main
+
+        code = cli_main(
+            ["run", "--kind", "wind", "--seeds", "12", "--steps", "5",
+             "--policies", "stationary", "--out", str(tmp_path / "o")]
+        )
+        assert code == 0
+        assert not list((tmp_path / "o").glob("*.failed.json"))
+
+    def test_rounding_step_accepted_at_large_scale(self):
+        w = 162730.85320361968
+        self.chain_tree(w, np.nextafter(w / 5.0, np.inf))
+
+    def test_one_percent_over_rejected_at_large_scale(self):
+        w = 162730.85320361968
+        with pytest.raises(ValueError, match="weight decay violated"):
+            self.chain_tree(w, w / 5.0 * 1.01)
