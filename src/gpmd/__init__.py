@@ -20,11 +20,7 @@ from .mirror import (
     PotentialParams,
     SolverConvergenceError,
     TreeState,
-    VertexCosts,
     bregman,
-    delta_inverse,
-    delta_map,
-    md_step,
     md_update_vertex,
     point_mass_state,
 )
@@ -36,7 +32,14 @@ from .policies import (
     WindServiceModel,
     make_policy,
 )
-from .transport import Coupling, LeafDistribution, optimal_coupling, sample_next, tree_wasserstein
+from .transport import (
+    Coupling,
+    LeafDistribution,
+    coupling_row,
+    optimal_coupling,
+    sample_next,
+    tree_wasserstein,
+)
 from .wind import (
     EnergyParams,
     WindTable,

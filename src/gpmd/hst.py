@@ -37,6 +37,7 @@ class HstTree:
     # Derived structure, filled in __post_init__.
     children: tuple = field(default=None, repr=False)
     depth: np.ndarray = field(default=None, repr=False)
+    depth_layers: tuple = field(default=None, repr=False)
     point_index: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -73,6 +74,9 @@ class HstTree:
         if seen != nv or np.any(depth < 0):
             raise ValueError("tree contains unreachable vertices or a cycle")
         object.__setattr__(self, "depth", depth)
+        # Vertices grouped by depth, root layer first.
+        layers = tuple(np.flatnonzero(depth == d) for d in range(int(depth.max()) + 1))
+        object.__setattr__(self, "depth_layers", layers)
 
         point_index = np.full(nv, -1, dtype=np.int64)
         for i, v in enumerate(leaf_vertex):
@@ -158,14 +162,16 @@ class HstTree:
 
     # -- per-vertex bookkeeping used by the mirror-descent potential ----
 
+    def subtree_sums(self, leaf_values) -> np.ndarray:
+        """Per vertex, the sum of ``leaf_values`` (one per metric point) below it."""
+        z = np.zeros(self.n_vertices)
+        z[self.leaf_vertex] = leaf_values
+        for verts in self.depth_layers[:0:-1]:
+            np.add.at(z, self.parent[verts], z[verts])
+        return z
+
     def leaf_counts(self) -> np.ndarray:
-        counts = np.zeros(self.n_vertices, dtype=np.int64)
-        counts[self.leaf_vertex] = 1
-        for v in self.topological_vertices():
-            p = self.parent[v]
-            if p >= 0:
-                counts[p] += counts[v]
-        return counts
+        return self.subtree_sums(np.ones(self.n_leaves)).astype(np.int64)
 
     def leaf_count_ratios(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-vertex (theta, eta, delta); entries at the root are NaN.
@@ -289,6 +295,9 @@ def frt_embed(metric: FiniteMetric, tau: float = 5.0, rng_seed: int = 0) -> HstT
             top += 1
         perm = rng.permutation(m)
         beta = float(tau ** rng.uniform(0.0, 1.0))
+        # Columns in permutation order: a member's centre is the first
+        # column within the radius (its own column always is).
+        sub_perm = sub[:, perm]
 
         root = new_vertex(-1, 0.0)
         # (vertex, member representative indices) clusters awaiting splitting
@@ -299,17 +308,12 @@ def frt_embed(metric: FiniteMetric, tau: float = 5.0, rng_seed: int = 0) -> HstT
             child_w = beta * tau ** (level + 1)
             nxt: list[tuple[int, np.ndarray]] = []
             for vert, members in active:
-                assigned = np.full(members.shape[0], -1, dtype=np.int64)
-                for c in perm:
-                    free = assigned < 0
-                    if not free.any():
-                        break
-                    hit = free & (sub[members, c] <= radius)
-                    assigned[hit] = c
-                for c in perm:
-                    chunk = members[assigned == c]
-                    if chunk.size == 0:
-                        continue
+                rank = np.argmax(sub_perm[members] <= radius, axis=1)
+                # children in centre-rank order, members in cluster order
+                order = np.argsort(rank, kind="stable")
+                ranks = rank[order]
+                cuts = np.flatnonzero(ranks[1:] != ranks[:-1]) + 1
+                for chunk in np.split(members[order], cuts):
                     child = new_vertex(vert, child_w)
                     if chunk.size == 1:
                         group_leaf[chunk[0]] = child

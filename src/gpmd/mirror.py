@@ -94,13 +94,6 @@ class CondState:
 
 
 @dataclass
-class VertexCosts:
-    """Per-vertex costs: leaves carry inputs, internal entries are filled bottom-up."""
-
-    values: np.ndarray
-
-
-@dataclass
 class PotentialParams:
     """Constants of the entropic potential for one tree: kappa and (w, eta, delta)."""
 
@@ -257,12 +250,6 @@ class MdEngine:
                 }
             )
         self._layers = layers
-        # Vertices grouped by increasing depth, root layer first (for the
-        # top-down delta map).
-        depths = sorted({int(d) for d in tree.depth})
-        self._down_layers = [
-            np.where(tree.depth == d)[0].astype(np.int64) for d in depths
-        ]
 
     def step(self, q_prev: np.ndarray, leaf_costs: np.ndarray, trace=None):
         """One mirror-descent sweep; returns (q_new, per-vertex costs)."""
@@ -306,14 +293,16 @@ class MdEngine:
         return q_new, cost
 
     def delta_map(self, q: np.ndarray) -> np.ndarray:
+        """z from conditionals: z_root = 1, z_v = z_parent * q_v top-down."""
         tree = self.tree
         z = np.empty(tree.n_vertices)
         z[tree.root] = 1.0
-        for verts in self._down_layers[1:]:
+        for verts in tree.depth_layers[1:]:
             z[verts] = z[tree.parent[verts]] * q[verts]
         return z
 
     def delta_inverse(self, z: np.ndarray) -> np.ndarray:
+        """Conditionals from z; children of zero-mass parents get the uniform split."""
         tree = self.tree
         q = np.ones(tree.n_vertices)
         n_sib = np.ones(tree.n_vertices)
@@ -321,28 +310,12 @@ class MdEngine:
             kids = tree.children[u]
             if len(kids):
                 n_sib[kids] = float(len(kids))
-        for verts in self._down_layers[1:]:
+        for verts in tree.depth_layers[1:]:
             zp = z[tree.parent[verts]]
             with np.errstate(invalid="ignore", divide="ignore"):
                 ratio = z[verts] / zp
             q[verts] = np.where(zp > 0.0, ratio, 1.0 / n_sib[verts])
         return q
-
-    def lift_leaf_distribution(self, probs: np.ndarray) -> np.ndarray:
-        """Subtree masses z from a distribution over metric points."""
-        tree = self.tree
-        z = np.zeros(tree.n_vertices)
-        z[tree.leaf_vertex] = probs
-        for verts in self._down_layers[:0:-1]:
-            np.add.at(z, tree.parent[verts], z[verts])
-        return z
-
-
-def md_step(tree: HstTree, params: PotentialParams, q_prev: CondState, leaf_costs, trace=None):
-    """Run one sweep; convenience wrapper that builds a throwaway engine."""
-    engine = MdEngine(tree, params)
-    q, costs = engine.step(np.asarray(q_prev.q, dtype=float), leaf_costs, trace=trace)
-    return CondState(q), VertexCosts(costs)
 
 
 def write_trace_csv(path, trace) -> None:
@@ -359,16 +332,6 @@ def write_trace_csv(path, trace) -> None:
                 writer.writerow(
                     [rec["vertex"], c, repr(qb), repr(qa), repr(cc), repr(rec["vertex_cost"])]
                 )
-
-
-def delta_map(tree: HstTree, q: CondState) -> TreeState:
-    """z from conditionals: z_root = 1, z_v = z_parent * q_v top-down."""
-    return TreeState(MdEngine(tree).delta_map(np.asarray(q.q, dtype=float)))
-
-
-def delta_inverse(tree: HstTree, z: TreeState) -> CondState:
-    """Conditionals from z; children of zero-mass parents get the uniform split."""
-    return CondState(MdEngine(tree).delta_inverse(np.asarray(z.z, dtype=float)))
 
 
 def point_mass_state(tree: HstTree, point: int) -> TreeState:

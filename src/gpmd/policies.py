@@ -22,7 +22,7 @@ import numpy as np
 from .gp import GpModel
 from .hst import HstTree
 from .mirror import MdEngine, PotentialParams, point_mass_state
-from .transport import optimal_coupling, sample_next
+from .transport import sample_next
 from .wind import EnergyParams, propagate_bounds_all
 
 POLICY_NAMES = ("gp-md", "cgp-lcb", "md-known", "minc-known", "stationary")
@@ -238,16 +238,16 @@ class MirrorDescentPolicy(Policy):
         costs = np.maximum(self.rho * np.asarray(lcb, dtype=float), 0.0)
         q_new, vertex_costs = self.engine.step(self.q, costs)
         z_new = self.engine.delta_map(q_new)
-        coupling = optimal_coupling(
-            self.tree, self.z_prev[self.tree.leaf_vertex], z_new[self.tree.leaf_vertex]
-        )
-        action = sample_next(coupling, self.x_prev, self.rng)
         diff = np.abs(z_new - self.z_prev)
         diff[self.tree.root] = 0.0
         diag = {
             "hallucinated_root_cost": float(vertex_costs[self.tree.root]),
             "tree_wasserstein_step": float((self.tree.weight * diff).sum()),
         }
+        leaves = self.tree.leaf_vertex
+        action = sample_next(
+            self.tree, self.z_prev[leaves], z_new[leaves], self.x_prev, self.rng, diag=diag
+        )
         self.q = q_new
         self.z_prev = z_new
         return self._record(action), diag

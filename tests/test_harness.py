@@ -358,6 +358,35 @@ def test_parallel_workers_match_sequential(tmp_path, monkeypatch):
         assert sequential[name] == parallel[name], name
 
 
+def test_walked_row_sampler_matches_the_full_coupling(tmp_path, monkeypatch):
+    # The same run with every step drawn from the full coupling's row writes
+    # byte-identical step CSVs.
+    from gpmd import policies
+    from gpmd.transport import optimal_coupling
+
+    def coupling_sampler(tree, a, b, prev, rng, diag=None):
+        js, ms = optimal_coupling(tree, a, b).conditional_row(prev)
+        assert ms.sum() > 0.0
+        return int(rng.choice(js, p=ms / ms.sum()))
+
+    cfg = small_cfg(
+        tmp_path, policies=["md-known", "gp-md"], seeds=[1, 2], steps=25, episodes=2,
+        grid=[6, 6],
+    )
+    out = tmp_path / "out"
+    assert run(cfg) == 0
+    walked = _artifacts(out)
+    for p in out.iterdir():
+        p.unlink()
+    monkeypatch.setattr(policies, "sample_next", coupling_sampler)
+    assert run(cfg) == 0
+    full = _artifacts(out)
+    steps = [name for name in walked if name.endswith(".steps.csv")]
+    assert len(steps) == 2 * 2
+    for name in steps:
+        assert walked[name] == full[name], name
+
+
 class TestSeedSharing:
     @staticmethod
     def count(monkeypatch, attr):

@@ -5,6 +5,7 @@ import pytest
 
 from gpmd.hst import HstTree, frt_embed, leaf_count_ratios, tree_distance
 from gpmd.metric import FiniteMetric, grid_metric
+from gpmd.wind import EnergyParams, altitude_metric, synthetic_wind_table
 
 from conftest import random_hst
 
@@ -224,3 +225,103 @@ class TestWeightDecayCheck:
         w = 162730.85320361968
         with pytest.raises(ValueError, match="weight decay violated"):
             self.chain_tree(w, w / 5.0 * 1.01)
+
+
+def loop_frt_structure(metric: FiniteMetric, tau: float, rng_seed: int):
+    """The embedding's former per-cluster loops over the whole permutation.
+
+    Returns (parent, weight, leaf_vertex); kept as the reference for the
+    vectorized assignment in ``frt_embed``.
+    """
+    rng = np.random.default_rng(rng_seed)
+    n, dist = metric.n, metric.dist
+    group_of = np.full(n, -1, dtype=np.int64)
+    reps: list[int] = []
+    for i in range(n):
+        if group_of[i] >= 0:
+            continue
+        group_of[np.where(dist[i] == 0.0)[0]] = len(reps)
+        reps.append(i)
+    members_of = [np.where(group_of == g)[0] for g in range(len(reps))]
+    rep_idx = np.asarray(reps, dtype=np.int64)
+    m = len(reps)
+    parents: list[int] = []
+    weights: list[float] = []
+    group_leaf = np.full(m, -1, dtype=np.int64)
+
+    def new_vertex(parent, weight):
+        parents.append(parent)
+        weights.append(weight)
+        return len(parents) - 1
+
+    if m == 1:
+        group_leaf[0] = new_vertex(-1, 0.0)
+    else:
+        sub = dist[np.ix_(rep_idx, rep_idx)]
+        psi = float(sub.max())
+        top = math.ceil(math.log(psi, tau))
+        while tau**top < psi:
+            top += 1
+        perm = rng.permutation(m)
+        beta = float(tau ** rng.uniform(0.0, 1.0))
+        active = [(new_vertex(-1, 0.0), np.arange(m))]
+        level = top - 1
+        while active:
+            radius = beta * tau**level
+            child_w = beta * tau ** (level + 1)
+            nxt = []
+            for vert, members in active:
+                assigned = np.full(members.shape[0], -1, dtype=np.int64)
+                for c in perm:
+                    free = assigned < 0
+                    if not free.any():
+                        break
+                    assigned[free & (sub[members, c] <= radius)] = c
+                for c in perm:
+                    chunk = members[assigned == c]
+                    if chunk.size == 0:
+                        continue
+                    child = new_vertex(vert, child_w)
+                    if chunk.size == 1:
+                        group_leaf[chunk[0]] = child
+                    else:
+                        nxt.append((child, chunk))
+            active = nxt
+            level -= 1
+    leaf_vertex = np.full(n, -1, dtype=np.int64)
+    for g in range(m):
+        if members_of[g].size == 1:
+            leaf_vertex[members_of[g][0]] = group_leaf[g]
+        else:
+            for p in members_of[g]:
+                leaf_vertex[p] = new_vertex(int(group_leaf[g]), 0.0)
+    return np.asarray(parents), np.asarray(weights), leaf_vertex
+
+
+def _duplicate_points_metric() -> FiniteMetric:
+    rng = np.random.default_rng(7)
+    pts = rng.integers(0, 4, size=(30, 2)).astype(float)  # many repeated points
+    return FiniteMetric.from_coords(pts)
+
+
+def _wind_metric() -> FiniteMetric:
+    return altitude_metric(EnergyParams(), synthetic_wind_table(3, hours=4).altitudes)
+
+
+@pytest.mark.parametrize(
+    "metric, seeds",
+    [
+        (grid_metric(12, 12), range(6)),
+        (grid_metric(7, 5), range(6)),
+        (_duplicate_points_metric(), range(6)),
+        (_wind_metric(), (0, 12, 20, 21, 24, 27)),
+    ],
+    ids=["grid12x12", "grid7x5", "duplicates", "wind"],
+)
+def test_frt_matches_the_loop_construction(metric, seeds):
+    for seed in seeds:
+        tree = frt_embed(metric, tau=5.0, rng_seed=seed)
+        parent, weight, leaf_vertex = loop_frt_structure(metric, 5.0, seed)
+        assert np.array_equal(tree.parent, parent)
+        assert np.array_equal(tree.weight, weight)
+        assert np.array_equal(tree.leaf_vertex, leaf_vertex)

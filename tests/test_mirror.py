@@ -11,9 +11,6 @@ from gpmd.mirror import (
     PotentialParams,
     TreeState,
     bregman,
-    delta_inverse,
-    delta_map,
-    md_step,
     md_update_vertex,
     point_mass_state,
 )
@@ -165,18 +162,19 @@ class TestDeltaMaps:
             tau=2.0,
             metric=metric,
         )
-        q = CondState(np.array([1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]))
-        z = delta_map(tree, q)
+        q = np.array([1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
+        z = TreeState(MdEngine(tree).delta_map(q))
         assert np.allclose(z.leaf_distribution(tree), 0.25)
         z.validate(tree)
 
     def test_point_mass_roundtrip(self, rng):
         tree = random_hst(rng, 9)
+        engine = MdEngine(tree)
         for point in (0, 4, 8):
             z0 = point_mass_state(tree, point)
-            q0 = delta_inverse(tree, z0)
-            q0.validate(tree)
-            z1 = delta_map(tree, q0)
+            q0 = engine.delta_inverse(z0.z)
+            CondState(q0).validate(tree)
+            z1 = TreeState(engine.delta_map(q0))
             assert np.abs(z1.z - z0.z).max() <= 1e-12
             probs = z1.leaf_distribution(tree)
             assert probs[point] == pytest.approx(1.0)
@@ -184,12 +182,12 @@ class TestDeltaMaps:
     def test_deterministic_path_gives_point_mass(self, rng):
         tree = random_hst(rng, 6)
         z0 = point_mass_state(tree, 3)
-        q = delta_inverse(tree, z0)
+        q = MdEngine(tree).delta_inverse(z0.z)
         # conditionals along the path are 1; off-path zero-mass parents
         # default to the uniform split
         v = int(tree.leaf_vertex[3])
         while tree.parent[v] >= 0:
-            assert q.q[v] == pytest.approx(1.0)
+            assert q[v] == pytest.approx(1.0)
             v = int(tree.parent[v])
 
     def test_roundtrip_on_random_interior_states(self, rng):
@@ -197,7 +195,7 @@ class TestDeltaMaps:
         engine = MdEngine(tree)
         for _ in range(20):
             probs = rng.dirichlet(np.ones(8) * 2.0)
-            z = engine.lift_leaf_distribution(probs)
+            z = tree.subtree_sums(probs)
             q = engine.delta_inverse(z)
             z2 = engine.delta_map(q)
             assert np.abs(z2 - z).max() <= 1e-10
@@ -212,7 +210,7 @@ class TestMdStep:
         params = PotentialParams(tree)
         probs = rng.dirichlet(np.ones(10))
         engine = MdEngine(tree, params)
-        q = engine.delta_inverse(engine.lift_leaf_distribution(probs))
+        q = engine.delta_inverse(tree.subtree_sums(probs))
         q_new, costs = engine.step(q, np.zeros(10))
         assert np.abs(q_new - q).max() <= 1e-9
         assert np.abs(costs).max() <= 1e-12
@@ -221,7 +219,7 @@ class TestMdStep:
         tree = random_hst(rng, 10)
         engine = MdEngine(tree, PotentialParams(tree))
         probs = rng.dirichlet(np.ones(10))
-        q = engine.delta_inverse(engine.lift_leaf_distribution(probs))
+        q = engine.delta_inverse(tree.subtree_sums(probs))
         base = rng.uniform(0.0, 2.0, 10)
         q_a, cost_a = engine.step(q, base)
         for c in (-5.0, 1.0, 100.0):
@@ -233,7 +231,7 @@ class TestMdStep:
         tree = random_hst(rng, 12)
         engine = MdEngine(tree, PotentialParams(tree))
         probs = rng.dirichlet(np.ones(12))
-        q = engine.delta_inverse(engine.lift_leaf_distribution(probs))
+        q = engine.delta_inverse(tree.subtree_sums(probs))
         leaf_costs = rng.uniform(0.0, 3.0, 12)
         q_new, costs = engine.step(q, leaf_costs)
         z = engine.delta_map(q_new)
@@ -246,18 +244,10 @@ class TestMdStep:
             tree = random_hst(rng, n)
             engine = MdEngine(tree, PotentialParams(tree))
             probs = rng.dirichlet(np.ones(n))
-            q = engine.delta_inverse(engine.lift_leaf_distribution(probs))
+            q = engine.delta_inverse(tree.subtree_sums(probs))
             q_new, _ = engine.step(q, rng.uniform(0.0, 5.0, n))
             CondState(q_new).validate(tree, tol=1e-8)
             TreeState(engine.delta_map(q_new)).validate(tree, tol=1e-8)
-
-    def test_module_level_wrapper_types(self, rng):
-        tree = random_hst(rng, 5)
-        params = PotentialParams(tree)
-        q0 = delta_inverse(tree, point_mass_state(tree, 0))
-        q1, vc = md_step(tree, params, q0, rng.uniform(0.0, 1.0, 5))
-        assert isinstance(q1, CondState)
-        assert vc.values.shape == (tree.n_vertices,)
 
     def test_topological_order_children_first(self, rng):
         tree = random_hst(rng, 11)

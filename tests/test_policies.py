@@ -282,8 +282,16 @@ class TestMirrorDescentPolicy:
         pol = make_policy("md-known", tree=tree, true_model=exact_model(inst))
         pol.begin_episode(0)
         _, diag = pol.act(0)
-        assert set(diag) == {"hallucinated_root_cost", "tree_wasserstein_step"}
+        assert set(diag) == {
+            "hallucinated_root_cost",
+            "tree_wasserstein_step",
+            "row_pieces",
+            "coupling_fallback",
+        }
         assert diag["tree_wasserstein_step"] >= 0.0
+        # from a point mass the row is the whole next distribution
+        assert diag["row_pieces"] == int((pol.leaf_distribution() > 0.0).sum())
+        assert diag["coupling_fallback"] is False
 
 
 class TestFactory:

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from gpmd.transport import LeafDistribution, optimal_coupling, sample_next, tree_wasserstein
+from gpmd.hst import frt_embed
+from gpmd.metric import FiniteMetric, grid_metric
+from gpmd.mirror import MdEngine, PotentialParams, point_mass_state
+from gpmd.transport import (
+    LeafDistribution,
+    coupling_row,
+    optimal_coupling,
+    sample_next,
+    tree_wasserstein,
+)
 
 from conftest import lp_transport_cost, random_hst
 
@@ -21,7 +30,7 @@ def test_identical_distributions(rng):
     assert all(i == j for i, j, _ in coupling.pairs)
     for prev in range(7):
         if p[prev] > 0:
-            assert sample_next(coupling, prev, rng) == prev
+            assert sample_next(tree, p, p, prev, rng) == prev
 
 
 def test_point_masses_pay_tree_distance(rng):
@@ -34,7 +43,7 @@ def test_point_masses_pay_tree_distance(rng):
     assert w == pytest.approx(tree.tree_distance(1, 4))
     coupling = optimal_coupling(tree, a, b)
     assert coupling.pairs == ((1, 4, 1.0),)
-    assert sample_next(coupling, 1, rng) == 4
+    assert sample_next(tree, a, b, 1, rng) == 4
 
 
 def test_symmetry_and_triangle(rng):
@@ -95,7 +104,7 @@ def test_sampler_conditional_frequencies(rng):
     draws = 20000
     counts = np.zeros(4)
     for _ in range(draws):
-        counts[sample_next(coupling, 0, rng)] += 1
+        counts[sample_next(tree, a, b, 0, rng)] += 1
     for j, p in zip(js, probs):
         se = np.sqrt(p * (1 - p) / draws)
         assert abs(counts[j] / draws - p) <= 4 * se + 1e-12
@@ -106,9 +115,8 @@ def test_zero_marginal_fallback(rng):
     a = np.zeros(5)
     a[0] = 1.0
     b = rng.dirichlet(np.ones(5))
-    coupling = optimal_coupling(tree, a, b)
     # leaf 3 has no mass in the previous marginal: fall back to next marginal
-    draws = [sample_next(coupling, 3, rng) for _ in range(200)]
+    draws = [sample_next(tree, a, b, 3, rng) for _ in range(200)]
     assert all(0 <= d < 5 for d in draws)
 
 
@@ -126,16 +134,6 @@ def test_first_step_conditional_equals_target(rng):
     assert np.abs(dense - b).max() <= 1e-12
 
 
-def test_coupling_csv_dump(tmp_path, rng):
-    tree = random_hst(rng, 4)
-    coupling = optimal_coupling(tree, rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4)))
-    path = tmp_path / "coupling.csv"
-    coupling.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "prev_leaf,next_leaf,mass"
-    assert len(lines) == len(coupling.pairs) + 1
-
-
 def test_mismatched_tree_rejected(rng):
     tree = random_hst(rng, 4)
     with pytest.raises(ValueError, match="leaves"):
@@ -145,8 +143,6 @@ def test_mismatched_tree_rejected(rng):
 def test_realized_movement_tracks_wasserstein_sum(rng):
     # Over a fixed sequence of distributions, the mean realized tree-metric
     # movement over replays approaches the sum of the step W1 distances.
-    from gpmd.mirror import MdEngine, PotentialParams, point_mass_state
-
     tree = random_hst(rng, 8)
     engine = MdEngine(tree, PotentialParams(tree))
     x0 = 0
@@ -158,18 +154,121 @@ def test_realized_movement_tracks_wasserstein_sum(rng):
     w_total = sum(
         tree_wasserstein(tree, dists[h], dists[h + 1]) for h in range(len(dists) - 1)
     )
-    couplings = [
-        optimal_coupling(tree, dists[h], dists[h + 1]) for h in range(len(dists) - 1)
-    ]
     replays = 3000
     moved = np.zeros(replays)
     for r in range(replays):
         x = x0
         total = 0.0
-        for cp in couplings:
-            nxt = sample_next(cp, x, rng)
+        for prev_dist, next_dist in zip(dists[:-1], dists[1:]):
+            nxt = sample_next(tree, prev_dist, next_dist, x, rng)
             total += tree.tree_distance(x, nxt)
             x = nxt
         moved[r] = total
     se = moved.std() / np.sqrt(replays)
     assert abs(moved.mean() - w_total) <= 4.0 * se + 1e-9
+
+
+# -- the previous action's row, walked on the tree ------------------------
+
+
+def assert_row_matches_coupling(tree, a, b, prev):
+    """``coupling_row`` equals the full coupling's row: targets and order
+    exactly, masses within 1e-12, once rounding crumbs are dropped."""
+    js, ms = coupling_row(tree, a, b, prev)
+    ref_js, ref_ms = optimal_coupling(tree, a, b).conditional_row(prev)
+    keep, ref_keep = ms >= 1e-15, ref_ms >= 1e-15
+    assert js[keep].tolist() == ref_js[ref_keep].tolist()
+    assert np.abs(ms[keep] - ref_ms[ref_keep]).max(initial=0.0) <= 1e-12
+
+
+def sparse_dirichlet(rng, n):
+    p = rng.dirichlet(np.ones(n) * rng.choice([0.3, 1.0, 4.0]))
+    p[rng.random(n) < 0.3] = 0.0
+    if p.sum() == 0.0:
+        p[int(rng.integers(n))] = 1.0
+    return p / p.sum()
+
+
+def md_sequence(tree, rng, steps, x0=0):
+    """Leaf distributions of ``steps`` mirror-descent steps from a point mass."""
+    engine = MdEngine(tree, PotentialParams(tree))
+    q = engine.delta_inverse(point_mass_state(tree, x0).z)
+    dists = [engine.delta_map(q)[tree.leaf_vertex]]
+    for _ in range(steps):
+        q, _ = engine.step(q, rng.uniform(0.0, 3.0, tree.n_leaves))
+        dists.append(engine.delta_map(q)[tree.leaf_vertex])
+    return dists
+
+
+def test_row_matches_coupling_on_random_trees(rng):
+    for _ in range(150):
+        n = int(rng.integers(2, 20))
+        tree = random_hst(rng, n, max_children=int(rng.integers(2, 6)))
+        a, b = sparse_dirichlet(rng, n), sparse_dirichlet(rng, n)
+        for prev in range(n):
+            assert_row_matches_coupling(tree, a, b, prev)
+
+
+def test_row_matches_coupling_on_frt_tree_with_duplicates(rng):
+    pts = rng.integers(0, 5, size=(40, 2)).astype(float)
+    tree = frt_embed(FiniteMetric.from_coords(pts), tau=5.0, rng_seed=3)
+    assert (tree.weight[tree.leaf_vertex] == 0.0).any()  # zero-weight duplicate leaves
+    dists = md_sequence(tree, rng, 8)
+    for a, b in zip(dists[:-1], dists[1:]):
+        for prev in range(tree.n_leaves):
+            assert_row_matches_coupling(tree, a, b, prev)
+
+
+def test_point_mass_row_is_the_next_distribution(rng):
+    tree = random_hst(rng, 12)
+    a = np.zeros(12)
+    a[5] = 1.0
+    b = sparse_dirichlet(rng, 12)
+    assert_row_matches_coupling(tree, a, b, 5)
+    js, ms = coupling_row(tree, a, b, 5)
+    dense = np.zeros(12)
+    dense[js] = ms
+    assert np.abs(dense - b).max() <= 1e-12
+
+
+def test_zero_previous_mass_falls_back_to_next_distribution(rng):
+    tree = random_hst(rng, 6)
+    a = np.zeros(6)
+    a[0] = 1.0
+    b = rng.dirichlet(np.ones(6))
+    js, ms = coupling_row(tree, a, b, 3)
+    assert js.size == 0 and ms.size == 0
+    assert_row_matches_coupling(tree, a, b, 3)
+    diag = {}
+    draw = sample_next(tree, a, b, 3, np.random.default_rng(9), diag=diag)
+    assert draw == np.random.default_rng(9).choice(6, p=b / b.sum())
+    assert diag == {"row_pieces": 0, "coupling_fallback": True}
+
+
+def test_draws_match_the_full_coupling_sampler(rng):
+    # Two equally seeded generators, one drawing from the full coupling's row
+    # and one from the walked row, follow the same actions step for step.
+    tree = frt_embed(grid_metric(10, 10), tau=5.0, rng_seed=4)
+    dists = md_sequence(tree, rng, 300, x0=17)
+    ref_rng, rng_b = np.random.default_rng(77), np.random.default_rng(77)
+    ref_x = x = 17
+    for a, b in zip(dists[:-1], dists[1:]):
+        js, ms = optimal_coupling(tree, a, b).conditional_row(ref_x)
+        ref_x = int(ref_rng.choice(js, p=ms / ms.sum()))
+        diag = {}
+        x = sample_next(tree, a, b, x, rng_b, diag=diag)
+        assert x == ref_x
+        assert diag["row_pieces"] >= 1 and not diag["coupling_fallback"]
+
+
+def test_sampler_validates_its_inputs(rng):
+    tree = random_hst(rng, 4)
+    ok = np.full(4, 0.25)
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_next(tree, np.array([1.5, -0.5, 0.0, 0.0]), ok, 0, rng)
+    with pytest.raises(ValueError, match="sum"):
+        sample_next(tree, ok, np.full(4, 0.2), 0, rng)
+    with pytest.raises(ValueError, match="leaves"):
+        sample_next(tree, ok, np.full(5, 0.2), 0, rng)
+    with pytest.raises(ValueError, match="point index"):
+        sample_next(tree, ok, ok, 4, rng)
