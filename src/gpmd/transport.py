@@ -172,7 +172,6 @@ class _RowWalk:
     def __init__(self, tree: HstTree):
         self.parent = tree.parent.tolist()
         self.children = [kids.tolist() for kids in tree.children]
-        self.leaf_vertex = tree.leaf_vertex.tolist()
         self.point_index = tree.point_index.tolist()
         self.root = tree.root
 
@@ -235,7 +234,7 @@ def coupling_row(tree: HstTree, a, b, prev: int) -> tuple[np.ndarray, np.ndarray
         js.append(prev)
         ms.append(float(stay))
     # The surplus piece of ``prev``: [off, off + rest) in the queue of u.
-    u = walk.leaf_vertex[prev]
+    u = int(tree.leaf_vertex[prev])
     off, rest = 0.0, float(pa[prev] - pb[prev])
     while rest > 0.0 and e[u] > 0.0 and u != walk.root:
         v = walk.parent[u]
