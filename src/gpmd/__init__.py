@@ -5,17 +5,15 @@ from .bench import (
     RegretReport,
     SyntheticInstance,
     brute_force_optimal,
-    offline_optimal,
     offline_optimal_matrix,
     regret,
     synth_instance,
 )
-from .gp import GpModel, LinearKernel, Normalizer, ProductKernel, RbfKernel, SumKernel
+from .gp import GpModel, Normalizer, RbfKernel
 from .harness import RunConfig, report, run, rng_stream
-from .hst import HstTree, frt_embed, leaf_count_ratios, tree_distance
+from .hst import HstTree, frt_embed
 from .metric import FiniteMetric, grid_metric
 from .mirror import (
-    CondState,
     MdEngine,
     PotentialParams,
     SolverConvergenceError,
@@ -29,7 +27,6 @@ from .policies import (
     ExactCostModel,
     GpServiceModel,
     MirrorDescentPolicy,
-    WindServiceModel,
     make_policy,
 )
 from .transport import (
@@ -47,7 +44,6 @@ from .wind import (
     energy_move,
     energy_service,
     ingest_wind_csv,
-    service_objective,
     synthetic_wind_table,
 )
 

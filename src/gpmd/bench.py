@@ -115,16 +115,6 @@ def offline_optimal_matrix(cost_matrix: np.ndarray, dist: np.ndarray, x0: int):
     return seq, float(value.min())
 
 
-def offline_optimal(metric: FiniteMetric, f_table: np.ndarray, contexts, x0: int):
-    """DP optimum for a dense (action, context-id) table and a context-id sequence."""
-    f_table = np.asarray(f_table, dtype=float)
-    ctx = np.asarray(contexts, dtype=np.int64)
-    if ctx.min() < 0 or ctx.max() >= f_table.shape[1]:
-        raise ValueError("context index out of range of the table")
-    cost_matrix = f_table[:, ctx].T
-    return offline_optimal_matrix(cost_matrix, metric.dist, x0)
-
-
 def brute_force_optimal(cost_matrix: np.ndarray, dist: np.ndarray, x0: int):
     """Enumerates every action sequence; test oracle for the DP."""
     cost_matrix = np.asarray(cost_matrix, dtype=float)

@@ -17,7 +17,6 @@ triangular solve runs on the stored array without a copy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -47,9 +46,6 @@ class Normalizer:
         scale = np.where(scale > 0, scale, 1.0)
         return cls(offset=X.mean(axis=0), scale=scale)
 
-    def to_dict(self):
-        return {"offset": self.offset.tolist(), "scale": self.scale.tolist()}
-
 
 @dataclass(frozen=True)
 class RbfKernel:
@@ -72,94 +68,6 @@ class RbfKernel:
     def diag(self, A) -> np.ndarray:
         A = np.atleast_2d(np.asarray(A, dtype=float))
         return np.full(A.shape[0], float(self.outputscale))
-
-    def to_dict(self):
-        ls = self.lengthscale
-        return {
-            "kind": "rbf",
-            "lengthscale": list(np.atleast_1d(ls).astype(float)),
-            "outputscale": float(self.outputscale),
-            "normalizer": self.normalizer.to_dict() if self.normalizer else None,
-        }
-
-
-@dataclass(frozen=True)
-class LinearKernel:
-    outputscale: float = 1.0
-    normalizer: Normalizer | None = None
-
-    def _prep(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.normalizer is not None:
-            X = self.normalizer(X)
-        return X
-
-    def __call__(self, A, B) -> np.ndarray:
-        return self.outputscale * (self._prep(A) @ self._prep(B).T)
-
-    def diag(self, A) -> np.ndarray:
-        A = self._prep(A)
-        return self.outputscale * (A * A).sum(axis=1)
-
-    def to_dict(self):
-        return {
-            "kind": "linear",
-            "outputscale": float(self.outputscale),
-            "normalizer": self.normalizer.to_dict() if self.normalizer else None,
-        }
-
-
-@dataclass(frozen=True)
-class SumKernel:
-    left: object
-    right: object
-
-    def __call__(self, A, B):
-        return self.left(A, B) + self.right(A, B)
-
-    def diag(self, A):
-        return self.left.diag(A) + self.right.diag(A)
-
-    def to_dict(self):
-        return {"kind": "sum", "left": self.left.to_dict(), "right": self.right.to_dict()}
-
-
-@dataclass(frozen=True)
-class ProductKernel:
-    left: object
-    right: object
-
-    def __call__(self, A, B):
-        return self.left(A, B) * self.right(A, B)
-
-    def diag(self, A):
-        return self.left.diag(A) * self.right.diag(A)
-
-    def to_dict(self):
-        return {
-            "kind": "product",
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-
-def kernel_from_dict(spec: dict):
-    kind = spec["kind"]
-    norm = spec.get("normalizer")
-    normalizer = (
-        Normalizer(np.asarray(norm["offset"]), np.asarray(norm["scale"])) if norm else None
-    )
-    if kind == "rbf":
-        ls = spec["lengthscale"]
-        ls = ls[0] if len(ls) == 1 else tuple(ls)
-        return RbfKernel(lengthscale=ls, outputscale=spec["outputscale"], normalizer=normalizer)
-    if kind == "linear":
-        return LinearKernel(outputscale=spec["outputscale"], normalizer=normalizer)
-    if kind == "sum":
-        return SumKernel(kernel_from_dict(spec["left"]), kernel_from_dict(spec["right"]))
-    if kind == "product":
-        return ProductKernel(kernel_from_dict(spec["left"]), kernel_from_dict(spec["right"]))
-    raise ValueError(f"unknown kernel kind {kind!r}")
 
 
 def _mirrored(L: np.ndarray) -> np.ndarray:
@@ -329,42 +237,3 @@ class GpModel:
             raise ValueError("beta must be non-negative")
         mean, std = self.posterior(Xq)
         return mean - beta * std
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel.to_dict(),
-            "lam": self.lam,
-            "noise_sigma": self.noise_sigma,
-            "rkhs_bound": self.rkhs_bound,
-            "delta": self.delta,
-            "beta_mode": self.beta_mode,
-            "beta_value": self.beta_value,
-            "X": self._X.tolist() if self._n else [],
-            "y": self._y.tolist() if self._n else [],
-        }
-
-    def dump_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GpModel":
-        model = cls(
-            kernel=kernel_from_dict(data["kernel"]),
-            lam=data["lam"],
-            noise_sigma=data["noise_sigma"],
-            rkhs_bound=data["rkhs_bound"],
-            delta=data["delta"],
-            beta_mode=data["beta_mode"],
-            beta_value=data["beta_value"],
-        )
-        if data["X"]:
-            model = model.update(np.asarray(data["X"]), np.asarray(data["y"]))
-        return model
-
-    @classmethod
-    def load_json(cls, path) -> "GpModel":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))

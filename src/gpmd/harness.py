@@ -13,10 +13,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import traceback
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,19 +32,14 @@ from .bench import (
     synth_instance,
 )
 from .gp import GpModel, RbfKernel
-from .hst import frt_embed
+from .hst import HstTree, frt_embed
 from .metric import grid_metric
 from .mirror import MdEngine, PotentialParams, point_mass_state
-from .policies import (
-    POLICY_NAMES,
-    ExactCostModel,
-    GpServiceModel,
-    WindServiceModel,
-    make_policy,
-)
+from .policies import POLICY_NAMES, ExactCostModel, GpServiceModel, make_policy
 from .wind import (
     EnergyParams,
     altitude_metric,
+    cost_bounds,
     ingest_wind_csv,
     make_wind_gp,
     service_matrix,
@@ -107,6 +105,8 @@ class RunConfig:
             errors.append("episodes: wind runs have one episode")
         if self.starts and self.kind != "wind":
             errors.append("starts: only wind runs take a start")
+        if self.kind == "wind" and self.beta_mode != "constant":
+            errors.append("beta_mode: wind runs take a constant beta")
         if any(r <= 0 for r in self.rhos):
             errors.append("rhos: every rho must be positive")
         if self.tau <= 1:
@@ -158,33 +158,50 @@ def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Environments: everything a cell needs that is shared across policies.
+# Environments: everything the cells of one seed share, for either experiment.
 
 
 @dataclass
-class SyntheticEnv:
-    instance: object
-    tree: object
-    contexts: np.ndarray  # (episodes, steps) context ids
+class Env:
+    """One seed's experiment, in the shape every cell runs on.
+
+    ``f`` is the true service table, one row per action and one column per
+    context key (the context id of a synthetic run, the time index of a
+    wind run). Step h of episode m sees key ``contexts[m, h]`` and starts
+    from ``x0[m]``. The learner observes ``obs[action, key] + noise[m, h]``,
+    floored at ``obs_floor``: the service itself on synthetic runs, the
+    windspeed on wind runs, whose GP bounds reach the cost through
+    ``to_cost``.
+    """
+
+    tree: HstTree
+    dist: np.ndarray
+    f: np.ndarray  # (n_actions, n_keys)
+    contexts: np.ndarray  # (episodes, steps) context keys
+    x0: np.ndarray  # (episodes,) starts
+    start: int | None  # the start a cell takes when it names none; None: x0
+    labels: Sequence  # context label of each key, as steps.csv writes it
+    featurize: Callable  # key -> one GP query row per action
+    make_gp: Callable  # () -> GP prior
+    obs: np.ndarray  # (n_actions, n_keys) what the learner measures, before noise
     noise: np.ndarray  # (episodes, steps)
-    x0: np.ndarray  # (episodes,)
-    optima: dict = field(default_factory=dict, repr=False)  # rho -> per-episode optimal costs
+    obs_floor: float = -math.inf
+    to_cost: Callable | None = None  # (mean, std, beta) -> cost bounds; None: mean - beta*std
+    energy: Callable | None = None  # episode logs -> energy report
+    optima: dict = field(default_factory=dict, repr=False)
 
-    def offline_optima(self, rho: float) -> list:
-        """Offline optimal cost of every episode at service weight ``rho``, solved once."""
-        if rho not in self.optima:
-            f_eff = rho * self.instance.f_table
-            dist = self.instance.metric.dist
-            self.optima[rho] = [
-                offline_optimal_matrix(f_eff[:, ctx].T, dist, int(x0))[1]
-                for ctx, x0 in zip(self.contexts, self.x0)
-            ]
-        return self.optima[rho]
+    def offline_optimum(self, rho: float, episode: int, x0: int) -> float:
+        """Offline optimal cost of one episode at service weight ``rho``, solved once."""
+        key = (rho, episode, x0)
+        if key not in self.optima:
+            f_eff = rho * self.f[:, self.contexts[episode]]
+            self.optima[key] = offline_optimal_matrix(f_eff.T, self.dist, x0)[1]
+        return self.optima[key]
 
 
-def build_synthetic_env(cfg: RunConfig, seed: int) -> SyntheticEnv:
+def build_synthetic_env(cfg: RunConfig, seed: int) -> Env:
     metric = grid_metric(*cfg.grid)
-    instance = synth_instance(
+    inst = synth_instance(
         int(rng_stream(seed, "instance").integers(2**31)),
         metric=metric,
         n_contexts=cfg.n_contexts,
@@ -192,31 +209,35 @@ def build_synthetic_env(cfg: RunConfig, seed: int) -> SyntheticEnv:
     )
     tree = frt_embed(metric, tau=cfg.tau, rng_seed=int(rng_stream(seed, "frt").integers(2**31)))
     ctx = rng_stream(seed, "contexts").integers(0, cfg.n_contexts, size=(cfg.episodes, cfg.steps))
-    noise = rng_stream(seed, "noise").normal(0.0, instance.noise_sigma, size=(cfg.episodes, cfg.steps))
+    noise = rng_stream(seed, "noise").normal(0.0, inst.noise_sigma, size=(cfg.episodes, cfg.steps))
     starts = rng_stream(seed, "start").integers(0, metric.n, size=cfg.episodes)
-    return SyntheticEnv(instance=instance, tree=tree, contexts=ctx, noise=noise, x0=starts)
+
+    def featurize(key):
+        return np.column_stack([metric.coords, np.full(metric.n, inst.contexts[int(key)])])
+
+    return Env(
+        tree=tree,
+        dist=metric.dist,
+        f=inst.f_table,
+        contexts=ctx,
+        x0=starts,
+        start=None,
+        labels=inst.contexts,
+        featurize=featurize,
+        make_gp=partial(
+            GpModel,
+            kernel=RbfKernel(lengthscale=inst.lengthscale, outputscale=inst.scale**2),
+            lam=max(inst.noise_sigma**2, 1e-8),
+            noise_sigma=inst.noise_sigma,
+            beta_mode=cfg.beta_mode,
+            beta_value=cfg.beta_value,
+        ),
+        obs=inst.f_table,
+        noise=noise,
+    )
 
 
-@dataclass
-class WindEnv:
-    table: object
-    params: EnergyParams
-    metric: object
-    tree: object
-    f_matrix: np.ndarray  # (n_altitudes, n_times)
-    noise: np.ndarray  # (steps,) observation noise on windspeed
-    optima: dict = field(default_factory=dict, repr=False)  # (rho, start, steps) -> optimal cost
-
-    def offline_optimum(self, rho: float, start: int, steps: int) -> float:
-        """Offline optimal cost of the first ``steps`` rows from ``start``, solved once."""
-        key = (rho, start, steps)
-        if key not in self.optima:
-            f_eff = rho * self.f_matrix[:, :steps]
-            self.optima[key] = offline_optimal_matrix(f_eff.T, self.metric.dist, start)[1]
-        return self.optima[key]
-
-
-def build_wind_env(cfg: RunConfig, seed: int) -> WindEnv:
+def build_wind_env(cfg: RunConfig, seed: int) -> Env:
     params = EnergyParams.from_config(cfg.energy)
     if cfg.dataset:
         table = ingest_wind_csv(cfg.dataset)
@@ -227,13 +248,33 @@ def build_wind_env(cfg: RunConfig, seed: int) -> WindEnv:
     metric = altitude_metric(params, table.altitudes)
     tree = frt_embed(metric, tau=cfg.tau, rng_seed=int(rng_stream(seed, "frt").integers(2**31)))
     noise = rng_stream(seed, "noise").normal(0.0, cfg.wind_obs_noise, size=table.n_times)
-    return WindEnv(
-        table=table,
-        params=params,
-        metric=metric,
+    alts, hours = table.altitudes, table.hours
+    start = table.n_altitudes // 2
+    gp_kwargs = {k: cfg.wind_gp[k] for k in ("lengthscale", "outputscale", "lam") if k in cfg.wind_gp}
+
+    def featurize(key):
+        return np.column_stack([alts, np.full(alts.shape[0], hours[int(key)])])
+
+    def energy(logs):
+        (log,) = logs
+        return trajectory_energy(params, table, log.actions, range(len(log.actions)), log.x0)
+
+    return Env(
         tree=tree,
-        f_matrix=service_matrix(params, table),
-        noise=noise,
+        dist=metric.dist,
+        f=service_matrix(params, table),
+        # a wind run has one episode that walks the table's rows in order
+        contexts=np.arange(min(cfg.steps, table.n_times))[None, :],
+        x0=np.array([start]),
+        start=start,
+        labels=[ts.isoformat() for ts in table.timestamps],
+        featurize=featurize,
+        make_gp=partial(make_wind_gp, alts, beta_value=cfg.beta_value, **gp_kwargs),
+        obs=table.speeds,
+        noise=noise[None, :],
+        obs_floor=0.0,
+        to_cost=lambda mean, std, beta: cost_bounds(params, mean, std, beta)[0],
+        energy=energy,
     )
 
 
@@ -241,144 +282,78 @@ def build_wind_env(cfg: RunConfig, seed: int) -> WindEnv:
 # Cell execution.
 
 
-def _synthetic_policy(cfg: RunConfig, env: SyntheticEnv, name: str, rho: float, seed: int):
-    inst = env.instance
-    metric = inst.metric
+class CellStepError(RuntimeError):
+    """A cell failed inside a step; ``episode`` and ``step`` are 1-based as in steps.csv."""
 
-    def featurize(ctx_id):
-        e = inst.contexts[int(ctx_id)]
-        return np.column_stack([metric.coords, np.full(metric.n, e)])
+    def __init__(self, episode: int, step: int):
+        super().__init__(f"cell failed at episode {episode}, step {step}")
+        self.episode = episode
+        self.step = step
 
+
+def _cell_policy(cfg: RunConfig, env: Env, name: str, rho: float, seed: int):
+    """The named policy on the env: a GP service model for the learners,
+    the true table for the known-f baselines."""
+    n = env.f.shape[0]
+    cost_model = true_model = None
     if name in ("gp-md", "cgp-lcb"):
-        gp = GpModel(
-            kernel=RbfKernel(lengthscale=inst.lengthscale, outputscale=inst.scale**2),
-            lam=max(inst.noise_sigma**2, 1e-8),
-            noise_sigma=inst.noise_sigma,
-            beta_mode=cfg.beta_mode,
-            beta_value=cfg.beta_value,
-        )
         update_mode = cfg.update_mode if name == "gp-md" else "per-step"
-        model = GpServiceModel(gp, featurize, n_actions=metric.n, update_mode=update_mode)
-        return make_policy(
-            name,
-            tree=env.tree,
-            cost_model=model,
-            rho=rho,
-            kappa=cfg.kappa,
-            rng=rng_stream(seed, "sampling"),
+        cost_model = GpServiceModel(
+            env.make_gp(), env.featurize, n_actions=n, update_mode=update_mode, to_cost=env.to_cost
         )
-    true_model = ExactCostModel(lambda c: inst.f_table[:, int(c)], n_actions=metric.n)
+    else:
+        true_model = ExactCostModel(lambda key: env.f[:, key], n_actions=n)
     return make_policy(
         name,
         tree=env.tree,
+        cost_model=cost_model,
         true_model=true_model,
         rho=rho,
         kappa=cfg.kappa,
         rng=rng_stream(seed, "sampling"),
-        n_actions=metric.n,
+        n_actions=n,
     )
 
 
-def run_synthetic_cell(cfg: RunConfig, env: SyntheticEnv, name: str, rho: float, seed: int):
-    inst = env.instance
-    metric = inst.metric
-    f_eff = rho * inst.f_table
-    policy = _synthetic_policy(cfg, env, name, rho, seed)
+def run_cell(cfg: RunConfig, env: Env, name: str, rho: float, seed: int, start):
+    """Run one policy through every episode of the env and score it.
+
+    ``start`` fixes every episode's start; None takes the env's ``x0``.
+    Returns (episode logs, regret report, energy report).
+    """
+    n_keys = env.contexts.shape[1]
+    if cfg.steps > n_keys:
+        raise ValueError(f"cell asks for {cfg.steps} steps but the context table has {n_keys} rows")
+    f_eff = rho * env.f
+    starts = env.x0 if start is None else np.full(env.x0.shape, start)
+    policy = _cell_policy(cfg, env, name, rho, seed)
     logs = []
-    for m in range(cfg.episodes):
-        x0 = int(env.x0[m])
+    for m, x0 in enumerate(starts.tolist()):
         policy.begin_episode(x0)
         log = EpisodeLog(x0=x0)
         prev = x0
         for h in range(cfg.steps):
-            ctx = int(env.contexts[m, h])
-            action, _ = policy.act(ctx)
-            y = float(inst.f_table[action, ctx] + env.noise[m, h])
-            policy.observe(action, ctx, y)
+            try:
+                key = int(env.contexts[m, h])
+                action, _ = policy.act(key)
+                y = max(env.obs_floor, float(env.obs[action, key] + env.noise[m, h]))
+                policy.observe(action, key, y)
+            except Exception as exc:
+                raise CellStepError(m + 1, h + 1) from exc
             log.append(
-                inst.contexts[ctx],
+                env.labels[key],
                 action,
-                float(f_eff[action, ctx]),
-                float(metric.dist[prev, action]),
+                float(f_eff[action, key]),
+                float(env.dist[prev, action]),
                 y,
             )
             prev = action
         policy.end_episode()
         logs.append(log)
-    alpha = cfg.regret_alpha if cfg.regret_alpha is not None else log_alpha(metric.n)
-    report = regret(logs, env.offline_optima(rho), alpha=alpha, beta=cfg.regret_beta)
-    return logs, report, {}
-
-
-def _wind_policy(cfg: RunConfig, env: WindEnv, name: str, rho: float, seed: int):
-    table = env.table
-    hours = table.hours
-
-    if name in ("gp-md", "cgp-lcb"):
-        gp_kwargs = {
-            k: cfg.wind_gp[k]
-            for k in ("lengthscale", "outputscale", "lam")
-            if k in cfg.wind_gp
-        }
-        model = WindServiceModel(
-            gp=make_wind_gp(table.altitudes, beta_value=cfg.beta_value, **gp_kwargs),
-            params=env.params,
-            altitudes=table.altitudes,
-            hour_of_context=lambda t: float(hours[int(t)]),
-            update_mode=cfg.update_mode if name == "gp-md" else "per-step",
-            beta=cfg.beta_value if cfg.beta_mode == "constant" else None,
-        )
-        return make_policy(
-            name,
-            tree=env.tree,
-            cost_model=model,
-            rho=rho,
-            kappa=cfg.kappa,
-            rng=rng_stream(seed, "sampling"),
-        )
-    true_model = ExactCostModel(
-        lambda t: env.f_matrix[:, int(t)], n_actions=table.n_altitudes
-    )
-    return make_policy(
-        name,
-        tree=env.tree,
-        true_model=true_model,
-        rho=rho,
-        kappa=cfg.kappa,
-        rng=rng_stream(seed, "sampling"),
-        n_actions=table.n_altitudes,
-    )
-
-
-def run_wind_cell(cfg: RunConfig, env: WindEnv, name: str, rho: float, seed: int, start: int):
-    table = env.table
-    steps = cfg.steps
-    if steps > table.n_times:
-        raise ValueError(f"wind cell asks for {steps} steps but the table has {table.n_times} rows")
-    f_eff = rho * env.f_matrix
-    policy = _wind_policy(cfg, env, name, rho, seed)
-    policy.begin_episode(start)
-    log = EpisodeLog(x0=start)
-    prev = start
-    for t in range(steps):
-        action, _ = policy.act(t)
-        # the wind learner observes measured windspeed, not the cost
-        y = max(0.0, float(table.speeds[action, t] + env.noise[t]))
-        policy.observe(action, t, y)
-        log.append(
-            table.timestamps[t].isoformat(),
-            action,
-            float(f_eff[action, t]),
-            float(env.metric.dist[prev, action]),
-            y,
-        )
-        prev = action
-    policy.end_episode()
-    opt_cost = env.offline_optimum(rho, start, steps)
-    alpha = cfg.regret_alpha if cfg.regret_alpha is not None else log_alpha(table.n_altitudes)
-    report = regret([log], [opt_cost], alpha=alpha, beta=cfg.regret_beta)
-    energy = trajectory_energy(env.params, table, log.actions, range(steps), start)
-    return [log], report, energy
+    optima = [env.offline_optimum(rho, m, log.x0) for m, log in enumerate(logs)]
+    alpha = cfg.regret_alpha if cfg.regret_alpha is not None else log_alpha(env.f.shape[0])
+    report = regret(logs, optima, alpha=alpha, beta=cfg.regret_beta)
+    return logs, report, env.energy(logs) if env.energy else {}
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +414,13 @@ def summarize_cell(kind, policy, seed, rho, start, logs, report, energy) -> dict
     return summary
 
 
-def _write_failure(cfg: RunConfig, name: str, seed: int, phase: str, err: str) -> None:
+def _write_failure(
+    cfg: RunConfig, name: str, seed: int, phase: str, err: str, episode=None, step=None
+) -> None:
+    record = {"cell": name, "seed": seed, "phase": phase, "episode": episode, "step": step, "error": err}
     try:
         with open(Path(cfg.out_dir) / f"{name}.failed.json", "w") as fh:
-            json.dump({"cell": name, "seed": seed, "phase": phase, "error": err}, fh, indent=1)
+            json.dump(record, fh, indent=1)
     except OSError:
         pass
 
@@ -459,10 +437,7 @@ def _execute_seed(args):
     starts = cfg.starts if cfg.starts else [None]
     grid = [(rho, start, policy) for rho in cfg.rhos for start in starts for policy in cfg.policies]
     try:
-        if cfg.kind == "synthetic":
-            env = build_synthetic_env(cfg, seed)
-        else:
-            env = build_wind_env(cfg, seed)
+        env = (build_synthetic_env if cfg.kind == "synthetic" else build_wind_env)(cfg, seed)
     except Exception:
         err = traceback.format_exc()
         results = []
@@ -476,23 +451,22 @@ def _execute_seed(args):
     results = []
     for rho, start, policy in grid:
         name = cell_name(policy, seed, rho, start)
+        start_used = start if start is not None else env.start
         phase = "cell"
         try:
-            if cfg.kind == "synthetic":
-                logs, report, energy = run_synthetic_cell(cfg, env, policy, rho, seed)
-                start_used = None
-            else:
-                start_used = start if start is not None else env.table.n_altitudes // 2
-                logs, report, energy = run_wind_cell(cfg, env, policy, rho, seed, start_used)
+            logs, report, energy = run_cell(cfg, env, policy, rho, seed, start_used)
             phase = "write"
             write_steps_csv(out / f"{name}.steps.csv", logs)
             summary = summarize_cell(cfg.kind, policy, seed, rho, start_used, logs, report, energy)
             with open(out / f"{name}.summary.json", "w") as fh:
                 json.dump(summary, fh, indent=1, sort_keys=True)
             results.append((name, None))
-        except Exception:
+        except Exception as exc:
             err = traceback.format_exc()
-            _write_failure(cfg, name, seed, phase, err)
+            if isinstance(exc, CellStepError):
+                _write_failure(cfg, name, seed, phase, err, exc.episode, exc.step)
+            else:
+                _write_failure(cfg, name, seed, phase, err)
             results.append((name, err))
     return results
 
@@ -573,7 +547,6 @@ def mts_demo(costs_seed: int = 7) -> str:
     """Run the leaves-to-root recursion on a depth-3 binary tree and render
     the per-vertex trace."""
     from .metric import FiniteMetric
-    from .hst import HstTree
 
     n = 8
     # Complete binary tree: 8 leaves, weights 1 at leaf level, 2 above, 4 on top.

@@ -9,7 +9,6 @@ in expectation over the construction seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -196,51 +195,6 @@ class HstTree:
         order = self.topological_vertices()
         is_internal = self.point_index[order] < 0
         return order[is_internal]
-
-    def path_weight_to_root(self) -> np.ndarray:
-        """P[v] = sum of weights from v up to (excluding) the root."""
-        out = np.zeros(self.n_vertices)
-        # parents have smaller depth, so iterate by increasing depth
-        for v in self.topological_vertices()[::-1]:
-            p = self.parent[v]
-            if p >= 0:
-                out[v] = out[p] + self.weight[v]
-        return out
-
-    # -- serialization ---------------------------------------------------
-
-    def to_records(self) -> list[dict]:
-        recs = []
-        for v in range(self.n_vertices):
-            recs.append(
-                {
-                    "vertex": v,
-                    "parent": int(self.parent[v]),
-                    "weight": float(self.weight[v]),
-                    "leaf_label": (
-                        self.metric.labels[self.point_index[v]]
-                        if self.point_index[v] >= 0
-                        else None
-                    ),
-                }
-            )
-        return recs
-
-    def dump_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({"tau": self.tau, "vertices": self.to_records()}, fh, indent=1)
-
-
-def tree_distance(tree: HstTree, a: int, b: int) -> float:
-    return tree.tree_distance(a, b)
-
-
-def leaf_count_ratios(tree: HstTree, vertex: int) -> tuple[float, float, float]:
-    """(theta, eta, delta) for one non-root vertex."""
-    if vertex == tree.root:
-        raise ValueError("leaf-count ratios are undefined at the root")
-    theta, eta, delta = tree.leaf_count_ratios()
-    return float(theta[vertex]), float(eta[vertex]), float(delta[vertex])
 
 
 def frt_embed(metric: FiniteMetric, tau: float = 5.0, rng_seed: int = 0) -> HstTree:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,45 +92,6 @@ class FiniteMetric:
         if labels is None:
             labels = tuple(str(i) for i in range(coords.shape[0]))
         return cls(dist=dist, labels=tuple(labels), coords=coords)
-
-    @classmethod
-    def from_matrix_csv(cls, path) -> "FiniteMetric":
-        """Load an explicit n-by-n matrix: plain numeric CSV rows, no header."""
-        rows = []
-        with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                try:
-                    rows.append([float(c) for c in row])
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        if not rows:
-            raise ValueError(f"{path}: empty matrix file")
-        return cls.from_matrix(np.asarray(rows))
-
-    @classmethod
-    def from_points_csv(cls, path, norm: str = "euclidean") -> "FiniteMetric":
-        """Load labeled coordinates: header ``id,c1,c2,...``, one point per row."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file")
-            labels, coords = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != len(header):
-                    raise ValueError(f"{path}: line {lineno}: expected {len(header)} columns")
-                labels.append(row[0])
-                try:
-                    coords.append([float(c) for c in row[1:]])
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        if not labels:
-            raise ValueError(f"{path}: no points")
-        return cls.from_coords(np.asarray(coords), labels=labels, norm=norm)
 
     def mean_pairwise_distance(self) -> float:
         """Average distance over distinct ordered pairs (zero diagonal excluded)."""

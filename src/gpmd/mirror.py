@@ -2,8 +2,8 @@
 
 The randomized controller keeps a probability vector over tree vertices.
 Two parameterizations are used: ``TreeState`` holds per-vertex subtree
-probabilities z (root = 1, parents are sums of children); ``CondState``
-holds conditional probabilities q over siblings (each child set sums to 1).
+probabilities z (root = 1, parents are sums of children); the engine
+steps conditional probabilities q over siblings (each child set sums to 1).
 One control step updates, for every internal vertex in children-first
 order, the conditional distribution over its children by minimizing
 
@@ -76,24 +76,6 @@ class TreeState:
 
 
 @dataclass
-class CondState:
-    """Conditional probabilities q indexed by vertex; the root entry is fixed at 1."""
-
-    q: np.ndarray
-
-    def validate(self, tree: HstTree, tol: float = STATE_TOL) -> None:
-        q = self.q
-        if q.shape != (tree.n_vertices,):
-            raise ValueError("state length must match the vertex count")
-        if np.any(q < -tol):
-            raise ValueError("conditional probabilities must be non-negative")
-        for u in range(tree.n_vertices):
-            kids = tree.children[u]
-            if len(kids) and abs(q[kids].sum() - 1.0) > tol:
-                raise ValueError(f"children of {u} do not form a distribution")
-
-
-@dataclass
 class PotentialParams:
     """Constants of the entropic potential for one tree: kappa and (w, eta, delta)."""
 
@@ -129,12 +111,8 @@ def bregman(params: PotentialParams, u: int, p, q) -> float:
     return float(terms.sum() / params.kappa)
 
 
-def _solve_rows(q, delta, a, cost, mask):
-    """Batched KKT solve: one simplex problem per row.
-
-    All inputs are (m, k) arrays; ``mask`` flags real children (padded slots
-    ignored). Returns the (m, k) minimizers with padded entries zero.
-    """
+def _newton_rows(q, delta, a, cost, mask):
+    """Batched KKT iteration: (unnormalized minimizers, their row sums, iterations)."""
     neg_inf = -np.inf
     logqd = np.log(np.where(mask, q + delta, 1.0))
     logd = np.log(np.where(mask, delta, 1.0))
@@ -155,7 +133,7 @@ def _solve_rows(q, delta, a, cost, mask):
         s = p.sum(axis=1)
         resid = s - 1.0
         if np.all(np.abs(resid) <= 1e-13) or it >= MAX_NEWTON_ITERS:
-            break
+            return p, s, it
         # s is convex and increasing in beta, so Newton from above stays
         # bracketed; fall back to bisection if rounding pushes it out.
         slope = np.where(p > 0.0, a * (p + delta), 0.0).sum(axis=1)
@@ -165,9 +143,29 @@ def _solve_rows(q, delta, a, cost, mask):
         beta = np.where(bad, 0.5 * (lo + beta), nxt)
         it += 1
 
-    worst = float(np.max(np.abs(s - 1.0))) if s.size else 0.0
-    if worst > STATE_TOL:
-        raise SolverConvergenceError(worst, it)
+
+def _solve_rows(q, delta, a, cost, mask):
+    """Batched KKT solve: one simplex problem per row.
+
+    All inputs are (m, k) arrays; ``mask`` flags real children (padded slots
+    ignored). Returns the (m, k) minimizers with padded entries zero.
+
+    At large costs, a * (beta - cost) loses the digits that set the row sum.
+    Rows that miss the residual are solved again with their costs shifted
+    by the row's minimum over real children, which leaves the minimizer
+    unchanged; rows that converged keep their first solution.
+    """
+    p, s, it = _newton_rows(q, delta, a, cost, mask)
+    failed = np.abs(s - 1.0) > STATE_TOL
+    if failed.any():
+        c = cost[failed]
+        low = np.where(mask[failed], c, np.inf).min(axis=1)
+        p[failed], s[failed], it = _newton_rows(
+            q[failed], delta[failed], a[failed], c - low[:, None], mask[failed]
+        )
+        worst = float(np.max(np.abs(s - 1.0)))
+        if worst > STATE_TOL:
+            raise SolverConvergenceError(worst, it)
     return p / s[:, None]
 
 
@@ -316,22 +314,6 @@ class MdEngine:
                 ratio = z[verts] / zp
             q[verts] = np.where(zp > 0.0, ratio, 1.0 / n_sib[verts])
         return q
-
-
-def write_trace_csv(path, trace) -> None:
-    """Debug dump of a step trace: one row per (vertex, child)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", "child", "q_before", "q_after", "child_cost", "vertex_cost"])
-        for rec in trace:
-            for c, qb, qa, cc in zip(
-                rec["children"], rec["q_before"], rec["q_after"], rec["child_costs"]
-            ):
-                writer.writerow(
-                    [rec["vertex"], c, repr(qb), repr(qa), repr(cc), repr(rec["vertex_cost"])]
-                )
 
 
 def point_mass_state(tree: HstTree, point: int) -> TreeState:

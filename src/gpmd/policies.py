@@ -23,7 +23,6 @@ from .gp import GpModel
 from .hst import HstTree
 from .mirror import MdEngine, PotentialParams, point_mass_state
 from .transport import sample_next
-from .wind import EnergyParams, propagate_bounds_all
 
 POLICY_NAMES = ("gp-md", "cgp-lcb", "md-known", "minc-known", "stationary")
 
@@ -46,7 +45,14 @@ class ExactCostModel:
 
 
 class GpServiceModel:
-    """Confidence lower bounds on the service cost from a GP fit on (action, context)."""
+    """Confidence lower bounds on the service cost from a GP fit on (action, context).
+
+    ``featurize(context)`` returns one GP query row per action, and
+    ``observe`` trains on the chosen action's row. The posterior maps to
+    costs through ``to_cost(mean, std, beta)``, by default the lower bound
+    mean - beta * std; a model of another quantity (the wind runs model the
+    windspeed) passes the map from its bounds to cost bounds.
+    """
 
     def __init__(
         self,
@@ -54,7 +60,7 @@ class GpServiceModel:
         featurize,
         n_actions: int,
         update_mode: str = "per-step",
-        beta=None,
+        to_cost=None,
     ):
         if update_mode not in ("per-step", "per-episode"):
             raise ValueError(f"unknown update_mode {update_mode!r}")
@@ -62,70 +68,19 @@ class GpServiceModel:
         self.featurize = featurize
         self.n_actions = int(n_actions)
         self.update_mode = update_mode
-        self.beta = beta
+        self.to_cost = to_cost
         self._buffer_X: list = []
         self._buffer_y: list = []
 
     def lcb_costs(self, context) -> np.ndarray:
-        beta = self.beta if self.beta is not None else self.gp.beta_t()
-        return self.gp.lcb(self.featurize(context), beta=beta)
+        X = self.featurize(context)
+        if self.to_cost is None:
+            return self.gp.lcb(X)
+        mean, std = self.gp.posterior(X)
+        return self.to_cost(mean, std, self.gp.beta_t())
 
     def observe(self, action, context, y):
         self._buffer_X.append(self.featurize(context)[action])
-        self._buffer_y.append(float(y))
-        if self.update_mode == "per-step":
-            self.flush()
-
-    def flush(self):
-        if self._buffer_y:
-            self.gp = self.gp.update(np.asarray(self._buffer_X), np.asarray(self._buffer_y))
-            self._buffer_X, self._buffer_y = [], []
-
-    def end_episode(self):
-        if self.update_mode == "per-episode":
-            self.flush()
-
-
-class WindServiceModel:
-    """Learns the windspeed and maps its confidence bounds to cost bounds.
-
-    ``observe`` therefore expects measured windspeed at the visited
-    altitude, not the cost itself.
-    """
-
-    def __init__(
-        self,
-        gp: GpModel,
-        params: EnergyParams,
-        altitudes,
-        hour_of_context,
-        update_mode: str = "per-step",
-        beta=None,
-    ):
-        if update_mode not in ("per-step", "per-episode"):
-            raise ValueError(f"unknown update_mode {update_mode!r}")
-        self.gp = gp
-        self.params = params
-        self.altitudes = np.asarray(altitudes, dtype=float)
-        self.hour_of_context = hour_of_context
-        self.update_mode = update_mode
-        self.beta = beta
-        self._buffer_X: list = []
-        self._buffer_y: list = []
-
-    @property
-    def n_actions(self) -> int:
-        return self.altitudes.shape[0]
-
-    def lcb_costs(self, context) -> np.ndarray:
-        beta = self.beta if self.beta is not None else self.gp.beta_t()
-        hour = self.hour_of_context(context)
-        lcb_f, _ = propagate_bounds_all(self.gp, self.params, self.altitudes, hour, beta)
-        return lcb_f
-
-    def observe(self, action, context, y):
-        hour = self.hour_of_context(context)
-        self._buffer_X.append([self.altitudes[action], hour])
         self._buffer_y.append(float(y))
         if self.update_mode == "per-step":
             self.flush()
@@ -147,16 +102,12 @@ class Policy:
         self.n_actions = n_actions
         self.x0: int | None = None
         self.x_prev: int | None = None
-        self.step_count = 0
-        self.episode_count = 0
 
     def begin_episode(self, x0: int):
         if not 0 <= x0 < self.n_actions:
             raise ValueError(f"unknown action index {x0}")
         self.x0 = int(x0)
         self.x_prev = int(x0)
-        self.step_count = 0
-        self.episode_count += 1
 
     def act(self, context):
         raise NotImplementedError
@@ -170,7 +121,6 @@ class Policy:
 
     def _record(self, action: int) -> int:
         self.x_prev = int(action)
-        self.step_count += 1
         return int(action)
 
 

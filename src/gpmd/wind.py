@@ -17,7 +17,7 @@ piecewise monotone with interior critical points only at V_r and
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -123,9 +123,6 @@ class WindTable:
     def hours(self) -> np.ndarray:
         return np.array([t.hour for t in self.timestamps], dtype=float)
 
-    def speed(self, alt_idx: int, t_idx: int) -> float:
-        return float(self.speeds[alt_idx, t_idx])
-
 
 def ingest_wind_csv(path, altitudes=None) -> WindTable:
     """Parse the bit-exact schema ``timestamp,altitude_m,windspeed_ms``.
@@ -197,38 +194,19 @@ def write_wind_csv(path, table: WindTable) -> None:
                 writer.writerow([ts.isoformat(), repr(float(alt)), repr(float(table.speeds[i, k]))])
 
 
-def service_objective(params: EnergyParams, wind: WindTable, x: float, t) -> float:
-    """f(x, t): shortfall of generated energy against the best altitude at t."""
-    alt_matches = np.where(wind.altitudes == float(x))[0]
-    if alt_matches.size == 0:
-        raise ValueError(f"altitude {x} not in the table")
-    try:
-        t_idx = wind.timestamps.index(t) if not isinstance(t, (int, np.integer)) else int(t)
-    except ValueError:
-        raise ValueError(f"timestamp {t} not in the table") from None
-    if not 0 <= t_idx < wind.n_times:
-        raise ValueError(f"timestamp index {t_idx} out of range")
-    es = energy_service(params, wind.speeds[:, t_idx])
-    return float(es.max() - es[alt_matches[0]])
-
-
 def service_matrix(params: EnergyParams, wind: WindTable) -> np.ndarray:
     """Dense f(x, t) over the whole table, one row per altitude."""
     es = energy_service(params, wind.speeds)
     return es.max(axis=0)[None, :] - es
 
 
-def propagate_bounds_all(
-    gp: GpModel, params: EnergyParams, altitudes: np.ndarray, hour: float, beta: float
-):
-    """(lcb_f, ucb_f) per altitude from the windspeed model at one context.
+def cost_bounds(params: EnergyParams, mean: np.ndarray, std: np.ndarray, beta: float):
+    """(lcb_f, ucb_f) per altitude from the windspeed posterior at one context.
 
     The per-timestep reference C = max over altitudes of the E_S upper bound
     is shared by every altitude, so the induced cost is non-negative and the
     shared shift is decision-neutral for the mirror-descent controller.
     """
-    feats = np.column_stack([altitudes, np.full(altitudes.shape[0], hour)])
-    mean, std = gp.posterior(feats)
     lo = np.maximum(0.0, mean - beta * std)
     hi = np.maximum(lo, mean + beta * std)
     bounds = [energy_service_interval(params, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
@@ -271,32 +249,18 @@ def make_wind_gp(
     return GpModel(kernel=kernel, lam=lam, beta_mode="constant", beta_value=beta_value)
 
 
-@dataclass(frozen=True)
-class WindGeneratorConfig:
-    """Log-profile mean plus a diurnal sinusoid plus seeded noise."""
-
-    shear: float = 1.2
-    roughness: float = 1.0
-    diurnal_amplitude: float = 3.0
-    peak_hour: float = 15.0
-    noise_sigma: float = 0.6
-    start: datetime = field(default_factory=lambda: datetime(2016, 7, 1, 0, 0))
-
-
-def synthetic_wind_table(
-    seed: int,
-    hours: int = 960,
-    altitudes=None,
-    config: WindGeneratorConfig | None = None,
-) -> WindTable:
-    cfg = config if config is not None else WindGeneratorConfig()
+def synthetic_wind_table(seed: int, hours: int = 960, altitudes=None) -> WindTable:
+    """A seeded trace from 2016-07-01 00:00, hourly: a log wind profile
+    (shear 1.2, roughness 1 m), a diurnal sinusoid of amplitude 3 m/s
+    peaking at 15:00, and N(0, 0.6^2) noise, floored at zero."""
     alts = default_altitudes() if altitudes is None else np.asarray(altitudes, dtype=float)
     rng = np.random.default_rng(seed)
-    stamps = tuple(cfg.start + timedelta(hours=k) for k in range(hours))
+    start = datetime(2016, 7, 1, 0, 0)
+    stamps = tuple(start + timedelta(hours=k) for k in range(hours))
     hour_of_day = np.array([t.hour for t in stamps], dtype=float)
-    profile = cfg.shear * np.log(alts / cfg.roughness)
-    diurnal = cfg.diurnal_amplitude * np.sin(2.0 * np.pi * (hour_of_day - cfg.peak_hour + 6.0) / 24.0)
-    speeds = profile[:, None] + diurnal[None, :] + rng.normal(0.0, cfg.noise_sigma, (alts.size, hours))
+    profile = 1.2 * np.log(alts)
+    diurnal = 3.0 * np.sin(2.0 * np.pi * (hour_of_day - 15.0 + 6.0) / 24.0)
+    speeds = profile[:, None] + diurnal[None, :] + rng.normal(0.0, 0.6, (alts.size, hours))
     return WindTable(altitudes=alts, timestamps=stamps, speeds=np.maximum(speeds, 0.0))
 
 

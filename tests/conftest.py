@@ -56,6 +56,18 @@ def random_hst(rng, n_leaves: int, tau: float = 5.0, max_children: int = 4) -> H
     )
 
 
+def validate_conditionals(tree: HstTree, q: np.ndarray, tol: float = 1e-8) -> None:
+    """Raise unless q, indexed by vertex, holds a distribution over every child set."""
+    if q.shape != (tree.n_vertices,):
+        raise ValueError("state length must match the vertex count")
+    if np.any(q < -tol):
+        raise ValueError("conditional probabilities must be non-negative")
+    for u in range(tree.n_vertices):
+        kids = tree.children[u]
+        if len(kids) and abs(q[kids].sum() - 1.0) > tol:
+            raise ValueError(f"children of {u} do not form a distribution")
+
+
 def lp_transport_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Dense LP oracle for the optimal-transport value with ground cost ``cost``."""
     n = cost.shape[0]

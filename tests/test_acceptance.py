@@ -17,13 +17,7 @@ from gpmd.bench import (
     synth_instance,
 )
 from gpmd.gp import GpModel, RbfKernel
-from gpmd.harness import (
-    RunConfig,
-    build_synthetic_env,
-    build_wind_env,
-    run_synthetic_cell,
-    run_wind_cell,
-)
+from gpmd.harness import RunConfig, build_synthetic_env, build_wind_env, run_cell
 from gpmd.hst import frt_embed
 from gpmd.metric import FiniteMetric, grid_metric
 from gpmd.mirror import MdEngine, PotentialParams, bregman, md_update_vertex, point_mass_state
@@ -336,7 +330,7 @@ def synthetic_sweep():
     for seed in cfg.seeds:
         env = build_synthetic_env(cfg, seed)
         for name in cfg.policies:
-            logs, _, _ = run_synthetic_cell(cfg, env, name, 0.5, seed)
+            logs, _, _ = run_cell(cfg, env, name, 0.5, seed, None)
             totals[name].append(sum(l.cost_total for l in logs))
             movements[name].append(sum(l.movement_total for l in logs))
     return totals, movements, time.time() - started
@@ -452,7 +446,7 @@ def test_c10_wind_energy_ordering():
         for rho in (1.0, 2.0):
             energies = {}
             for name in ("gp-md", "cgp-lcb", "stationary"):
-                _, _, energy = run_wind_cell(cfg, env, name, rho, seed, start)
+                _, _, energy = run_cell(cfg, env, name, rho, seed, start)
                 energies[name] = energy["total_energy"]
             wins_vs_cgp[rho] += energies["gp-md"] >= energies["cgp-lcb"]
             wins_vs_stat[rho] += energies["gp-md"] >= energies["stationary"]

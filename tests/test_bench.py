@@ -5,7 +5,6 @@ from gpmd.bench import (
     EpisodeLog,
     brute_force_optimal,
     log_alpha,
-    offline_optimal,
     offline_optimal_matrix,
     regret,
     synth_instance,
@@ -18,7 +17,7 @@ class TestOfflineOptimal:
         n = 5
         metric = FiniteMetric.from_coords(rng.uniform(0, 1, (n, 2)))
         f = rng.uniform(0, 2, (n, 3))
-        seq, cost = offline_optimal(metric, f, [1], x0=2)
+        seq, cost = offline_optimal_matrix(f[:, [1]].T, metric.dist, 2)
         direct = f[:, 1] + metric.dist[2]
         assert seq == [int(np.argmin(direct))]
         assert cost == pytest.approx(direct.min())

@@ -14,7 +14,7 @@ from gpmd.harness import (
     report,
     rng_stream,
     run,
-    run_synthetic_cell,
+    run_cell,
 )
 
 
@@ -75,6 +75,15 @@ class TestConfig:
         assert "starts: only wind runs take a start" in capsys.readouterr().out
         assert not (tmp_path / "o").exists()
 
+    def test_wind_runs_take_a_constant_beta(self, tmp_path, capsys):
+        code = cli_main(
+            ["run", "--kind", "wind", "--set", "beta_mode=theory", "--policies", "gp-md",
+             "--steps", "5", "--set", "wind_hours=5", "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert "beta_mode: wind runs take a constant beta" in capsys.readouterr().out
+        assert not (tmp_path / "o").exists()
+
     def test_hash_stable(self, tmp_path):
         assert small_cfg(tmp_path).config_hash() == small_cfg(tmp_path).config_hash()
 
@@ -105,7 +114,7 @@ class TestSyntheticRun:
 
         env = build_synthetic_env(cfg, 1)
         x0 = int(env.x0[0])
-        expected = rho * env.instance.f_table[x0, env.contexts[0]].sum()
+        expected = rho * env.f[x0, env.contexts[0]].sum()
         assert float(rows[-1]["cum_total"]) == pytest.approx(expected)
         assert all(int(r["action"]) == x0 for r in rows)
 
@@ -201,6 +210,8 @@ class TestWindRun:
         assert len(failed) == 1
         record = json.loads(failed[0].read_text())
         assert record["phase"] == "cell" and record["seed"] == 0
+        # the cell fails before its first step
+        assert record["episode"] is None and record["step"] is None
         assert "5000 steps" in record["error"] and "48 rows" in record["error"]
         assert not list(out.glob("*.steps.csv"))
 
@@ -435,8 +446,8 @@ class TestSeedSharing:
         cfg = small_cfg(tmp_path, episodes=2)
         shared = build_synthetic_env(cfg, 1)
         for rho, policy in ((0.5, "md-known"), (1.0, "stationary"), (0.5, "stationary")):
-            _, reused, _ = run_synthetic_cell(cfg, shared, policy, rho, 1)
-            _, fresh, _ = run_synthetic_cell(cfg, build_synthetic_env(cfg, 1), policy, rho, 1)
+            _, reused, _ = run_cell(cfg, shared, policy, rho, 1, None)
+            _, fresh, _ = run_cell(cfg, build_synthetic_env(cfg, 1), policy, rho, 1, None)
             assert reused.optimal_costs.tolist() == fresh.optimal_costs.tolist()
 
 
@@ -457,6 +468,7 @@ def test_env_failure_fails_only_its_seed(tmp_path, monkeypatch):
     for name, record in failed.items():
         assert "_seed2_" in name and record["cell"] + ".failed.json" == name
         assert record["seed"] == 2 and record["phase"] == "env"
+        assert record["episode"] is None and record["step"] is None
         assert "Traceback" in record["error"] and "no environment for seed 2" in record["error"]
     assert len(list(out.glob("*_seed1_*.steps.csv"))) == 2 * 2
     assert len(list(out.glob("*_seed1_*.summary.json"))) == 2 * 2
@@ -466,19 +478,76 @@ def test_env_failure_fails_only_its_seed(tmp_path, monkeypatch):
 
 
 def test_cell_failure_spares_the_other_policies(tmp_path, monkeypatch):
-    original = harness.run_synthetic_cell
+    from gpmd import policies
 
-    def faulty(cfg, env, name, rho, seed):
-        if name == "minc-known":
+    original = policies.ArgminPolicy.act
+    calls = []
+
+    def faulty(self, context):
+        calls.append(context)
+        if len(calls) == 6 + 3:  # episode 2, step 3 of minc-known
             raise RuntimeError("policy broke")
-        return original(cfg, env, name, rho, seed)
+        return original(self, context)
 
-    monkeypatch.setattr(harness, "run_synthetic_cell", faulty)
-    cfg = small_cfg(tmp_path, policies=["stationary", "minc-known", "md-known"])
+    monkeypatch.setattr(policies.ArgminPolicy, "act", faulty)
+    cfg = small_cfg(tmp_path, policies=["stationary", "minc-known", "md-known"], episodes=2)
     assert run(cfg) == 2
     out = tmp_path / "out"
     (failed,) = out.glob("*.failed.json")
     record = json.loads(failed.read_text())
     assert failed.name.startswith("minc-known_seed1_")
     assert record["seed"] == 1 and record["phase"] == "cell"
+    assert (record["episode"], record["step"]) == (2, 3)
+    assert "Traceback" in record["error"] and "policy broke" in record["error"]
     assert {p.name.split("_")[0] for p in out.glob("*.summary.json")} == {"stationary", "md-known"}
+
+
+def test_large_costs_converge(tmp_path):
+    # The solver re-solves rows that lose precision at large costs with
+    # each row's costs shifted by its minimum.
+    out = tmp_path / "o"
+    code = cli_main(
+        ["run", "--kind", "synthetic", "--policies", "md-known", "--seeds", "0",
+         "--rho", "1e9", "--steps", "5", "--out", str(out)]
+    )
+    assert code == 0
+    assert not list(out.glob("*.failed.json"))
+
+
+def _check_cell_invariants(out, env, rho, start=None):
+    """Every steps.csv row against the env's tables, and the summary's regret."""
+    (steps_path,) = out.glob("*.steps.csv")
+    rows = list(csv.DictReader(open(steps_path)))
+    assert len(rows) == env.contexts.size
+    for r in rows:
+        m, h, action = int(r["episode"]) - 1, int(r["step"]) - 1, int(r["action"])
+        if h == 0:
+            prev = int(env.x0[m]) if start is None else start
+            cum = 0.0
+        key = int(env.contexts[m, h])
+        assert float(r["movement"]) == env.dist[prev, action]
+        assert float(r["service"]) == rho * env.f[action, key]
+        cum += float(r["service"]) + float(r["movement"])
+        assert float(r["cum_total"]) == cum
+        prev = action
+    (summary_path,) = out.glob("*.summary.json")
+    summary = json.loads(summary_path.read_text())
+    alpha = summary["regret"]["alpha"]
+    assert summary["regret"]["total"] == pytest.approx(
+        summary["cost_total"] - alpha * summary["offline_optimal_total"], rel=1e-12
+    )
+
+
+def test_synthetic_cell_invariants(tmp_path):
+    cfg = small_cfg(tmp_path, policies=["gp-md"], rhos=[0.7], steps=8, episodes=2)
+    assert run(cfg) == 0
+    _check_cell_invariants(tmp_path / "out", build_synthetic_env(cfg, 1), 0.7)
+
+
+def test_wind_cell_invariants(tmp_path):
+    cfg = small_cfg(
+        tmp_path, kind="wind", policies=["gp-md"], rhos=[2.0], steps=24, wind_hours=30,
+        starts=[3], wind_obs_noise=0.5,
+    )
+    assert run(cfg) == 0
+    _check_cell_invariants(tmp_path / "out", harness.build_wind_env(cfg, 1), 2.0, start=3)

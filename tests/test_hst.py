@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gpmd.hst import HstTree, frt_embed, leaf_count_ratios, tree_distance
+from gpmd.hst import HstTree, frt_embed
 from gpmd.metric import FiniteMetric, grid_metric
 from gpmd.wind import EnergyParams, altitude_metric, synthetic_wind_table
 
@@ -34,11 +34,11 @@ def depth3_tree() -> HstTree:
 class TestTreeDistance:
     def test_identity(self):
         t = star_tree()
-        assert tree_distance(t, 0, 0) == 0.0
+        assert t.tree_distance(0, 0) == 0.0
 
     def test_star_two_leaves(self):
         t = star_tree((1.0, 1.0))
-        assert tree_distance(t, 0, 1) == pytest.approx(2.0)
+        assert t.tree_distance(0, 1) == pytest.approx(2.0)
 
     def test_depth3_child_side_weights(self):
         # Path sums the child-side weight of every traversed edge once:
@@ -46,7 +46,7 @@ class TestTreeDistance:
         t = depth3_tree()
         w = t.weight
         expected = w[4] + w[3] + w[6]  # l1 -> c -> a <- l3
-        assert tree_distance(t, 0, 2) == pytest.approx(expected)
+        assert t.tree_distance(0, 2) == pytest.approx(expected)
 
     def test_symmetry_and_triangle(self, rng):
         t = random_hst(rng, 12)
@@ -59,34 +59,34 @@ class TestTreeDistance:
     def test_unknown_leaf(self):
         t = star_tree()
         with pytest.raises(ValueError, match="unknown point"):
-            tree_distance(t, 0, 99)
+            t.tree_distance(0, 99)
 
 
 class TestLeafCountRatios:
     def test_only_child(self):
         # vertex 3 (c) has 2 leaves, its parent a has 3; l4 is an only child of b.
         t = depth3_tree()
-        theta, eta, delta = leaf_count_ratios(t, 7)
+        theta, eta, delta = (r[7] for r in t.leaf_count_ratios())
         assert (theta, eta, delta) == (1.0, 1.0, 1.0)
 
     def test_binary_equal_split(self):
         t = star_tree((1.0, 1.0))
-        theta, eta, delta = leaf_count_ratios(t, 1)
+        theta, eta, delta = (r[1] for r in t.leaf_count_ratios())
         assert theta == pytest.approx(0.5)
         assert eta == pytest.approx(1.0 + math.log(2.0))
         assert delta == pytest.approx(0.5 / (1.0 + math.log(2.0)))
 
     def test_one_of_four(self):
         t = star_tree((1.0, 1.0, 1.0, 1.0))
-        theta, eta, delta = leaf_count_ratios(t, 2)
+        theta, eta, delta = (r[2] for r in t.leaf_count_ratios())
         assert theta == pytest.approx(0.25)
         assert eta == pytest.approx(1.0 + math.log(4.0))
         assert delta == pytest.approx(0.25 / (1.0 + math.log(4.0)))
 
     def test_root_rejected(self):
+        # The root has no parent, so it gets no ratios: every entry there is NaN.
         t = star_tree()
-        with pytest.raises(ValueError, match="root"):
-            leaf_count_ratios(t, t.root)
+        assert all(np.isnan(r[t.root]) for r in t.leaf_count_ratios())
 
 
 class TestTreeValidation:
@@ -112,26 +112,19 @@ class TestTreeValidation:
                 metric=metric,
             )
 
-    def test_records_roundtrip(self):
-        t = depth3_tree()
-        recs = t.to_records()
-        assert len(recs) == t.n_vertices
-        labels = [r["leaf_label"] for r in recs if r["leaf_label"] is not None]
-        assert sorted(labels) == sorted(t.metric.labels)
-
 
 class TestFrtEmbed:
     def test_single_point(self):
         m = FiniteMetric.from_matrix(np.zeros((1, 1)))
         t = frt_embed(m, tau=5.0, rng_seed=0)
         assert t.n_vertices == 1 and t.n_leaves == 1
-        assert tree_distance(t, 0, 0) == 0.0
+        assert t.tree_distance(0, 0) == 0.0
 
     def test_two_points_dominance_every_seed(self):
         m = FiniteMetric.from_matrix(np.array([[0.0, 3.0], [3.0, 0.0]]))
         for seed in range(40):
             t = frt_embed(m, tau=5.0, rng_seed=seed)
-            assert tree_distance(t, 0, 1) >= 3.0
+            assert t.tree_distance(0, 1) >= 3.0
 
     def test_dominance_random_metrics(self, rng):
         for trial in range(10):
@@ -157,8 +150,8 @@ class TestFrtEmbed:
         m = FiniteMetric.from_coords(pts)
         t = frt_embed(m, tau=5.0, rng_seed=2)
         assert t.n_leaves == 3
-        assert tree_distance(t, 0, 1) == 0.0
-        assert tree_distance(t, 0, 2) >= 1.0
+        assert t.tree_distance(0, 1) == 0.0
+        assert t.tree_distance(0, 2) >= 1.0
 
     def test_all_zero_metric(self):
         m = FiniteMetric.from_matrix(np.zeros((3, 3)))

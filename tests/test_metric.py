@@ -49,31 +49,6 @@ def test_from_coords_norms():
         FiniteMetric.from_coords(pts, norm="hamming")
 
 
-def test_matrix_csv_roundtrip(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("0,1,2\n1,0,1\n2,1,0\n")
-    m = FiniteMetric.from_matrix_csv(path)
-    assert m.n == 3 and m.dist[0, 2] == 2.0
-
-    bad = tmp_path / "bad.csv"
-    bad.write_text("0,x\n1,0\n")
-    with pytest.raises(ValueError, match="line 1"):
-        FiniteMetric.from_matrix_csv(bad)
-
-
-def test_points_csv(tmp_path):
-    path = tmp_path / "p.csv"
-    path.write_text("id,x,y\na,0,0\nb,1,0\nc,0,1\n")
-    m = FiniteMetric.from_points_csv(path)
-    assert m.labels == ("a", "b", "c")
-    assert m.dist[1, 2] == pytest.approx(np.sqrt(2.0))
-
-    empty = tmp_path / "empty.csv"
-    empty.write_text("id,x,y\n")
-    with pytest.raises(ValueError, match="no points"):
-        FiniteMetric.from_points_csv(empty)
-
-
 def test_mean_pairwise_distance():
     m = FiniteMetric.from_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
     assert m.mean_pairwise_distance() == pytest.approx(2.0)

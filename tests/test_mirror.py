@@ -6,7 +6,6 @@ import pytest
 from gpmd.hst import HstTree
 from gpmd.metric import FiniteMetric
 from gpmd.mirror import (
-    CondState,
     MdEngine,
     PotentialParams,
     TreeState,
@@ -15,7 +14,7 @@ from gpmd.mirror import (
     point_mass_state,
 )
 
-from conftest import random_hst
+from conftest import random_hst, validate_conditionals
 
 
 def two_child_params(w=(1.0, 1.0), eta=(1.0, 1.0), delta=(0.5, 0.5), kappa=1.0):
@@ -173,7 +172,7 @@ class TestDeltaMaps:
         for point in (0, 4, 8):
             z0 = point_mass_state(tree, point)
             q0 = engine.delta_inverse(z0.z)
-            CondState(q0).validate(tree)
+            validate_conditionals(tree, q0)
             z1 = TreeState(engine.delta_map(q0))
             assert np.abs(z1.z - z0.z).max() <= 1e-12
             probs = z1.leaf_distribution(tree)
@@ -246,7 +245,7 @@ class TestMdStep:
             probs = rng.dirichlet(np.ones(n))
             q = engine.delta_inverse(tree.subtree_sums(probs))
             q_new, _ = engine.step(q, rng.uniform(0.0, 5.0, n))
-            CondState(q_new).validate(tree, tol=1e-8)
+            validate_conditionals(tree, q_new, tol=1e-8)
             TreeState(engine.delta_map(q_new)).validate(tree, tol=1e-8)
 
     def test_topological_order_children_first(self, rng):
@@ -307,20 +306,12 @@ class TestZeroWeightFanout:
         assert np.allclose(tie, [1.0, 0.0])
 
 
-def test_trace_csv_dump(tmp_path, rng):
-    from gpmd.mirror import write_trace_csv
-
-    tree = random_hst(rng, 6)
-    engine = MdEngine(tree, PotentialParams(tree))
-    q = engine.delta_inverse(point_mass_state(tree, 0).z)
-    trace = []
-    engine.step(q, rng.uniform(0.0, 1.0, 6), trace=trace)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(path, trace)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "vertex,child,q_before,q_after,child_cost,vertex_cost"
-    n_rows = sum(len(rec["children"]) for rec in trace)
-    assert len(lines) == n_rows + 1
+def _weight_to_root(tree, v) -> float:
+    total = 0.0
+    while tree.parent[v] >= 0:
+        total += tree.weight[v]
+        v = tree.parent[v]
+    return float(total)
 
 
 def test_service_cost_competitive_with_offline_optimum(rng):
@@ -345,7 +336,7 @@ def test_service_cost_competitive_with_offline_optimum(rng):
             z = engine.delta_map(q)
             expected_service += float(z[tree.leaf_vertex] @ costs[h])
         _, opt = offline_optimal_matrix(costs, tree.distance_matrix(), x0)
-        path_bound = float(tree.path_weight_to_root()[tree.leaf_vertex].max())
+        path_bound = max(_weight_to_root(tree, v) for v in tree.leaf_vertex)
         held += expected_service <= opt + path_bound
     assert held >= 0.95 * seeds
 
@@ -357,3 +348,23 @@ def test_solver_error_carries_residual():
     assert err.residual == 0.5
     assert err.iterations == 80
     assert "0.5" in str(err) or "5.000e-01" in str(err)
+
+
+@pytest.mark.parametrize("kappa, scale", [(1.0, 1e9), (50.0, 1e6)])
+def test_large_costs_converge(kappa, scale):
+    # At these scales the first Newton pass misses the residual on some
+    # rows, which are solved again with shifted costs.
+    from gpmd.hst import frt_embed
+    from gpmd.metric import grid_metric
+
+    metric = grid_metric(24, 24)
+    tree = frt_embed(metric, tau=5.0, rng_seed=0)
+    engine = MdEngine(tree, PotentialParams(tree, kappa=kappa))
+    q = engine.delta_inverse(point_mass_state(tree, 0).z)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        leaf_costs = scale * rng.uniform(0.0, 1.0, metric.n)
+        q, costs = engine.step(q, leaf_costs)
+        validate_conditionals(tree, q)
+        z = engine.delta_map(q)
+        assert costs[tree.root] == pytest.approx(float(z[tree.leaf_vertex] @ leaf_costs), rel=1e-9)

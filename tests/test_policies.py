@@ -116,6 +116,29 @@ class TestArgminPolicies:
             pol_p.observe(int(inv_perm[a]), c, y)
 
 
+class TestGpServiceModel:
+    def test_to_cost_maps_the_posterior(self, small_world):
+        # The map gets the posterior at the context's query rows and the
+        # model's beta_t; without a map the costs are the lower bound.
+        inst, _ = small_world
+        base = gp_model_for(inst)
+        base.observe(4, 2, float(inst.f_table[4, 2]))
+        calls = []
+
+        def to_cost(mean, std, beta):
+            calls.append((mean, std, beta))
+            return mean + std
+
+        mapped = GpServiceModel(base.gp, base.featurize, n_actions=inst.metric.n, to_cost=to_cost)
+        costs = mapped.lcb_costs(3)
+        [(mean, std, beta)] = calls
+        ref_mean, ref_std = base.gp.posterior(base.featurize(3))
+        assert np.array_equal(mean, ref_mean) and np.array_equal(std, ref_std)
+        assert beta == base.gp.beta_t() == 2.0
+        assert np.array_equal(costs, ref_mean + ref_std)
+        assert np.array_equal(base.lcb_costs(3), ref_mean - 2.0 * ref_std)
+
+
 class TestBeginEpisode:
     def test_point_mass_state(self, small_world):
         inst, tree = small_world

@@ -8,14 +8,13 @@ from gpmd.wind import (
     EnergyParams,
     WindTable,
     altitude_metric,
+    cost_bounds,
     default_altitudes,
     energy_move,
     energy_service,
     energy_service_interval,
     ingest_wind_csv,
-    propagate_bounds_all,
     service_matrix,
-    service_objective,
     synthetic_wind_table,
     trajectory_energy,
     write_wind_csv,
@@ -65,23 +64,15 @@ def toy_table(speeds, altitudes=(100.0, 200.0)) -> WindTable:
 class TestServiceObjective:
     def test_zero_at_argmax(self):
         table = toy_table([[5.0], [7.0]])
-        assert service_objective(P10, table, 200.0, 0) == 0.0
+        assert service_matrix(P10, table)[1, 0] == 0.0
 
     def test_uniform_wind_gives_zero_everywhere(self):
         table = toy_table([[6.0], [6.0]])
-        assert service_objective(P10, table, 100.0, 0) == 0.0
-        assert service_objective(P10, table, 200.0, 0) == 0.0
+        assert np.all(service_matrix(P10, table) == 0.0)
 
     def test_two_altitude_worked_example(self):
         table = toy_table([[5.0], [15.0]])
-        assert service_objective(P10, table, 100.0, 0) == pytest.approx(2259.0 - 299.25)
-
-    def test_unknown_inputs(self):
-        table = toy_table([[5.0], [7.0]])
-        with pytest.raises(ValueError, match="altitude"):
-            service_objective(P10, table, 123.0, 0)
-        with pytest.raises(ValueError, match="range"):
-            service_objective(P10, table, 100.0, 5)
+        assert service_matrix(P10, table)[0, 0] == pytest.approx(2259.0 - 299.25)
 
     def test_matrix_nonnegative_with_zero_row(self):
         table = toy_table([[5.0, 9.0, 3.0], [7.0, 2.0, 11.0]])
@@ -157,7 +148,7 @@ class TestPropagateBounds:
         feats = np.column_stack([alts, np.zeros(2)])
         gp = GpModel(kernel=RbfKernel(lengthscale=50.0), lam=1e-10)
         gp = gp.update(feats, table.speeds[:, 0])
-        lcb_f, ucb_f = propagate_bounds_all(gp, P10, alts, 0.0, beta=0.0)
+        lcb_f, ucb_f = cost_bounds(P10, *gp.posterior(feats), beta=0.0)
         es = energy_service(P10, table.speeds[:, 0])
         f_true = es.max() - es
         assert np.abs(lcb_f - f_true).max() <= 1e-4
@@ -176,7 +167,7 @@ class TestPropagateBounds:
         # only meaningful when the truth is inside the windspeed interval
         inside = np.abs(mean - table.speeds[:, 0]) <= beta * std
         assert inside.all()
-        lcb_f, ucb_f = propagate_bounds_all(gp, P10, alts, 0.0, beta=beta)
+        lcb_f, ucb_f = cost_bounds(P10, mean, std, beta=beta)
         es = energy_service(P10, table.speeds[:, 0])
         es_hi = np.array(
             [energy_service_interval(P10, max(0.0, m - beta * s), m + beta * s)[1]
