@@ -1,18 +1,33 @@
 """Exact Gaussian-process regression over action-context feature vectors.
 
-The model keeps a lower Cholesky factor L of (K_t + lam*I), extended by
-border updates as observations arrive and rebuilt from scratch every
-``REFACTOR_EVERY`` points to keep rounding drift in check. Snapshots are
-immutable: ``update`` returns a new model that owns its own contiguous
-inputs, targets and factor, so appending costs one O(t^2) copy of the factor
-plus the O(t^2) border solve, and any snapshot can be updated again without
-affecting the others. Each snapshot counts the points added since its last
-refactor, so a branch taken from an older snapshot follows its own refactor
-schedule; the harness only ever extends the newest snapshot.
+The model keeps a lower Cholesky factor L of (K_t + lam*I) and z = L^-1 y.
+With V = L^-1 K(X, Xq), the posterior at query rows Xq has mean V^T z and
+variance k(x, x) - colsum(V^2), so no snapshot solves for weights.
 
-The factor is stored mirrored: L in the lower triangle and L^T in the upper.
-LAPACK then reads either triangle in the memory order it expects, and every
-triangular solve runs on the stored array without a copy.
+Rows only ever append. X, y, z and L live in storage sized, when it is
+created, to hold every row until the next refactor, and a new row's factor
+row is [v^T, l] with v = L^-1 k(X, x) and l = sqrt(var(x) + lam). A
+per-step update reads v from the column of the step's own query whose row
+is x, so it solves nothing; any other update solves its border like a
+query. The factor is rebuilt from scratch every ``REFACTOR_EVERY`` points
+to keep rounding drift in check, and a refactor starts new storage.
+
+Query cache: each storage keeps V per distinct query block, keyed by the
+block's content, and extends a block only by the rows added since it was
+last read: V[s:t] = L[s:t,s:t]^-1 (K(X[s:t], Xq) - L[s:t,:s] V[:s]). A miss
+is the same extension from s = 0. The solve runs in row chunks, so only a
+chunk-sized diagonal block of L is ever copied. Blocks are admitted while
+their total column count stays within the storage's row capacity, so the
+cache never holds more floats than the factor; they are never evicted and
+go with their storage at a refactor.
+
+Snapshots are immutable: ``update`` returns a new model. An update on the
+newest snapshot of a storage appends in place; older snapshots keep reading
+their own leading rows, which never change. An update on an older snapshot
+copies its rows into new storage with its own cache, so any snapshot can be
+extended without affecting the others. Each snapshot counts the points
+added since its last refactor, so a branch follows its own refactor
+schedule; the harness only ever extends the newest snapshot.
 """
 
 from __future__ import annotations
@@ -27,6 +42,7 @@ from scipy.spatial.distance import cdist
 
 REFACTOR_EVERY = 256
 VAR_CLAMP = 1e-12
+SOLVE_ROWS = 128  # rows per chunk of a triangular solve against the growing factor
 
 
 @dataclass(frozen=True)
@@ -62,19 +78,110 @@ class RbfKernel:
         return X / np.asarray(self.lengthscale, dtype=float)
 
     def __call__(self, A, B) -> np.ndarray:
-        sq = cdist(self._prep(A), self._prep(B), "sqeuclidean")
-        return self.outputscale * np.exp(-0.5 * sq)
+        k = cdist(self._prep(A), self._prep(B), "sqeuclidean")
+        k *= -0.5
+        np.exp(k, out=k)
+        k *= self.outputscale
+        return k
 
     def diag(self, A) -> np.ndarray:
         A = np.atleast_2d(np.asarray(A, dtype=float))
         return np.full(A.shape[0], float(self.outputscale))
 
 
-def _mirrored(L: np.ndarray) -> np.ndarray:
-    """L in the lower triangle and L^T in the upper; L must be lower triangular."""
-    out = L + L.T
-    np.fill_diagonal(out, L.diagonal())
-    return out
+class _Rows:
+    """Append-only storage of one factorization: the training rows, z, the
+    factor, and the query blocks solved against them.
+
+    Only rows ``[:n]`` of each buffer are valid, and only the lower triangle
+    of ``L``. The row capacity is fixed when the storage is created.
+    """
+
+    __slots__ = ("X", "y", "z", "L", "n", "blocks", "cached_cols", "last")
+
+    def __init__(self, capacity: int, X, y, z, L):
+        t = y.shape[0]
+        self.X = np.empty((capacity, X.shape[1]))
+        self.y = np.empty(capacity)
+        self.z = np.empty(capacity)
+        self.L = np.empty((capacity, capacity))
+        self.X[:t], self.y[:t], self.z[:t], self.L[:t, :t] = X, y, z, L
+        self.n = t
+        self.blocks: dict = {}  # query content -> V, one row per solved training row
+        self.cached_cols = 0
+        self.last = None  # (Xq, V) of the latest query, cached or not
+
+    def extend(self, kernel, Xq, V, t: int) -> np.ndarray:
+        """L^-1 K(X[:t], Xq), given its first s rows ``V`` (None: s = 0).
+
+        Solves V[s:t] = L[s:t,s:t]^-1 (K(X[s:t], Xq) - L[s:t,:s] V[:s]) in row
+        chunks, so only a chunk of L is ever copied.
+        """
+        s = 0 if V is None else V.shape[0]
+        R = kernel(self.X[s:t], Xq)
+        if s:
+            R -= self.L[s:t, :s] @ V
+        for a in range(0, t - s, SOLVE_ROWS):
+            b = min(a + SOLVE_ROWS, t - s)
+            lo, hi = s + a, s + b
+            if a:
+                R[a:b] -= self.L[lo:hi, s:lo] @ R[:a]
+            R[a:b] = solve_triangular(self.L[lo:hi, lo:hi], R[a:b], lower=True, check_finite=False)
+        return np.concatenate([V, R]) if s else R
+
+    def query(self, kernel, Xq, t: int) -> np.ndarray:
+        """L^-1 K(X[:t], Xq), extending the cached block of ``Xq`` if there is one."""
+        self.last = None
+        key = (Xq.shape, Xq.tobytes())
+        V = self.blocks.get(key)
+        if V is None:
+            V = self.extend(kernel, Xq, None, t)
+            if self.cached_cols + Xq.shape[0] <= self.L.shape[0]:
+                self.blocks[key] = V
+                self.cached_cols += Xq.shape[0]
+        elif V.shape[0] < t:
+            V = self.blocks[key] = self.extend(kernel, Xq, V, t)
+        if t == self.n:
+            self.last = (Xq.copy(), V)  # the caller may reuse its query array
+        return V[:t]
+
+    def border(self, x) -> np.ndarray | None:
+        """L^-1 k(X, x) from the latest query if one of its rows is ``x`` and
+        it covers every row; None otherwise."""
+        if self.last is None:
+            return None
+        Xq, V = self.last
+        if V.shape[0] != self.n:
+            return None
+        hit = np.flatnonzero((Xq == x).all(axis=1))
+        return V[:, hit[0]] if hit.size else None
+
+    def append(self, kernel, lam: float, X_new, y_new) -> bool:
+        """Append rows; False, leaving the storage as it was, if the new
+        diagonal block is not numerically positive definite."""
+        t, b = self.n, y_new.shape[0]
+        v = self.border(X_new[0]) if b == 1 else None
+        B = self.extend(kernel, X_new, None, t) if v is None else v[:, None]
+        S = kernel(X_new, X_new) - B.T @ B  # conditional covariance of the new rows
+        S[np.diag_indices(b)] += lam
+        if b == 1:
+            if not S[0, 0] > 0.0:
+                return False
+            Lb = np.sqrt(S)
+        else:
+            try:
+                Lb = sp_cholesky(S, lower=True, overwrite_a=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                return False
+        r = y_new - B.T @ self.z[:t]
+        end = t + b
+        self.X[t:end], self.y[t:end] = X_new, y_new
+        self.L[t:end, :t], self.L[t:end, t:end] = B.T, Lb
+        self.z[t:end] = r / Lb[0, 0] if b == 1 else solve_triangular(
+            Lb, r, lower=True, check_finite=False
+        )
+        self.n = end
+        return True
 
 
 class GpModel:
@@ -96,9 +203,8 @@ class GpModel:
         delta: float = 0.1,
         beta_mode: str = "constant",
         beta_value: float = 2.0,
-        _X: np.ndarray | None = None,
-        _y: np.ndarray | None = None,
-        _factor: np.ndarray | None = None,
+        _rows: _Rows | None = None,
+        _n: int = 0,
         _since_refactor: int = 0,
     ):
         if lam <= 0:
@@ -114,21 +220,16 @@ class GpModel:
         self.delta = float(delta)
         self.beta_mode = beta_mode
         self.beta_value = float(beta_value)
-        self._X, self._y, self._factor = _X, _y, _factor
+        self._rows = _rows
+        self._n = _n
         self._since_refactor = _since_refactor
-        self._n = 0 if _y is None else _y.shape[0]
-        self._alpha = None
-        if self._n:
-            z = solve_triangular(_factor, _y, lower=True, check_finite=False)
-            # the upper triangle holds L^T
-            self._alpha = solve_triangular(_factor, z, lower=False, check_finite=False)
 
     @property
     def n(self) -> int:
         return self._n
 
-    def _config(self):
-        return dict(
+    def _snapshot(self, rows: _Rows, n: int, since: int) -> "GpModel":
+        return GpModel(
             kernel=self.kernel,
             lam=self.lam,
             noise_sigma=self.noise_sigma,
@@ -136,6 +237,9 @@ class GpModel:
             delta=self.delta,
             beta_mode=self.beta_mode,
             beta_value=self.beta_value,
+            _rows=rows,
+            _n=n,
+            _since_refactor=since,
         )
 
     # -- updates ---------------------------------------------------------
@@ -151,47 +255,32 @@ class GpModel:
             raise ValueError("observations must be finite")
 
         t, b = self._n, y_new.shape[0]
-        if t:
-            X = np.concatenate([self._X, X_new])
-            y = np.concatenate([self._y, y_new])
-        else:
-            X, y = X_new.copy(), y_new.copy()
         since = self._since_refactor + b
-        factor = self._extend_cholesky(X, t) if t and since < REFACTOR_EVERY else None
-        if factor is None:
-            factor, since = self._factorize(X), 0
-        return GpModel(_X=X, _y=y, _factor=factor, _since_refactor=since, **self._config())
+        if t and since < REFACTOR_EVERY:
+            rows = self._rows
+            if rows.n != t:  # an older snapshot: its rows move to storage of its own
+                capacity = t + REFACTOR_EVERY - self._since_refactor
+                rows = _Rows(capacity, rows.X[:t], rows.y[:t], rows.z[:t], rows.L[:t, :t])
+            if rows.append(self.kernel, self.lam, X_new, y_new):
+                return self._snapshot(rows, t + b, since)
+            # The new block lost positive definiteness to rounding: refactor.
+        return self._snapshot(self._refactor(X_new, y_new), t + b, 0)
 
-    def _factorize(self, X: np.ndarray) -> np.ndarray:
-        n = X.shape[0]
+    def _refactor(self, X_new, y_new) -> _Rows:
+        """New storage for this snapshot's rows plus the new ones, factored from scratch."""
+        t = self._n
+        X = np.concatenate([self._rows.X[:t], X_new]) if t else X_new
+        y = np.concatenate([self._rows.y[:t], y_new]) if t else y_new
         K = self.kernel(X, X)
-        K[np.diag_indices(n)] += self.lam
+        K[np.diag_indices(X.shape[0])] += self.lam
         try:
-            return _mirrored(sp_cholesky(K, lower=True))
+            # K is symmetric, so K.T is the same matrix in the column order
+            # LAPACK factors in place.
+            L = sp_cholesky(K.T, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"kernel matrix is not positive definite: {exc}") from None
-
-    def _extend_cholesky(self, X: np.ndarray, t: int) -> np.ndarray | None:
-        """The factor of all of ``X`` from this snapshot's factor of ``X[:t]``,
-        or None if the border block is not numerically positive definite."""
-        b = X.shape[0] - t
-        C = self.kernel(X[:t], X[t:])
-        S = self.kernel(X[t:], X[t:])
-        S[np.diag_indices(b)] += self.lam
-        Bk = solve_triangular(self._factor, C, lower=True, check_finite=False)
-        S_cond = S - Bk.T @ Bk
-        try:
-            Lb = sp_cholesky(S_cond, lower=True)
-        except np.linalg.LinAlgError:
-            # Conditional block lost positive definiteness to rounding; the
-            # caller falls back to a clean factorization of the full matrix.
-            return None
-        factor = np.empty((t + b, t + b))
-        factor[:t, :t] = self._factor
-        factor[t:, :t] = Bk.T
-        factor[:t, t:] = Bk
-        factor[t:, t:] = _mirrored(Lb)
-        return factor
+        z = solve_triangular(L, y, lower=True, check_finite=False)
+        return _Rows(X.shape[0] + REFACTOR_EVERY, X, y, z, L)
 
     # -- queries -----------------------------------------------------------
 
@@ -201,12 +290,12 @@ class GpModel:
         if not np.isfinite(Xq).all():
             raise ValueError("query rows must be finite")
         kdiag = self.kernel.diag(Xq)
-        if self._n == 0:
+        t = self._n
+        if t == 0:
             return np.zeros(Xq.shape[0]), np.sqrt(kdiag)
-        k_cross = self.kernel(self._X, Xq)
-        mean = k_cross.T @ self._alpha
-        v = solve_triangular(self._factor, k_cross, lower=True, check_finite=False)
-        var = kdiag - (v * v).sum(axis=0)
+        V = self._rows.query(self.kernel, Xq, t)
+        mean = V.T @ self._rows.z[:t]
+        var = kdiag - np.einsum("ij,ij->j", V, V)
         low = var.min()
         if low < -VAR_CLAMP:
             raise FloatingPointError(f"posterior variance fell below zero: {low:.3e}")
@@ -216,7 +305,7 @@ class GpModel:
         """Realized information gain 0.5 * log det(I + K_t / lam)."""
         if self._n == 0:
             return 0.0
-        diag = np.diag(self._factor)
+        diag = self._rows.L.diagonal()[: self._n]
         return float(np.log(diag).sum() - 0.5 * self._n * math.log(self.lam))
 
     def beta_t(self) -> float:

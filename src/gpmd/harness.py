@@ -18,7 +18,7 @@ import os
 import traceback
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -48,6 +48,8 @@ from .wind import (
 )
 
 WORKERS_ENV = "GPMD_WORKERS"
+WIND_GP_KEYS = ("lengthscale", "outputscale", "lam")
+ENERGY_KEYS = tuple(f.name for f in fields(EnergyParams))
 
 _STREAMS = {
     "contexts": 0,
@@ -117,6 +119,16 @@ class RunConfig:
             errors.append(f"update_mode: unknown mode {self.update_mode!r}")
         if self.beta_mode not in ("constant", "theory"):
             errors.append(f"beta_mode: unknown mode {self.beta_mode!r}")
+        if not isinstance(self.beta_value, (int, float)) or not self.beta_value >= 0:
+            errors.append("beta_value: must be non-negative")
+        for name, known in (("wind_gp", WIND_GP_KEYS), ("energy", ENERGY_KEYS)):
+            table = getattr(self, name)
+            if not isinstance(table, dict):
+                errors.append(f"{name}: must be a mapping")
+                continue
+            for key in table:
+                if key not in known:
+                    errors.append(f"{name}: unknown key {key!r}")
         for p in self.policies:
             if p not in POLICY_NAMES:
                 errors.append(f"policies: unknown policy {p!r}")
@@ -238,7 +250,7 @@ def build_synthetic_env(cfg: RunConfig, seed: int) -> Env:
 
 
 def build_wind_env(cfg: RunConfig, seed: int) -> Env:
-    params = EnergyParams.from_config(cfg.energy)
+    params = EnergyParams(**cfg.energy)
     if cfg.dataset:
         table = ingest_wind_csv(cfg.dataset)
     else:
@@ -250,7 +262,6 @@ def build_wind_env(cfg: RunConfig, seed: int) -> Env:
     noise = rng_stream(seed, "noise").normal(0.0, cfg.wind_obs_noise, size=table.n_times)
     alts, hours = table.altitudes, table.hours
     start = table.n_altitudes // 2
-    gp_kwargs = {k: cfg.wind_gp[k] for k in ("lengthscale", "outputscale", "lam") if k in cfg.wind_gp}
 
     def featurize(key):
         return np.column_stack([alts, np.full(alts.shape[0], hours[int(key)])])
@@ -269,7 +280,7 @@ def build_wind_env(cfg: RunConfig, seed: int) -> Env:
         start=start,
         labels=[ts.isoformat() for ts in table.timestamps],
         featurize=featurize,
-        make_gp=partial(make_wind_gp, alts, beta_value=cfg.beta_value, **gp_kwargs),
+        make_gp=partial(make_wind_gp, alts, beta_value=cfg.beta_value, **cfg.wind_gp),
         obs=table.speeds,
         noise=noise[None, :],
         obs_floor=0.0,

@@ -44,16 +44,6 @@ class EnergyParams:
         """Interior critical point of the below-rated branch, 2*c2/(3*c1)."""
         return 2.0 * self.c2 / (3.0 * self.c1)
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "EnergyParams":
-        return cls(
-            c1=cfg.get("c1", 0.0579),
-            c2=cfg.get("c2", 0.09),
-            c3=cfg.get("c3", 0.15),
-            v_rated=cfg.get("v_rated", 12.0),
-            dt_minutes=cfg.get("dt_minutes", 60.0),
-        )
-
 
 def energy_service(params: EnergyParams, v) -> np.ndarray | float:
     """Energy generated over one interval at windspeed ``v`` (may be negative

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from gpmd.gp import GpModel, Normalizer, RbfKernel
+from gpmd.gp import REFACTOR_EVERY, GpModel, Normalizer, RbfKernel
 
 LAM = 0.25
 
@@ -121,6 +123,18 @@ class TestUpdate:
         m_tip, _ = tip.posterior(Xq)
         tip_fresh = make_model().update(X[:30], y[:30])
         assert np.abs(m_tip - tip_fresh.posterior(Xq)[0]).max() <= 1e-8
+
+    def test_refilled_query_array_is_read_afresh(self, rng):
+        X, y = rng.uniform(-1, 1, size=(10, 2)), rng.normal(size=11)
+        model = make_model().update(X, y[:10])
+        buf = rng.uniform(-1, 1, size=(5, 2))
+        model.posterior(buf)
+        buf[2] = [0.3, -0.4]  # the caller refills its query array, then learns a new row of it
+        model = model.update(buf[2:3], y[10:])
+        mean, std = model.posterior(buf)
+        dmean, dstd = dense_posterior(model.kernel, LAM, np.concatenate([X, buf[2:3]]), y, buf)
+        assert np.abs(mean - dmean).max() <= 1e-8
+        assert np.abs(std - dstd).max() <= 1e-8
 
     def test_variance_monotone_along_trace(self, rng):
         model = make_model(lam=0.05)
@@ -290,7 +304,101 @@ def test_cholesky_reconstructs_regularized_kernel(rng):
     X = rng.uniform(0, 1, size=(50, 2))
     for i in range(50):  # incremental path, no refactor below 256
         model = model.update(X[i : i + 1], rng.normal(size=1))
-    L = np.tril(model._factor)
+    L = np.tril(model._rows.L[:50, :50])  # only the lower triangle is kept
     K = kernel(X, X) + 0.2 * np.eye(50)
     rel = np.abs(L @ L.T - K).max() / np.abs(K).max()
     assert rel <= 1e-8
+
+
+# A coarse grid of inputs, so that duplicate training and query rows are common.
+GRID_POINTS = np.array([[a, b] for a in np.linspace(-1, 1, 5) for b in np.linspace(-1, 1, 5)])
+OPS = ("row", "batch", "step", "query", "older-query", "branch")
+
+
+def _draw_rows(rng, b):
+    """b inputs, each a grid point (often repeated) or a fresh uniform draw."""
+    fresh = rng.uniform(-1, 1, size=(b, 2))
+    on_grid = GRID_POINTS[rng.integers(len(GRID_POINTS), size=b)]
+    return np.where(rng.random((b, 1)) < 0.5, on_grid, fresh)
+
+
+def _check_against_dense(model, X, y, Xq):
+    mean, std = model.posterior(Xq)
+    if len(y):
+        dmean, dstd = dense_posterior(model.kernel, model.lam, X, y, Xq)
+        K = model.kernel(X, X)
+        gain = 0.5 * np.linalg.slogdet(np.eye(len(y)) + K / model.lam)[1]
+    else:
+        dmean, dstd, gain = np.zeros(len(Xq)), np.sqrt(model.kernel.diag(Xq)), 0.0
+    assert np.abs(mean - dmean).max() <= 1e-8
+    assert np.abs(std - dstd).max() <= 1e-8
+    assert abs(model.info_gain() - gain) <= 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_engine_interleavings_match_dense(data):
+    """Random interleavings of single-row and batch updates, repeated and
+    fresh query blocks (some holding the next update's input), queries on
+    older snapshots and branches from them, checked against a dense solve."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    kernel = RbfKernel(lengthscale=data.draw(st.sampled_from([0.3, 0.8])), outputscale=1.3)
+    lam = data.draw(st.sampled_from([0.01, 0.1, 1.0]), label="lam")
+    blocks = [GRID_POINTS[rng.integers(len(GRID_POINTS), size=k)] for k in (1, 7, 25)]
+    snaps = [(GpModel(kernel=kernel, lam=lam), np.zeros((0, 2)), np.zeros(0))]
+    # A lead of rows puts the next refactor within reach of a few updates.
+    lead = data.draw(st.sampled_from([0, REFACTOR_EVERY - 20]), label="lead")
+    if lead:
+        X0, y0 = _draw_rows(rng, lead), rng.normal(size=lead)
+        first = snaps[0][0].update(X0[:1], y0[:1])
+        snaps.append((first.update(X0[1:], y0[1:]), X0, y0))
+    ops = data.draw(st.lists(st.sampled_from(OPS), min_size=1, max_size=30), label="ops")
+    for op in ops:
+        model, X, y = snaps[-1]
+        if op in ("row", "batch", "step", "branch") and len(y) > REFACTOR_EVERY + 100:
+            op = "query"
+        if op == "query":
+            pick = data.draw(st.integers(0, len(blocks)), label="block")
+            Xq = blocks[pick] if pick < len(blocks) else _draw_rows(rng, 9)
+            _check_against_dense(model, X, y, Xq)
+            continue
+        if op == "older-query":
+            k = data.draw(st.integers(0, len(snaps) - 1), label="snapshot")
+            _check_against_dense(*snaps[k], blocks[data.draw(st.integers(0, 2), label="block")])
+            continue
+        if op == "branch":
+            k = data.draw(st.integers(0, len(snaps) - 1), label="snapshot")
+            model, X, y = snaps[k]
+            Xn = _draw_rows(rng, data.draw(st.integers(1, 5), label="rows"))
+        elif op == "step":  # query a block, then learn one of its rows
+            block = blocks[data.draw(st.integers(0, 2), label="block")]
+            _check_against_dense(model, X, y, block)
+            Xn = block[data.draw(st.integers(0, len(block) - 1), label="row")][None, :]
+        elif op == "batch":
+            Xn = _draw_rows(rng, data.draw(st.integers(1, 60), label="rows"))
+        else:
+            Xn = _draw_rows(rng, 1)
+        yn = rng.normal(size=len(Xn))
+        snaps.append((model.update(Xn, yn), np.concatenate([X, Xn]), np.concatenate([y, yn])))
+    model, X, y = snaps[-1]
+    _check_against_dense(model, X, y, blocks[2])
+
+
+def test_engine_trace_crosses_refactors():
+    """A per-step trace past two refactors, each step querying the block
+    that holds its input, stays on the dense solve."""
+    rng = np.random.default_rng(7)
+    kernel = RbfKernel(lengthscale=0.5)
+    model = GpModel(kernel=kernel, lam=0.1)
+    blocks = [GRID_POINTS[rng.permutation(len(GRID_POINTS))[:10]] for _ in range(4)]
+    X, y = [], []
+    for t in range(2 * REFACTOR_EVERY + 20):
+        block = blocks[t % 4]
+        mean, std = model.posterior(block)
+        if t % 97 == 0 or t in (REFACTOR_EVERY, 2 * REFACTOR_EVERY + 1):
+            _check_against_dense(model, np.array(X).reshape(-1, 2), np.array(y), block)
+        x = block[int(rng.integers(10))]
+        X.append(x)
+        y.append(float(rng.normal()))
+        model = model.update(x[None, :], y[-1:])
+    _check_against_dense(model, np.array(X), np.array(y), blocks[0])

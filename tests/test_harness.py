@@ -84,6 +84,32 @@ class TestConfig:
         assert "beta_mode: wind runs take a constant beta" in capsys.readouterr().out
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kind", ["synthetic", "wind"])
+    def test_negative_beta_value_rejected(self, tmp_path, capsys, kind):
+        code = cli_main(
+            ["run", "--kind", kind, "--policies", "gp-md", "--steps", "20",
+             "--set", "wind_hours=20", "--set", "grid=[3,3]", "--set", "beta_value=-3",
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert "beta_value: must be non-negative" in capsys.readouterr().out
+        assert not (tmp_path / "o").exists()
+
+    def test_misspelled_wind_gp_and_energy_keys_rejected(self, tmp_path, capsys):
+        code = cli_main(
+            ["run", "--kind", "wind", "--policies", "gp-md,cgp-lcb", "--steps", "100",
+             "--set", "wind_hours=100", "--set", "wind_gp.lenghtscale=0.05",
+             "--set", "energy.vrated=10", "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "wind_gp: unknown key 'lenghtscale'" in out
+        assert "energy: unknown key 'vrated'" in out
+        assert not (tmp_path / "o").exists()
+        known = small_cfg(tmp_path, kind="wind", energy={"v_rated": 10.0, "dt_minutes": 30.0},
+                          wind_gp={"lengthscale": 2.0, "outputscale": 4.0, "lam": 1.5})
+        assert known.validate() == []
+
     def test_hash_stable(self, tmp_path):
         assert small_cfg(tmp_path).config_hash() == small_cfg(tmp_path).config_hash()
 

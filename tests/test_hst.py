@@ -56,6 +56,17 @@ class TestTreeDistance:
             i, j, k = rng.integers(0, 12, 3)
             assert D[i, j] <= D[i, k] + D[k, j] + 1e-12
 
+    def test_distance_matrix_matches_pairwise_sums(self, rng):
+        trees = [random_hst(rng, n) for n in (2, 3, 9, 17, 40)]
+        trees.append(frt_embed(grid_metric(6, 5), tau=5.0, rng_seed=3))
+        for t in trees:
+            n = t.n_leaves
+            loop = np.zeros((n, n))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    loop[i, j] = loop[j, i] = t.tree_distance(i, j)
+            assert np.array_equal(t.distance_matrix(), loop)
+
     def test_unknown_leaf(self):
         t = star_tree()
         with pytest.raises(ValueError, match="unknown point"):
