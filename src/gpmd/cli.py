@@ -22,7 +22,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a policy/seed/rho sweep")
     run_p.add_argument("--config", help="JSON config file; flags override its values")
-    run_p.add_argument("--kind", choices=["synthetic", "wind", "mts-demo"])
+    run_p.add_argument("--kind", choices=["synthetic", "wind"])
     run_p.add_argument("--policies", help="comma-separated policy names")
     run_p.add_argument("--seeds", help="comma-separated integer seeds")
     run_p.add_argument("--rho", help="comma-separated rho values")

@@ -2,17 +2,18 @@
 
 The model keeps a lower Cholesky factor L of (K_t + lam*I) and z = L^-1 y.
 With V = L^-1 K(X, Xq), the posterior at query rows Xq has mean V^T z and
-variance k(x, x) - colsum(V^2), so no snapshot solves for weights.
+variance k(x, x) - colsum(V^2), so no update solves for weights.
 
-Rows only ever append. X, y, z and L live in storage sized, when it is
-created, to hold every row until the next refactor, and a new row's factor
+One model serves one learner: ``update`` extends it in place and returns
+it. Rows only ever append. X, y, z and L live in storage sized, at each
+refactor, to hold every row until the next one, and a new row's factor
 row is [v^T, l] with v = L^-1 k(X, x) and l = sqrt(var(x) + lam). A
 per-step update reads v from the column of the step's own query whose row
 is x, so it solves nothing; any other update solves its border like a
 query. The factor is rebuilt from scratch every ``REFACTOR_EVERY`` points
 to keep rounding drift in check, and a refactor starts new storage.
 
-Query cache: each storage keeps V per distinct query block, keyed by the
+Query cache: the model keeps V per distinct query block, keyed by the
 block's content, and extends a block only by the rows added since it was
 last read: V[s:t] = L[s:t,s:t]^-1 (K(X[s:t], Xq) - L[s:t,:s] V[:s]). A miss
 is the same extension from s = 0. The solve runs in row chunks, so only a
@@ -20,14 +21,6 @@ chunk-sized diagonal block of L is ever copied. Blocks are admitted while
 their total column count stays within the storage's row capacity, so the
 cache never holds more floats than the factor; they are never evicted and
 go with their storage at a refactor.
-
-Snapshots are immutable: ``update`` returns a new model. An update on the
-newest snapshot of a storage appends in place; older snapshots keep reading
-their own leading rows, which never change. An update on an older snapshot
-copies its rows into new storage with its own cache, so any snapshot can be
-extended without affecting the others. Each snapshot counts the points
-added since its last refactor, so a branch follows its own refactor
-schedule; the harness only ever extends the newest snapshot.
 """
 
 from __future__ import annotations
@@ -89,109 +82,17 @@ class RbfKernel:
         return np.full(A.shape[0], float(self.outputscale))
 
 
-class _Rows:
-    """Append-only storage of one factorization: the training rows, z, the
-    factor, and the query blocks solved against them.
-
-    Only rows ``[:n]`` of each buffer are valid, and only the lower triangle
-    of ``L``. The row capacity is fixed when the storage is created.
-    """
-
-    __slots__ = ("X", "y", "z", "L", "n", "blocks", "cached_cols", "last")
-
-    def __init__(self, capacity: int, X, y, z, L):
-        t = y.shape[0]
-        self.X = np.empty((capacity, X.shape[1]))
-        self.y = np.empty(capacity)
-        self.z = np.empty(capacity)
-        self.L = np.empty((capacity, capacity))
-        self.X[:t], self.y[:t], self.z[:t], self.L[:t, :t] = X, y, z, L
-        self.n = t
-        self.blocks: dict = {}  # query content -> V, one row per solved training row
-        self.cached_cols = 0
-        self.last = None  # (Xq, V) of the latest query, cached or not
-
-    def extend(self, kernel, Xq, V, t: int) -> np.ndarray:
-        """L^-1 K(X[:t], Xq), given its first s rows ``V`` (None: s = 0).
-
-        Solves V[s:t] = L[s:t,s:t]^-1 (K(X[s:t], Xq) - L[s:t,:s] V[:s]) in row
-        chunks, so only a chunk of L is ever copied.
-        """
-        s = 0 if V is None else V.shape[0]
-        R = kernel(self.X[s:t], Xq)
-        if s:
-            R -= self.L[s:t, :s] @ V
-        for a in range(0, t - s, SOLVE_ROWS):
-            b = min(a + SOLVE_ROWS, t - s)
-            lo, hi = s + a, s + b
-            if a:
-                R[a:b] -= self.L[lo:hi, s:lo] @ R[:a]
-            R[a:b] = solve_triangular(self.L[lo:hi, lo:hi], R[a:b], lower=True, check_finite=False)
-        return np.concatenate([V, R]) if s else R
-
-    def query(self, kernel, Xq, t: int) -> np.ndarray:
-        """L^-1 K(X[:t], Xq), extending the cached block of ``Xq`` if there is one."""
-        self.last = None
-        key = (Xq.shape, Xq.tobytes())
-        V = self.blocks.get(key)
-        if V is None:
-            V = self.extend(kernel, Xq, None, t)
-            if self.cached_cols + Xq.shape[0] <= self.L.shape[0]:
-                self.blocks[key] = V
-                self.cached_cols += Xq.shape[0]
-        elif V.shape[0] < t:
-            V = self.blocks[key] = self.extend(kernel, Xq, V, t)
-        if t == self.n:
-            self.last = (Xq.copy(), V)  # the caller may reuse its query array
-        return V[:t]
-
-    def border(self, x) -> np.ndarray | None:
-        """L^-1 k(X, x) from the latest query if one of its rows is ``x`` and
-        it covers every row; None otherwise."""
-        if self.last is None:
-            return None
-        Xq, V = self.last
-        if V.shape[0] != self.n:
-            return None
-        hit = np.flatnonzero((Xq == x).all(axis=1))
-        return V[:, hit[0]] if hit.size else None
-
-    def append(self, kernel, lam: float, X_new, y_new) -> bool:
-        """Append rows; False, leaving the storage as it was, if the new
-        diagonal block is not numerically positive definite."""
-        t, b = self.n, y_new.shape[0]
-        v = self.border(X_new[0]) if b == 1 else None
-        B = self.extend(kernel, X_new, None, t) if v is None else v[:, None]
-        S = kernel(X_new, X_new) - B.T @ B  # conditional covariance of the new rows
-        S[np.diag_indices(b)] += lam
-        if b == 1:
-            if not S[0, 0] > 0.0:
-                return False
-            Lb = np.sqrt(S)
-        else:
-            try:
-                Lb = sp_cholesky(S, lower=True, overwrite_a=True, check_finite=False)
-            except np.linalg.LinAlgError:
-                return False
-        r = y_new - B.T @ self.z[:t]
-        end = t + b
-        self.X[t:end], self.y[t:end] = X_new, y_new
-        self.L[t:end, :t], self.L[t:end, t:end] = B.T, Lb
-        self.z[t:end] = r / Lb[0, 0] if b == 1 else solve_triangular(
-            Lb, r, lower=True, check_finite=False
-        )
-        self.n = end
-        return True
-
-
 class GpModel:
-    """GP posterior state with confidence-bound helpers.
+    """GP posterior state with its confidence width.
 
     ``lam`` is the regularization added to the kernel matrix (by default the
     observation noise variance; the theory-faithful alternative sets it to
     the episode length). ``beta_mode`` selects between the analytic
     confidence width ("theory") and a fixed exploration constant
     ("constant").
+
+    Only rows ``[:n]`` of the storage buffers are valid, and only the lower
+    triangle of ``_L``. Their row capacity is fixed at each refactor.
     """
 
     def __init__(
@@ -203,9 +104,6 @@ class GpModel:
         delta: float = 0.1,
         beta_mode: str = "constant",
         beta_value: float = 2.0,
-        _rows: _Rows | None = None,
-        _n: int = 0,
-        _since_refactor: int = 0,
     ):
         if lam <= 0:
             raise ValueError(f"lam must be positive, got {lam}")
@@ -213,6 +111,8 @@ class GpModel:
             raise ValueError(f"unknown beta_mode {beta_mode!r}")
         if not (0.0 < delta < 1.0) and beta_mode == "theory":
             raise ValueError("delta must lie in (0, 1)")
+        if beta_value < 0:
+            raise ValueError(f"beta_value must be non-negative, got {beta_value}")
         self.kernel = kernel
         self.lam = float(lam)
         self.noise_sigma = float(noise_sigma) if noise_sigma is not None else math.sqrt(lam)
@@ -220,31 +120,17 @@ class GpModel:
         self.delta = float(delta)
         self.beta_mode = beta_mode
         self.beta_value = float(beta_value)
-        self._rows = _rows
-        self._n = _n
-        self._since_refactor = _since_refactor
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    def _snapshot(self, rows: _Rows, n: int, since: int) -> "GpModel":
-        return GpModel(
-            kernel=self.kernel,
-            lam=self.lam,
-            noise_sigma=self.noise_sigma,
-            rkhs_bound=self.rkhs_bound,
-            delta=self.delta,
-            beta_mode=self.beta_mode,
-            beta_value=self.beta_value,
-            _rows=rows,
-            _n=n,
-            _since_refactor=since,
-        )
+        self.n = 0
+        self._since_refactor = 0
+        self._X = self._y = self._z = self._L = None
+        self._blocks: dict = {}  # query content -> V, one row per solved training row
+        self._cached_cols = 0
+        self._last = None  # (Xq, V) of the latest query, cached or not
 
     # -- updates ---------------------------------------------------------
 
     def update(self, X_new, y_new) -> "GpModel":
+        """Learn the new rows in place and return the model."""
         X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
         y_new = np.atleast_1d(np.asarray(y_new, dtype=float))
         if y_new.size == 0:
@@ -254,23 +140,45 @@ class GpModel:
         if not np.all(np.isfinite(y_new)) or not np.all(np.isfinite(X_new)):
             raise ValueError("observations must be finite")
 
-        t, b = self._n, y_new.shape[0]
-        since = self._since_refactor + b
-        if t and since < REFACTOR_EVERY:
-            rows = self._rows
-            if rows.n != t:  # an older snapshot: its rows move to storage of its own
-                capacity = t + REFACTOR_EVERY - self._since_refactor
-                rows = _Rows(capacity, rows.X[:t], rows.y[:t], rows.z[:t], rows.L[:t, :t])
-            if rows.append(self.kernel, self.lam, X_new, y_new):
-                return self._snapshot(rows, t + b, since)
-            # The new block lost positive definiteness to rounding: refactor.
-        return self._snapshot(self._refactor(X_new, y_new), t + b, 0)
+        self._since_refactor += y_new.shape[0]
+        if not (self.n and self._since_refactor < REFACTOR_EVERY and self._append(X_new, y_new)):
+            # Refactor on schedule, or when the new block lost positive
+            # definiteness to rounding.
+            self._refactor(X_new, y_new)
+        return self
 
-    def _refactor(self, X_new, y_new) -> _Rows:
-        """New storage for this snapshot's rows plus the new ones, factored from scratch."""
-        t = self._n
-        X = np.concatenate([self._rows.X[:t], X_new]) if t else X_new
-        y = np.concatenate([self._rows.y[:t], y_new]) if t else y_new
+    def _append(self, X_new, y_new) -> bool:
+        """Append rows; False, leaving the storage as it was, if the new
+        diagonal block is not numerically positive definite."""
+        t, b = self.n, y_new.shape[0]
+        v = self._border(X_new[0]) if b == 1 else None
+        B = self._extend(X_new, None) if v is None else v[:, None]
+        S = self.kernel(X_new, X_new) - B.T @ B  # conditional covariance of the new rows
+        S[np.diag_indices(b)] += self.lam
+        if b == 1:
+            if not S[0, 0] > 0.0:
+                return False
+            Lb = np.sqrt(S)
+        else:
+            try:
+                Lb = sp_cholesky(S, lower=True, overwrite_a=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                return False
+        r = y_new - B.T @ self._z[:t]
+        end = t + b
+        self._X[t:end], self._y[t:end] = X_new, y_new
+        self._L[t:end, :t], self._L[t:end, t:end] = B.T, Lb
+        self._z[t:end] = r / Lb[0, 0] if b == 1 else solve_triangular(
+            Lb, r, lower=True, check_finite=False
+        )
+        self.n = end
+        return True
+
+    def _refactor(self, X_new, y_new) -> None:
+        """Factor the model's rows plus the new ones from scratch, into new storage."""
+        t = self.n
+        X = np.concatenate([self._X[:t], X_new]) if t else X_new
+        y = np.concatenate([self._y[:t], y_new]) if t else y_new
         K = self.kernel(X, X)
         K[np.diag_indices(X.shape[0])] += self.lam
         try:
@@ -280,7 +188,58 @@ class GpModel:
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"kernel matrix is not positive definite: {exc}") from None
         z = solve_triangular(L, y, lower=True, check_finite=False)
-        return _Rows(X.shape[0] + REFACTOR_EVERY, X, y, z, L)
+        end = X.shape[0]
+        capacity = end + REFACTOR_EVERY
+        self._X = np.empty((capacity, X.shape[1]))
+        self._y = np.empty(capacity)
+        self._z = np.empty(capacity)
+        self._L = np.empty((capacity, capacity))
+        self._X[:end], self._y[:end], self._z[:end], self._L[:end, :end] = X, y, z, L
+        self.n, self._since_refactor = end, 0
+        self._blocks, self._cached_cols, self._last = {}, 0, None
+
+    def _extend(self, Xq, V) -> np.ndarray:
+        """L^-1 K(X, Xq), given its first s rows ``V`` (None: s = 0).
+
+        Solves V[s:t] = L[s:t,s:t]^-1 (K(X[s:t], Xq) - L[s:t,:s] V[:s]) in row
+        chunks, so only a chunk of L is ever copied.
+        """
+        s, t = 0 if V is None else V.shape[0], self.n
+        R = self.kernel(self._X[s:t], Xq)
+        if s:
+            R -= self._L[s:t, :s] @ V
+        for a in range(0, t - s, SOLVE_ROWS):
+            b = min(a + SOLVE_ROWS, t - s)
+            lo, hi = s + a, s + b
+            if a:
+                R[a:b] -= self._L[lo:hi, s:lo] @ R[:a]
+            R[a:b] = solve_triangular(self._L[lo:hi, lo:hi], R[a:b], lower=True, check_finite=False)
+        return np.concatenate([V, R]) if s else R
+
+    def _solve(self, Xq) -> np.ndarray:
+        """L^-1 K(X, Xq), extending the cached block of ``Xq`` if there is one."""
+        key = (Xq.shape, Xq.tobytes())
+        V = self._blocks.get(key)
+        if V is None:
+            V = self._extend(Xq, None)
+            if self._cached_cols + Xq.shape[0] <= self._L.shape[0]:
+                self._blocks[key] = V
+                self._cached_cols += Xq.shape[0]
+        elif V.shape[0] < self.n:
+            V = self._blocks[key] = self._extend(Xq, V)
+        self._last = (Xq.copy(), V)  # the caller may reuse its query array
+        return V
+
+    def _border(self, x) -> np.ndarray | None:
+        """L^-1 k(X, x) from the latest query if one of its rows is ``x`` and
+        it covers every row; None otherwise."""
+        if self._last is None:
+            return None
+        Xq, V = self._last
+        if V.shape[0] != self.n:
+            return None
+        hit = np.flatnonzero((Xq == x).all(axis=1))
+        return V[:, hit[0]] if hit.size else None
 
     # -- queries -----------------------------------------------------------
 
@@ -290,11 +249,10 @@ class GpModel:
         if not np.isfinite(Xq).all():
             raise ValueError("query rows must be finite")
         kdiag = self.kernel.diag(Xq)
-        t = self._n
-        if t == 0:
+        if self.n == 0:
             return np.zeros(Xq.shape[0]), np.sqrt(kdiag)
-        V = self._rows.query(self.kernel, Xq, t)
-        mean = V.T @ self._rows.z[:t]
+        V = self._solve(Xq)
+        mean = V.T @ self._z[: self.n]
         var = kdiag - np.einsum("ij,ij->j", V, V)
         low = var.min()
         if low < -VAR_CLAMP:
@@ -303,10 +261,10 @@ class GpModel:
 
     def info_gain(self) -> float:
         """Realized information gain 0.5 * log det(I + K_t / lam)."""
-        if self._n == 0:
+        if self.n == 0:
             return 0.0
-        diag = self._rows.L.diagonal()[: self._n]
-        return float(np.log(diag).sum() - 0.5 * self._n * math.log(self.lam))
+        diag = self._L.diagonal()[: self.n]
+        return float(np.log(diag).sum() - 0.5 * self.n * math.log(self.lam))
 
     def beta_t(self) -> float:
         if self.beta_mode == "constant":
@@ -318,11 +276,3 @@ class GpModel:
             * math.sqrt(2.0 * math.log(1.0 / self.delta) + 2.0 * gamma)
             + self.rkhs_bound
         )
-
-    def lcb(self, Xq, beta: float | None = None) -> np.ndarray:
-        if beta is None:
-            beta = self.beta_t()
-        if beta < 0:
-            raise ValueError("beta must be non-negative")
-        mean, std = self.posterior(Xq)
-        return mean - beta * std

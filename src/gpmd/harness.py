@@ -35,7 +35,7 @@ from .gp import GpModel, RbfKernel
 from .hst import HstTree, frt_embed
 from .metric import grid_metric
 from .mirror import MdEngine, PotentialParams, point_mass_state
-from .policies import POLICY_NAMES, ExactCostModel, GpServiceModel, make_policy
+from .policies import POLICY_NAMES, ExactCostModel, GpServiceModel, lower_bound, make_policy
 from .wind import (
     EnergyParams,
     altitude_metric,
@@ -60,6 +60,14 @@ _STREAMS = {
     "instance": 5,
     "wind": 6,
 }
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def rng_stream(seed: int, name: str) -> np.random.Generator:
@@ -95,32 +103,44 @@ class RunConfig:
 
     def validate(self) -> list[str]:
         errors = []
-        if self.kind not in ("synthetic", "wind", "mts-demo"):
+        if self.kind not in ("synthetic", "wind"):
             errors.append(f"kind: unknown experiment kind {self.kind!r}")
-        if not self.seeds:
-            errors.append("seeds: at least one seed is required")
-        if self.steps < 1:
-            errors.append("steps: horizon must be at least 1")
-        if self.episodes < 1:
-            errors.append("episodes: must be at least 1")
-        elif self.kind == "wind" and self.episodes != 1:
+        if not self.seeds or not all(_is_int(s) for s in self.seeds):
+            errors.append("seeds: at least one seed is required, each an integer")
+        if not self.policies:
+            errors.append("policies: at least one policy is required")
+        for p in self.policies:
+            if p not in POLICY_NAMES:
+                errors.append(f"policies: unknown policy {p!r}")
+        if not self.rhos or not all(_is_real(r) and r > 0 for r in self.rhos):
+            errors.append("rhos: at least one rho is required, each positive")
+        for name in ("steps", "episodes", "n_contexts", "wind_hours"):
+            if not (_is_int(getattr(self, name)) and getattr(self, name) >= 1):
+                errors.append(f"{name}: must be an integer of at least 1")
+        for name, ok, message in (
+            ("tau", lambda v: v > 1, "must exceed 1"),
+            ("kappa", lambda v: v >= 1, "must be at least 1"),
+            ("beta_value", lambda v: v >= 0, "must be non-negative"),
+            ("lengthscale", lambda v: v > 0, "must be positive"),
+            ("wind_obs_noise", lambda v: v >= 0, "must be non-negative"),
+        ):
+            if not (_is_real(getattr(self, name)) and ok(getattr(self, name))):
+                errors.append(f"{name}: {message}")
+        if not (
+            isinstance(self.grid, (list, tuple)) and len(self.grid) == 2
+            and all(_is_int(g) and g >= 1 for g in self.grid)
+        ):
+            errors.append("grid: must be two positive integers")
+        if self.kind == "wind" and self.episodes != 1:
             errors.append("episodes: wind runs have one episode")
         if self.starts and self.kind != "wind":
             errors.append("starts: only wind runs take a start")
         if self.kind == "wind" and self.beta_mode != "constant":
             errors.append("beta_mode: wind runs take a constant beta")
-        if any(r <= 0 for r in self.rhos):
-            errors.append("rhos: every rho must be positive")
-        if self.tau <= 1:
-            errors.append("tau: must exceed 1")
-        if self.kappa < 1:
-            errors.append("kappa: must be at least 1")
         if self.update_mode not in ("per-step", "per-episode"):
             errors.append(f"update_mode: unknown mode {self.update_mode!r}")
         if self.beta_mode not in ("constant", "theory"):
             errors.append(f"beta_mode: unknown mode {self.beta_mode!r}")
-        if not isinstance(self.beta_value, (int, float)) or not self.beta_value >= 0:
-            errors.append("beta_value: must be non-negative")
         for name, known in (("wind_gp", WIND_GP_KEYS), ("energy", ENERGY_KEYS)):
             table = getattr(self, name)
             if not isinstance(table, dict):
@@ -129,9 +149,6 @@ class RunConfig:
             for key in table:
                 if key not in known:
                     errors.append(f"{name}: unknown key {key!r}")
-        for p in self.policies:
-            if p not in POLICY_NAMES:
-                errors.append(f"policies: unknown policy {p!r}")
         return errors
 
     def to_dict(self) -> dict:
@@ -198,7 +215,7 @@ class Env:
     obs: np.ndarray  # (n_actions, n_keys) what the learner measures, before noise
     noise: np.ndarray  # (episodes, steps)
     obs_floor: float = -math.inf
-    to_cost: Callable | None = None  # (mean, std, beta) -> cost bounds; None: mean - beta*std
+    to_cost: Callable = lower_bound  # (mean, std, beta) -> cost bounds
     energy: Callable | None = None  # episode logs -> energy report
     optima: dict = field(default_factory=dict, repr=False)
 
@@ -490,9 +507,6 @@ def run(cfg: RunConfig) -> int:
         for e in errors:
             print(f"config error: {e}")
         return 1
-    if cfg.kind == "mts-demo":
-        print(mts_demo())
-        return 0
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(cfg.to_dict(), seed) for seed in cfg.seeds]

@@ -2,8 +2,8 @@
 
 All policies share one interface: ``begin_episode(x0)``, ``act(context)``
 returning (action index, diagnostics), ``observe(action, context, y)``, and
-``end_episode()``. Learning policies buffer observations and flush them to
-their model either every step or at episode end.
+``end_episode()``. Learning policies buffer observations and flush them into
+their own GP model, which grows in place, every step or at episode end.
 
 Policies:
 
@@ -44,14 +44,20 @@ class ExactCostModel:
         pass
 
 
+def lower_bound(mean, std, beta):
+    """The confidence lower bound mean - beta * std."""
+    return mean - beta * std
+
+
 class GpServiceModel:
     """Confidence lower bounds on the service cost from a GP fit on (action, context).
 
     ``featurize(context)`` returns one GP query row per action, and
-    ``observe`` trains on the chosen action's row. The posterior maps to
-    costs through ``to_cost(mean, std, beta)``, by default the lower bound
-    mean - beta * std; a model of another quantity (the wind runs model the
-    windspeed) passes the map from its bounds to cost bounds.
+    ``observe`` trains the model, which serves this learner alone, on the
+    chosen action's row. The posterior maps to costs through
+    ``to_cost(mean, std, beta)``, by default the lower bound; a model of
+    another quantity (the wind runs model the windspeed) passes the map
+    from its bounds to cost bounds.
     """
 
     def __init__(
@@ -60,7 +66,7 @@ class GpServiceModel:
         featurize,
         n_actions: int,
         update_mode: str = "per-step",
-        to_cost=None,
+        to_cost=lower_bound,
     ):
         if update_mode not in ("per-step", "per-episode"):
             raise ValueError(f"unknown update_mode {update_mode!r}")
@@ -73,11 +79,7 @@ class GpServiceModel:
         self._buffer_y: list = []
 
     def lcb_costs(self, context) -> np.ndarray:
-        X = self.featurize(context)
-        if self.to_cost is None:
-            return self.gp.lcb(X)
-        mean, std = self.gp.posterior(X)
-        return self.to_cost(mean, std, self.gp.beta_t())
+        return self.to_cost(*self.gp.posterior(self.featurize(context)), self.gp.beta_t())
 
     def observe(self, action, context, y):
         self._buffer_X.append(self.featurize(context)[action])
@@ -87,7 +89,7 @@ class GpServiceModel:
 
     def flush(self):
         if self._buffer_y:
-            self.gp = self.gp.update(np.asarray(self._buffer_X), np.asarray(self._buffer_y))
+            self.gp.update(np.asarray(self._buffer_X), np.asarray(self._buffer_y))
             self._buffer_X, self._buffer_y = [], []
 
     def end_episode(self):

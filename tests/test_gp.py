@@ -7,12 +7,18 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from gpmd.gp import REFACTOR_EVERY, GpModel, Normalizer, RbfKernel
+from gpmd.policies import GpServiceModel
 
 LAM = 0.25
 
 
 def make_model(lam=LAM, **kwargs) -> GpModel:
     return GpModel(kernel=RbfKernel(lengthscale=1.0), lam=lam, **kwargs)
+
+
+def lcb_costs(model, Xq):
+    """The default cost bounds of a service model whose context is the query rows."""
+    return GpServiceModel(model, lambda rows: rows, n_actions=len(Xq)).lcb_costs(Xq)
 
 
 def dense_posterior(kernel, lam, X, y, Xq):
@@ -92,38 +98,6 @@ class TestUpdate:
         assert np.abs(m1 - m2).max() <= 1e-8
         assert np.abs(s1 - s2).max() <= 1e-8
 
-    def test_snapshots_are_independent(self, rng):
-        base = make_model().update([[0.0]], [1.0])
-        grown = base.update([[0.5]], [2.0])
-        # branch from the older snapshot: must not see the newer data
-        branched = base.update([[0.9]], [-1.0])
-        assert base.n == 1 and grown.n == 2 and branched.n == 2
-        m_base, _ = base.posterior([[0.5]])
-        m_grown, _ = grown.posterior([[0.5]])
-        assert m_base[0] != pytest.approx(m_grown[0])
-
-    def test_branch_from_older_snapshot_matches_fresh_build(self, rng):
-        X = rng.uniform(-1, 1, size=(40, 2))
-        y = rng.normal(size=40)
-
-        def grow(model, rows):
-            for i in rows:
-                model = model.update(X[i : i + 1], y[i : i + 1])
-            return model
-
-        base = grow(make_model(), range(20))
-        tip = grow(base, range(20, 30))
-        branch = grow(base, range(30, 40))  # taken after the tip has grown
-        fresh = grow(make_model(), [*range(20), *range(30, 40)])
-        Xq = rng.uniform(-1, 1, size=(15, 2))
-        m_branch, s_branch = branch.posterior(Xq)
-        m_fresh, s_fresh = fresh.posterior(Xq)
-        assert np.array_equal(m_branch, m_fresh) and np.array_equal(s_branch, s_fresh)
-        # the tip is untouched by the branch
-        m_tip, _ = tip.posterior(Xq)
-        tip_fresh = make_model().update(X[:30], y[:30])
-        assert np.abs(m_tip - tip_fresh.posterior(Xq)[0]).max() <= 1e-8
-
     def test_refilled_query_array_is_read_afresh(self, rng):
         X, y = rng.uniform(-1, 1, size=(10, 2)), rng.normal(size=11)
         model = make_model().update(X, y[:10])
@@ -133,6 +107,19 @@ class TestUpdate:
         model = model.update(buf[2:3], y[10:])
         mean, std = model.posterior(buf)
         dmean, dstd = dense_posterior(model.kernel, LAM, np.concatenate([X, buf[2:3]]), y, buf)
+        assert np.abs(mean - dmean).max() <= 1e-8
+        assert np.abs(std - dstd).max() <= 1e-8
+
+    def test_two_rows_learned_after_one_query(self, rng):
+        # After the first append the query's columns miss the new row, so
+        # the second update must solve its own border.
+        X, y = rng.uniform(-1, 1, size=(10, 2)), rng.normal(size=12)
+        model = make_model().update(X, y[:10])
+        block = rng.uniform(-1, 1, size=(5, 2))
+        model.posterior(block)
+        model.update(block[1:2], y[10:11]).update(block[3:4], y[11:])
+        mean, std = model.posterior(block)
+        dmean, dstd = dense_posterior(model.kernel, LAM, np.concatenate([X, block[[1, 3]]]), y, block)
         assert np.abs(mean - dmean).max() <= 1e-8
         assert np.abs(std - dstd).max() <= 1e-8
 
@@ -210,21 +197,25 @@ class TestBeta:
         )
         assert model.beta_t() == pytest.approx(3.0, abs=1e-12)
 
+    def test_negative_beta_value_rejected(self):
+        with pytest.raises(ValueError, match="beta_value"):
+            make_model(beta_value=-0.5)
+
     def test_lcb_zero_beta_is_mean(self, rng):
-        model = make_model().update(rng.uniform(0, 1, (5, 1)), rng.normal(size=5))
+        model = make_model(beta_value=0.0).update(rng.uniform(0, 1, (5, 1)), rng.normal(size=5))
         Xq = rng.uniform(0, 1, (7, 1))
         mean, _ = model.posterior(Xq)
-        assert np.allclose(model.lcb(Xq, beta=0.0), mean)
+        assert np.allclose(lcb_costs(model, Xq), mean)
 
     def test_lcb_prior_with_beta_two(self):
-        assert make_model().lcb([[0.0]], beta=2.0)[0] == pytest.approx(-2.0)
+        assert lcb_costs(make_model(beta_value=2.0), [[0.0]])[0] == pytest.approx(-2.0)
 
     def test_lcb_converges_to_truth_noiseless(self):
-        model = make_model(lam=1e-10)
+        model = make_model(lam=1e-10, beta_value=2.0)
         y = 0.8
         for _ in range(4):
             model = model.update([[0.2]], [y])
-        lcb = model.lcb([[0.2]], beta=2.0)[0]
+        lcb = lcb_costs(model, [[0.2]])[0]
         assert abs(lcb - y) <= 1e-4
 
     def test_monotone_in_t_theory_mode(self, rng):
@@ -304,7 +295,7 @@ def test_cholesky_reconstructs_regularized_kernel(rng):
     X = rng.uniform(0, 1, size=(50, 2))
     for i in range(50):  # incremental path, no refactor below 256
         model = model.update(X[i : i + 1], rng.normal(size=1))
-    L = np.tril(model._rows.L[:50, :50])  # only the lower triangle is kept
+    L = np.tril(model._L[:50, :50])  # only the lower triangle is kept
     K = kernel(X, X) + 0.2 * np.eye(50)
     rel = np.abs(L @ L.T - K).max() / np.abs(K).max()
     assert rel <= 1e-8
@@ -312,7 +303,7 @@ def test_cholesky_reconstructs_regularized_kernel(rng):
 
 # A coarse grid of inputs, so that duplicate training and query rows are common.
 GRID_POINTS = np.array([[a, b] for a in np.linspace(-1, 1, 5) for b in np.linspace(-1, 1, 5)])
-OPS = ("row", "batch", "step", "query", "older-query", "branch")
+OPS = ("row", "batch", "step", "query")
 
 
 def _draw_rows(rng, b):
@@ -338,39 +329,29 @@ def _check_against_dense(model, X, y, Xq):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_engine_interleavings_match_dense(data):
-    """Random interleavings of single-row and batch updates, repeated and
-    fresh query blocks (some holding the next update's input), queries on
-    older snapshots and branches from them, checked against a dense solve."""
+    """Random interleavings of single-row and batch updates and of repeated
+    and fresh query blocks (some holding the next update's input), checked
+    against a dense solve."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     kernel = RbfKernel(lengthscale=data.draw(st.sampled_from([0.3, 0.8])), outputscale=1.3)
     lam = data.draw(st.sampled_from([0.01, 0.1, 1.0]), label="lam")
     blocks = [GRID_POINTS[rng.integers(len(GRID_POINTS), size=k)] for k in (1, 7, 25)]
-    snaps = [(GpModel(kernel=kernel, lam=lam), np.zeros((0, 2)), np.zeros(0))]
+    model, X, y = GpModel(kernel=kernel, lam=lam), np.zeros((0, 2)), np.zeros(0)
     # A lead of rows puts the next refactor within reach of a few updates.
     lead = data.draw(st.sampled_from([0, REFACTOR_EVERY - 20]), label="lead")
     if lead:
-        X0, y0 = _draw_rows(rng, lead), rng.normal(size=lead)
-        first = snaps[0][0].update(X0[:1], y0[:1])
-        snaps.append((first.update(X0[1:], y0[1:]), X0, y0))
+        X, y = _draw_rows(rng, lead), rng.normal(size=lead)
+        model = model.update(X[:1], y[:1]).update(X[1:], y[1:])
     ops = data.draw(st.lists(st.sampled_from(OPS), min_size=1, max_size=30), label="ops")
     for op in ops:
-        model, X, y = snaps[-1]
-        if op in ("row", "batch", "step", "branch") and len(y) > REFACTOR_EVERY + 100:
+        if op != "query" and len(y) > REFACTOR_EVERY + 100:
             op = "query"
         if op == "query":
             pick = data.draw(st.integers(0, len(blocks)), label="block")
             Xq = blocks[pick] if pick < len(blocks) else _draw_rows(rng, 9)
             _check_against_dense(model, X, y, Xq)
             continue
-        if op == "older-query":
-            k = data.draw(st.integers(0, len(snaps) - 1), label="snapshot")
-            _check_against_dense(*snaps[k], blocks[data.draw(st.integers(0, 2), label="block")])
-            continue
-        if op == "branch":
-            k = data.draw(st.integers(0, len(snaps) - 1), label="snapshot")
-            model, X, y = snaps[k]
-            Xn = _draw_rows(rng, data.draw(st.integers(1, 5), label="rows"))
-        elif op == "step":  # query a block, then learn one of its rows
+        if op == "step":  # query a block, then learn one of its rows
             block = blocks[data.draw(st.integers(0, 2), label="block")]
             _check_against_dense(model, X, y, block)
             Xn = block[data.draw(st.integers(0, len(block) - 1), label="row")][None, :]
@@ -379,8 +360,8 @@ def test_engine_interleavings_match_dense(data):
         else:
             Xn = _draw_rows(rng, 1)
         yn = rng.normal(size=len(Xn))
-        snaps.append((model.update(Xn, yn), np.concatenate([X, Xn]), np.concatenate([y, yn])))
-    model, X, y = snaps[-1]
+        model = model.update(Xn, yn)
+        X, y = np.concatenate([X, Xn]), np.concatenate([y, yn])
     _check_against_dense(model, X, y, blocks[2])
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -34,11 +35,33 @@ def small_cfg(tmp_path, **overrides) -> RunConfig:
 
 
 class TestConfig:
-    def test_validation_messages(self, tmp_path):
-        cfg = small_cfg(tmp_path, seeds=[], steps=0, policies=["nope"])
-        errors = cfg.validate()
-        fields = {e.split(":")[0] for e in errors}
-        assert {"seeds", "steps", "policies"} <= fields
+    @pytest.mark.parametrize(
+        "overrides, bad",
+        [
+            pytest.param(dict(seeds=[], steps=0, policies=["nope"]), {"seeds", "steps", "policies"},
+                         id="combined"),
+            pytest.param(dict(grid=[0, 5]), {"grid"}, id="grid"),
+            pytest.param(dict(kappa=math.nan), {"kappa"}, id="kappa-nan"),
+            pytest.param(dict(kappa="nan"), {"kappa"}, id="kappa-text"),
+            pytest.param(dict(steps="5"), {"steps"}, id="steps-text"),
+            pytest.param(dict(tau="x"), {"tau"}, id="tau-text"),
+            pytest.param(dict(rhos=["a"]), {"rhos"}, id="rhos-text"),
+            pytest.param(dict(rhos=[]), {"rhos"}, id="rhos-empty"),
+            pytest.param(dict(policies=[]), {"policies"}, id="policies-empty"),
+            pytest.param(dict(n_contexts=0), {"n_contexts"}, id="n_contexts"),
+            pytest.param(dict(lengthscale=0), {"lengthscale"}, id="lengthscale"),
+            pytest.param(dict(kind="wind", wind_obs_noise=-1), {"wind_obs_noise"}, id="wind_obs_noise"),
+            pytest.param(dict(kind="wind", wind_hours=0), {"wind_hours"}, id="wind_hours"),
+        ],
+    )
+    def test_validation_messages(self, tmp_path, capsys, overrides, bad):
+        # Each bad value is a "field: message" config error: exit 1, no output.
+        cfg = small_cfg(tmp_path, **overrides)
+        assert {e.split(":")[0] for e in cfg.validate()} == bad
+        assert run(cfg) == 1
+        out = capsys.readouterr().out
+        assert all(f"config error: {field}:" in out for field in bad)
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg = small_cfg(tmp_path, rhos=[-1.0])
@@ -340,6 +363,12 @@ class TestCli:
         text = capsys.readouterr().out
         assert "processing order" in text
         assert "root cost" in text
+
+
+    def test_mts_demo_is_not_a_run_kind(self, tmp_path):
+        with pytest.raises(SystemExit):
+            cli_main(["run", "--kind", "mts-demo", "--out", str(tmp_path / "o")])
+        assert "kind: unknown experiment kind 'mts-demo'" in small_cfg(tmp_path, kind="mts-demo").validate()
 
 
 class TestMtsDemoContent:

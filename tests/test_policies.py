@@ -90,8 +90,10 @@ class TestArgminPolicies:
                 [inst.metric.coords[perm], np.full(inst.metric.n, e)]
             )
 
+        # Each learner needs a GP model of its own: a shared one would learn
+        # both learners' observations.
         permuted = GpServiceModel(
-            base.gp, featurize_perm, n_actions=inst.metric.n, update_mode="per-step"
+            gp_model_for(inst).gp, featurize_perm, n_actions=inst.metric.n, update_mode="per-step"
         )
         pol_p = make_policy("cgp-lcb", cost_model=permuted)
         pol_p.begin_episode(0)
@@ -114,6 +116,7 @@ class TestArgminPolicies:
             y = float(inst.f_table[a, c])
             pol.observe(a, c, y)
             pol_p.observe(int(inv_perm[a]), c, y)
+        assert base.gp.n == permuted.gp.n == len(warm) + len(contexts)
 
 
 class TestGpServiceModel:
