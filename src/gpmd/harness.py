@@ -105,14 +105,21 @@ class RunConfig:
         errors = []
         if self.kind not in ("synthetic", "wind"):
             errors.append(f"kind: unknown experiment kind {self.kind!r}")
-        if not self.seeds or not all(_is_int(s) for s in self.seeds):
+        if not isinstance(self.seeds, list):
+            errors.append("seeds: must be a list")
+        elif not self.seeds or not all(_is_int(s) for s in self.seeds):
             errors.append("seeds: at least one seed is required, each an integer")
-        if not self.policies:
+        if not isinstance(self.policies, list):
+            errors.append("policies: must be a list")
+        elif not self.policies:
             errors.append("policies: at least one policy is required")
-        for p in self.policies:
-            if p not in POLICY_NAMES:
-                errors.append(f"policies: unknown policy {p!r}")
-        if not self.rhos or not all(_is_real(r) and r > 0 for r in self.rhos):
+        else:
+            for p in self.policies:
+                if p not in POLICY_NAMES:
+                    errors.append(f"policies: unknown policy {p!r}")
+        if not isinstance(self.rhos, list):
+            errors.append("rhos: must be a list")
+        elif not self.rhos or not all(_is_real(r) and r > 0 for r in self.rhos):
             errors.append("rhos: at least one rho is required, each positive")
         for name in ("steps", "episodes", "n_contexts", "wind_hours"):
             if not (_is_int(getattr(self, name)) and getattr(self, name) >= 1):
@@ -123,9 +130,13 @@ class RunConfig:
             ("beta_value", lambda v: v >= 0, "must be non-negative"),
             ("lengthscale", lambda v: v > 0, "must be positive"),
             ("wind_obs_noise", lambda v: v >= 0, "must be non-negative"),
+            ("regret_beta", lambda v: True, "must be a finite number"),
         ):
             if not (_is_real(getattr(self, name)) and ok(getattr(self, name))):
                 errors.append(f"{name}: {message}")
+        alpha = self.regret_alpha
+        if alpha is not None and not (_is_real(alpha) and alpha > 0):
+            errors.append("regret_alpha: must be positive, or null for (log n)^2")
         if not (
             isinstance(self.grid, (list, tuple)) and len(self.grid) == 2
             and all(_is_int(g) and g >= 1 for g in self.grid)
@@ -135,6 +146,10 @@ class RunConfig:
             errors.append("episodes: wind runs have one episode")
         if self.starts and self.kind != "wind":
             errors.append("starts: only wind runs take a start")
+        elif self.starts is not None and not (
+            isinstance(self.starts, list) and all(_is_int(s) and s >= 0 for s in self.starts)
+        ):
+            errors.append("starts: must be a list of non-negative integers")
         if self.kind == "wind" and self.beta_mode != "constant":
             errors.append("beta_mode: wind runs take a constant beta")
         if self.update_mode not in ("per-step", "per-episode"):

@@ -102,25 +102,27 @@ class HstTree:
             raise ValueError("vertex weights must be non-negative")
         if self.n_leaves != self.metric.n:
             raise ValueError("leaves must be in bijection with the metric points")
+        parent = self.parent
         is_leaf = self.point_index >= 0
-        for v in range(self.n_vertices):
-            has_kids = len(self.children[v]) > 0
-            if is_leaf[v] and has_kids:
+        has_kids = np.bincount(parent[parent >= 0], minlength=self.n_vertices) > 0
+        bad = np.flatnonzero(is_leaf == has_kids)
+        if bad.size:
+            v = int(bad[0])
+            if is_leaf[v]:
                 raise ValueError(f"vertex {v} is both a leaf and internal")
-            if not is_leaf[v] and not has_kids:
-                raise ValueError(f"internal vertex {v} has no children")
+            raise ValueError(f"internal vertex {v} has no children")
         # tau-decay on every edge whose parent edge exists (parent not root),
         # with a relative slack of a few ulps for rounding in the embedding.
-        root = self.root
-        for v in range(self.n_vertices):
-            p = self.parent[v]
-            if p < 0 or p == root:
-                continue
-            if self.weight[v] > self.weight[p] / self.tau * (1 + 1e-12):
-                raise ValueError(
-                    f"weight decay violated at vertex {v}: "
-                    f"{self.weight[v]} > {self.weight[p]}/{self.tau}"
-                )
+        child = np.flatnonzero((parent >= 0) & (parent != self.root))
+        heavy = self.weight[child] > self.weight[parent[child]] / self.tau * (1 + 1e-12)
+        bad = child[heavy]
+        if bad.size:
+            v = int(bad[0])
+            p = parent[v]
+            raise ValueError(
+                f"weight decay violated at vertex {v}: "
+                f"{self.weight[v]} > {self.weight[p]}/{self.tau}"
+            )
 
     # -- tree metric ---------------------------------------------------
 

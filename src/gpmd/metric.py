@@ -7,6 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TRIANGLE_TOL = 1e-9
+# Rows per block of the triangle check: its two work buffers hold
+# TRIANGLE_ROWS x n floats each, so they stay in cache as n grows.
+TRIANGLE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -54,19 +57,10 @@ class FiniteMetric:
             raise ValueError("distances must be non-negative")
         if np.any(np.abs(np.diag(d)) > 0):
             raise ValueError("distance matrix must be zero on the diagonal")
-        if not np.array_equal(d, d.T):
-            if np.max(np.abs(d - d.T)) > TRIANGLE_TOL:
-                raise ValueError("distance matrix must be symmetric")
-        # Triangle inequality, checked one intermediate point at a time to
-        # keep memory at O(n^2).
-        for k in range(n):
-            slack = d - (d[:, [k]] + d[[k], :])
-            if slack.max() > TRIANGLE_TOL:
-                i, j = np.unravel_index(np.argmax(slack), slack.shape)
-                raise ValueError(
-                    f"triangle inequality violated: d({i},{j}) > d({i},{k}) + d({k},{j}) "
-                    f"by {slack[i, j]:.3e}"
-                )
+        symmetric = np.array_equal(d, d.T)
+        if not symmetric and np.max(np.abs(d - d.T)) > TRIANGLE_TOL:
+            raise ValueError("distance matrix must be symmetric")
+        _check_triangle(d, symmetric)
 
     @classmethod
     def from_matrix(cls, dist, labels=None, coords=None) -> "FiniteMetric":
@@ -78,17 +72,7 @@ class FiniteMetric:
     @classmethod
     def from_coords(cls, coords, labels=None, norm: str = "euclidean") -> "FiniteMetric":
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        diff = coords[:, None, :] - coords[None, :, :]
-        if norm == "euclidean":
-            dist = np.sqrt((diff**2).sum(axis=-1))
-        elif norm == "manhattan":
-            dist = np.abs(diff).sum(axis=-1)
-        elif norm == "chebyshev":
-            dist = np.abs(diff).max(axis=-1)
-        else:
-            raise ValueError(f"unknown norm {norm!r}")
-        np.fill_diagonal(dist, 0.0)
-        dist = 0.5 * (dist + dist.T)
+        dist = _coord_dist(coords, norm)
         if labels is None:
             labels = tuple(str(i) for i in range(coords.shape[0]))
         return cls(dist=dist, labels=tuple(labels), coords=coords)
@@ -99,6 +83,68 @@ class FiniteMetric:
         if n < 2:
             return 0.0
         return float(self.dist.sum() / (n * (n - 1)))
+
+
+def _check_triangle(d: np.ndarray, symmetric: bool) -> None:
+    """Raise unless d_ij <= d_ik + d_kj + TRIANGLE_TOL for every i, j, k.
+
+    A min-plus product over blocks of ``TRIANGLE_ROWS`` rows: per block,
+    ``best`` holds min_k fl(d_ik + d_kj) and the slack is d_ij - best.
+    Rounded subtraction is monotone, so this is the largest of the per-k
+    slacks fl(d_ij - fl(d_ik + d_kj)), float for float. O(n^3) arithmetic
+    in O(TRIANGLE_ROWS * n) memory. An exactly symmetric matrix has
+    slack(i, j, k) == slack(j, i, k), so only columns j from the block's
+    first row on are checked. A violation names the worst pair of the first
+    violating block, and the k that attains it.
+    """
+    n = d.shape[0]
+    rows = min(TRIANGLE_ROWS, n)
+    best_buf = np.empty(rows * n)
+    via_buf = np.empty(rows * n)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        c0 = r0 if symmetric else 0
+        shape = (r1 - r0, n - c0)
+        best = best_buf[: shape[0] * shape[1]].reshape(shape)
+        via = via_buf[: best.size].reshape(shape)
+        best.fill(np.inf)
+        for k in range(n):
+            np.add(d[r0:r1, k, None], d[k, c0:], out=via)
+            np.minimum(best, via, out=best)
+        slack = np.subtract(d[r0:r1, c0:], best, out=best)
+        if slack.max() > TRIANGLE_TOL:
+            bi, bj = np.unravel_index(np.argmax(slack), shape)
+            i, j = r0 + int(bi), c0 + int(bj)
+            k = int(np.argmin(d[i] + d[:, j]))
+            raise ValueError(
+                f"triangle inequality violated: d({i},{j}) > d({i},{k}) + d({k},{j}) "
+                f"by {slack[bi, bj]:.3e}"
+            )
+
+
+def _coord_dist(coords: np.ndarray, norm: str) -> np.ndarray:
+    """Pairwise distances between the rows of ``coords``, one dimension at a time.
+
+    Accumulates per-dimension terms into one n x n array, so no n x n x dim
+    difference array is built. Subtraction is exactly antisymmetric, so the
+    result is exactly symmetric with a zero diagonal for finite coords.
+    """
+    if norm not in ("euclidean", "manhattan", "chebyshev"):
+        raise ValueError(f"unknown norm {norm!r}")
+    combine = np.maximum if norm == "chebyshev" else np.add
+    n = coords.shape[0]
+    dist = np.zeros((n, n))
+    term = np.empty((n, n))
+    for col in coords.T:
+        np.subtract(col[:, None], col[None, :], out=term)
+        if norm == "euclidean":
+            np.multiply(term, term, out=term)
+        else:
+            np.abs(term, out=term)
+        combine(dist, term, out=dist)
+    if norm == "euclidean":
+        np.sqrt(dist, out=dist)
+    return dist
 
 
 def grid_metric(side_x: int, side_y: int | None = None) -> FiniteMetric:

@@ -52,6 +52,14 @@ class TestConfig:
             pytest.param(dict(lengthscale=0), {"lengthscale"}, id="lengthscale"),
             pytest.param(dict(kind="wind", wind_obs_noise=-1), {"wind_obs_noise"}, id="wind_obs_noise"),
             pytest.param(dict(kind="wind", wind_hours=0), {"wind_hours"}, id="wind_hours"),
+            pytest.param(dict(policies=5), {"policies"}, id="policies-int"),
+            pytest.param(dict(seeds=3), {"seeds"}, id="seeds-int"),
+            pytest.param(dict(rhos=2), {"rhos"}, id="rhos-int"),
+            pytest.param(dict(kind="wind", starts=3), {"starts"}, id="starts-int"),
+            pytest.param(dict(kind="wind", starts=[0, -1]), {"starts"}, id="starts-negative"),
+            pytest.param(dict(regret_alpha=-1), {"regret_alpha"}, id="regret_alpha-negative"),
+            pytest.param(dict(regret_alpha=math.inf), {"regret_alpha"}, id="regret_alpha-inf"),
+            pytest.param(dict(regret_beta="x"), {"regret_beta"}, id="regret_beta-text"),
         ],
     )
     def test_validation_messages(self, tmp_path, capsys, overrides, bad):
@@ -62,6 +70,10 @@ class TestConfig:
         out = capsys.readouterr().out
         assert all(f"config error: {field}:" in out for field in bad)
         assert not (tmp_path / "out").exists()
+
+    def test_regret_weights_accepted(self, tmp_path):
+        assert small_cfg(tmp_path, regret_alpha=2.5, regret_beta=-1.0).validate() == []
+        assert small_cfg(tmp_path, kind="wind", starts=[0, 3]).validate() == []
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg = small_cfg(tmp_path, rhos=[-1.0])

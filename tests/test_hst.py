@@ -192,6 +192,56 @@ class TestFrtEmbed:
                 assert t.weight[v] <= t.weight[p] / t.tau + 1e-12
 
 
+def loop_vertex_error(parent, weight, leaf_vertex, tau):
+    """The former per-vertex loops of ``HstTree._validate``: the first error, or None."""
+    is_leaf = np.zeros(len(parent), dtype=bool)
+    is_leaf[leaf_vertex] = True
+    for v in range(len(parent)):
+        has_kids = bool(np.any(parent == v))
+        if is_leaf[v] and has_kids:
+            return f"vertex {v} is both a leaf and internal"
+        if not is_leaf[v] and not has_kids:
+            return f"internal vertex {v} has no children"
+    root = int(np.flatnonzero(parent < 0)[0])
+    for v in range(len(parent)):
+        p = parent[v]
+        if p >= 0 and p != root and weight[v] > weight[p] / tau * (1 + 1e-12):
+            return f"weight decay violated at vertex {v}: {weight[v]} > {weight[p]}/{tau}"
+    return None
+
+
+class TestPlantedBadVertex:
+    """Array checks name the same first bad vertex, with the same message,
+    as the per-vertex loops they replaced."""
+
+    def assert_same_error(self, tree, parent, weight, leaf_vertex):
+        expected = loop_vertex_error(parent, weight, leaf_vertex, tree.tau)
+        assert expected is not None
+        with pytest.raises(ValueError) as err:
+            HstTree(parent=parent, weight=weight, leaf_vertex=leaf_vertex, tau=tree.tau,
+                    metric=tree.metric)
+        assert str(err.value) == expected
+
+    @pytest.mark.parametrize("trial", range(6))
+    def test_leaf_moved_onto_internal_vertex(self, rng, trial):
+        # The moved leaf's old vertex is internal with no children, and the
+        # internal vertex it moved to is both a leaf and internal.
+        tree = random_hst(rng, 20)
+        internal = np.flatnonzero(tree.point_index < 0)
+        leaf_vertex = tree.leaf_vertex.copy()
+        leaf_vertex[rng.integers(20)] = rng.choice(internal)
+        self.assert_same_error(tree, tree.parent, tree.weight, leaf_vertex)
+
+    @pytest.mark.parametrize("trial", range(6))
+    def test_heavy_edges(self, rng, trial):
+        tree = random_hst(rng, 20)
+        weight = tree.weight.copy()
+        below = np.flatnonzero((tree.parent >= 0) & (tree.parent != tree.root))
+        for v in rng.choice(below, 2, replace=False):
+            weight[v] = weight[tree.parent[v]] / tree.tau * (1 + 1e-9)
+        self.assert_same_error(tree, tree.parent, weight, tree.leaf_vertex)
+
+
 class TestWeightDecayCheck:
     @staticmethod
     def chain_tree(parent_weight: float, child_weight: float) -> HstTree:
