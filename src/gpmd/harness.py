@@ -289,6 +289,9 @@ def build_wind_env(cfg: RunConfig, seed: int) -> Env:
         table = synthetic_wind_table(
             int(rng_stream(seed, "wind").integers(2**31)), hours=cfg.wind_hours
         )
+    for s in cfg.starts or ():
+        if s >= table.n_altitudes:
+            raise ValueError(f"starts: {s} is beyond the table's {table.n_altitudes} altitudes")
     metric = altitude_metric(params, table.altitudes)
     tree = frt_embed(metric, tau=cfg.tau, rng_seed=int(rng_stream(seed, "frt").integers(2**31)))
     noise = rng_stream(seed, "noise").normal(0.0, cfg.wind_obs_noise, size=table.n_times)

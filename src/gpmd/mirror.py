@@ -25,6 +25,20 @@ convex and increasing in beta, so beta is found by a safeguarded Newton
 iteration inside an analytic bracket. Entries where the non-negativity
 multiplier is active come out exactly zero, so complementary slackness
 holds by construction.
+
+``MdEngine`` solves one depth layer of internal vertices at a time, deepest
+first. A layer keeps the real children of its vertices in flat arrays, one
+contiguous segment per parent (CSR-style): the child ids, the segment
+starts, each child's segment, and the constants a, delta, log(delta) and
+log1p(delta), all built once with array ops. A Newton iteration touches
+only these entries: beta is broadcast by segment, ``np.add.reduceat`` gives
+the segment sums and slopes, and ``np.minimum.reduceat`` the bracket. A
+segment's sum is its first entry plus numpy's pairwise sum of the rest, so
+it can differ in the last bits from a sum that groups the same numbers
+differently, such as ``sum(axis=1)`` over a zero-padded row. A layer whose
+vertices all have one child is a direct assignment (q = 1, and the vertex
+takes its child's cost). ``md_update_vertex`` runs the same solver on a
+single segment.
 """
 
 from __future__ import annotations
@@ -35,7 +49,6 @@ import numpy as np
 
 from .hst import HstTree
 
-SIMPLEX_TOL = 1e-10
 STATE_TOL = 1e-8
 MAX_NEWTON_ITERS = 80
 
@@ -111,62 +124,82 @@ def bregman(params: PotentialParams, u: int, p, q) -> float:
     return float(terms.sum() / params.kappa)
 
 
-def _newton_rows(q, delta, a, cost, mask):
-    """Batched KKT iteration: (unnormalized minimizers, their row sums, iterations)."""
-    neg_inf = -np.inf
-    logqd = np.log(np.where(mask, q + delta, 1.0))
-    logd = np.log(np.where(mask, delta, 1.0))
+def _newton(q, delta, logd, log1pd, a, cost, starts, rid):
+    """Segmented KKT iteration: (unnormalized minimizers, segment sums, iterations).
+
+    All entry arrays are flat; segment r holds entries ``starts[r]`` up to
+    the next start, and ``rid`` maps each entry to its segment.
+    """
+    logqd = np.log(q + delta)
     # Bracket: at beta_lo every entry is clamped to zero, at beta_hi one
     # entry alone reaches mass one.
-    b0 = np.where(mask, cost + (logd - logqd) / a, np.inf)
-    b1 = np.where(mask, cost + (np.log1p(delta) - logqd) / a, np.inf)
-    lo = b0.min(axis=1)
-    beta = b1.min(axis=1)
+    lo = np.minimum.reduceat(cost + (logd - logqd) / a, starts)
+    beta = np.minimum.reduceat(cost + (log1pd - logqd) / a, starts)
 
     it = 0
     while True:
-        # exponent stays below log(1+delta) while bracketed; the cap only
-        # guards a pathological fallback excursion from overflowing
-        expo = np.minimum(logqd + a * (beta[:, None] - cost), 700.0)
-        vals = np.where(mask, np.exp(np.where(mask, expo, neg_inf)) - delta, 0.0)
-        p = np.maximum(vals, 0.0)
-        s = p.sum(axis=1)
+        # p = max(0, (q + delta) * exp(a * (beta - c)) - delta), in place.
+        # The exponent stays below log(1+delta) while bracketed; the cap
+        # only guards a pathological fallback excursion from overflowing.
+        p = beta[rid]
+        p -= cost
+        p *= a
+        p += logqd
+        np.minimum(p, 700.0, out=p)
+        np.exp(p, out=p)
+        p -= delta
+        np.maximum(p, 0.0, out=p)
+        s = np.add.reduceat(p, starts)
         resid = s - 1.0
-        if np.all(np.abs(resid) <= 1e-13) or it >= MAX_NEWTON_ITERS:
+        if np.abs(resid).max() <= 1e-13 or it >= MAX_NEWTON_ITERS:
             return p, s, it
         # s is convex and increasing in beta, so Newton from above stays
         # bracketed; fall back to bisection if rounding pushes it out.
-        slope = np.where(p > 0.0, a * (p + delta), 0.0).sum(axis=1)
-        step = resid / np.where(slope > 0.0, slope, 1.0)
-        nxt = beta - step
+        # The masks p <= 0 and slope <= 0 differ from "not > 0" only at
+        # NaN, and a NaN entry makes its segment's residual and step NaN
+        # either way.
+        dp = p + delta
+        dp *= a
+        dp[p <= 0.0] = 0.0
+        slope = np.add.reduceat(dp, starts)
+        slope[slope <= 0.0] = 1.0
+        nxt = beta - resid / slope
         bad = (nxt <= lo) | ~np.isfinite(nxt)
-        beta = np.where(bad, 0.5 * (lo + beta), nxt)
+        if bad.any():
+            nxt = np.where(bad, 0.5 * (lo + beta), nxt)
+        beta = nxt
         it += 1
 
 
-def _solve_rows(q, delta, a, cost, mask):
-    """Batched KKT solve: one simplex problem per row.
+def _solve(q, delta, logd, log1pd, a, cost, starts, rid):
+    """Segmented KKT solve: one simplex problem per segment of the flat arrays.
 
-    All inputs are (m, k) arrays; ``mask`` flags real children (padded slots
-    ignored). Returns the (m, k) minimizers with padded entries zero.
+    Returns (minimizers, Newton iterations, segments re-solved). Every
+    segment iterates until all of them converge.
 
-    At large costs, a * (beta - cost) loses the digits that set the row sum.
-    Rows that miss the residual are solved again with their costs shifted
-    by the row's minimum over real children, which leaves the minimizer
-    unchanged; rows that converged keep their first solution.
+    At large costs, a * (beta - cost) loses the digits that set the sum.
+    Segments that miss the residual are solved again with their costs
+    shifted by the segment's minimum, which leaves the minimizer unchanged;
+    segments that converged keep their first solution.
     """
-    p, s, it = _newton_rows(q, delta, a, cost, mask)
+    p, s, it = _newton(q, delta, logd, log1pd, a, cost, starts, rid)
     failed = np.abs(s - 1.0) > STATE_TOL
-    if failed.any():
-        c = cost[failed]
-        low = np.where(mask[failed], c, np.inf).min(axis=1)
-        p[failed], s[failed], it = _newton_rows(
-            q[failed], delta[failed], a[failed], c - low[:, None], mask[failed]
+    n_failed = int(np.count_nonzero(failed))
+    if n_failed:
+        sel = failed[rid]
+        counts = np.diff(starts, append=rid.size)[failed]
+        sub_starts = np.cumsum(counts) - counts
+        sub_rid = np.repeat(np.arange(n_failed), counts)
+        c = cost[sel]
+        c = c - np.minimum.reduceat(c, sub_starts)[sub_rid]
+        p[sel], s[failed], retry_it = _newton(
+            q[sel], delta[sel], logd[sel], log1pd[sel], a[sel], c, sub_starts, sub_rid
         )
         worst = float(np.max(np.abs(s - 1.0)))
         if worst > STATE_TOL:
-            raise SolverConvergenceError(worst, it)
-    return p / s[:, None]
+            raise SolverConvergenceError(worst, retry_it)
+        it += retry_it
+    return p / s[rid], it, n_failed
 
 
 def md_update_vertex(params: PotentialParams, u: int, q_prev, cost) -> np.ndarray:
@@ -188,66 +221,96 @@ def md_update_vertex(params: PotentialParams, u: int, q_prev, cost) -> np.ndarra
         return out
     if np.any(w == 0.0):
         raise ValueError(f"vertex {u} mixes zero and positive child weights")
+    delta = params.delta[kids]
     a = params.kappa * params.eta[kids] / w
-    p = _solve_rows(
-        q_prev[None, :],
-        params.delta[kids][None, :],
-        a[None, :],
-        cost[None, :],
-        np.ones((1, k), dtype=bool),
-    )
-    return p[0]
+    rid = np.zeros(k, dtype=np.intp)  # one segment, starting at entry 0
+    p, _, _ = _solve(q_prev, delta, np.log(delta), np.log1p(delta), a, cost, rid[:1], rid)
+    return p
+
+
+@dataclass(frozen=True)
+class _Layer:
+    """The children of one depth's internal vertices, flat and grouped by parent.
+
+    Segment r holds the children of ``verts[r]`` at entries ``starts[r]``
+    up to ``starts[r + 1]``; ``rid`` and ``par`` give each entry's segment
+    and parent. ``zero_rows`` lists the (start, stop) entry ranges of
+    parents whose children all have zero weight. ``direct`` marks a layer
+    whose parents all have one child.
+    """
+
+    verts: np.ndarray
+    kids: np.ndarray
+    starts: np.ndarray
+    rid: np.ndarray
+    par: np.ndarray
+    uniform: np.ndarray  # 1 / sibling count, per entry
+    delta: np.ndarray
+    logd: np.ndarray
+    log1pd: np.ndarray
+    a: np.ndarray
+    zero_rows: tuple
+    direct: bool
 
 
 class MdEngine:
-    """Caches the per-depth layer layout of a tree for fast repeated steps."""
+    """Caches the per-depth layer layout of a tree for fast repeated steps.
+
+    After each ``step``, ``newton_iters`` holds the Newton iterations per
+    layer (deepest first) and ``retried_rows`` the number of segments
+    re-solved with shifted costs.
+    """
 
     def __init__(self, tree: HstTree, params: PotentialParams | None = None):
         self.tree = tree
         self.params = params if params is not None else PotentialParams(tree)
         if self.params.tree is not tree:
             raise ValueError("params were built for a different tree")
-        self._build_plan()
+        self._layers = self._build_plan()
+        self.newton_iters: tuple = ()
+        self.retried_rows = 0
 
-    def _build_plan(self):
+    def _build_plan(self) -> list:
         tree = self.tree
         params = self.params
-        internal = tree.topological_internal()
         layers = []
-        for d in sorted({int(tree.depth[v]) for v in internal}, reverse=True):
-            verts = np.array([v for v in internal if tree.depth[v] == d], dtype=np.int64)
-            kmax = max(len(tree.children[v]) for v in verts)
-            idx = np.zeros((len(verts), kmax), dtype=np.int64)
-            msk = np.zeros((len(verts), kmax), dtype=bool)
-            for r, v in enumerate(verts):
-                kids = tree.children[v]
-                idx[r, : len(kids)] = kids
-                msk[r, : len(kids)] = True
-            w = np.where(msk, params.w[idx], 1.0)
-            row_zero = np.array(
-                [bool(np.all(w[r][msk[r]] == 0.0)) for r in range(len(verts))]
-            )
-            for r in range(len(verts)):
-                wr = w[r][msk[r]]
-                if not row_zero[r] and np.any(wr == 0.0):
-                    raise ValueError(
-                        f"vertex {verts[r]} mixes zero and positive child weights"
-                    )
-            eta = np.where(msk, params.eta[idx], 1.0)
-            delta = np.where(msk, params.delta[idx], 0.5)
-            safe_w = np.where(w > 0.0, w, 1.0)
-            a = params.kappa * eta / safe_w
+        # The children of depth d's internal vertices are exactly depth d + 1.
+        for kids in tree.depth_layers[:0:-1]:
+            par = tree.parent[kids]
+            order = np.argsort(par, kind="stable")
+            kids, par = kids[order], par[order]
+            starts = np.flatnonzero(np.r_[True, par[1:] != par[:-1]])
+            counts = np.diff(starts, append=kids.size)
+            rid = np.repeat(np.arange(starts.size), counts)
+            w = params.w[kids]
+            n_zero = np.add.reduceat((w == 0.0).astype(np.int64), starts)
+            mixed = np.flatnonzero((n_zero > 0) & (n_zero < counts))
+            if mixed.size:
+                raise ValueError(
+                    f"vertex {par[starts[mixed[0]]]} mixes zero and positive child weights"
+                )
+            delta = params.delta[kids]
+            zero = np.flatnonzero(n_zero == counts)
             layers.append(
-                {
-                    "verts": verts,
-                    "idx": idx,
-                    "mask": msk,
-                    "delta": delta,
-                    "a": a,
-                    "zero_rows": row_zero,
-                }
+                _Layer(
+                    verts=par[starts],
+                    kids=kids,
+                    starts=starts,
+                    rid=rid,
+                    par=par,
+                    uniform=1.0 / counts[rid],
+                    delta=delta,
+                    logd=np.log(delta),
+                    log1pd=np.log1p(delta),
+                    # zero-weight rows are solved with w = 1, then replaced
+                    a=params.kappa * params.eta[kids] / np.where(w > 0.0, w, 1.0),
+                    zero_rows=tuple(
+                        (int(starts[r]), int(starts[r] + counts[r])) for r in zero
+                    ),
+                    direct=bool(np.all(counts == 1)),
+                )
             )
-        self._layers = layers
+        return layers
 
     def step(self, q_prev: np.ndarray, leaf_costs: np.ndarray, trace=None):
         """One mirror-descent sweep; returns (q_new, per-vertex costs)."""
@@ -255,39 +318,49 @@ class MdEngine:
         leaf_costs = np.asarray(leaf_costs, dtype=float)
         if leaf_costs.shape != (tree.n_leaves,):
             raise ValueError("one cost per metric point is required")
-        if not np.all(np.isfinite(leaf_costs)):
+        if not np.isfinite(leaf_costs).all():
             raise ValueError("leaf costs must be finite")
         cost = np.zeros(tree.n_vertices)
         cost[tree.leaf_vertex] = leaf_costs
         q_new = np.ones(tree.n_vertices)
-        for layer in self._layers:
-            idx, msk = layer["idx"], layer["mask"]
-            q_rows = np.where(msk, q_prev[idx], 0.0)
-            c_rows = np.where(msk, cost[idx], 0.0)
-            p = _solve_rows(q_rows, layer["delta"], layer["a"], c_rows, msk)
-            zr = layer["zero_rows"]
-            if zr.any():
-                for r in np.where(zr)[0]:
-                    krow = msk[r]
-                    pr = np.zeros(krow.sum())
-                    pr[int(np.argmin(c_rows[r][krow]))] = 1.0
-                    p[r] = 0.0
-                    p[r, : pr.size] = pr
-            q_new[idx[msk]] = p[msk]
-            cost[layer["verts"]] = (p * c_rows).sum(axis=1)
+        iters = []
+        retried = 0
+        for lay in self._layers:
+            c = cost[lay.kids]
+            if lay.direct:
+                # one child each: q = 1 and the parent takes the child's cost
+                cost[lay.verts] = c
+                iters.append(0)
+            else:
+                p, it, n_failed = _solve(
+                    q_prev[lay.kids], lay.delta, lay.logd, lay.log1pd, lay.a, c,
+                    lay.starts, lay.rid,
+                )
+                for lo, hi in lay.zero_rows:
+                    j = lo + int(np.argmin(c[lo:hi]))
+                    p[lo:hi] = 0.0
+                    p[j] = 1.0
+                q_new[lay.kids] = p
+                cost[lay.verts] = np.add.reduceat(p * c, lay.starts)
+                iters.append(it)
+                retried += n_failed
             if trace is not None:
-                for r, v in enumerate(layer["verts"]):
-                    krow = msk[r]
+                bounds = np.append(lay.starts, lay.kids.size)
+                for r, v in enumerate(lay.verts):
+                    seg = slice(bounds[r], bounds[r + 1])
+                    kids = lay.kids[seg]
                     trace.append(
                         {
                             "vertex": int(v),
-                            "children": [int(c) for c in idx[r][krow]],
-                            "q_before": [float(x) for x in q_rows[r][krow]],
-                            "q_after": [float(x) for x in p[r][krow]],
-                            "child_costs": [float(x) for x in c_rows[r][krow]],
+                            "children": [int(x) for x in kids],
+                            "q_before": [float(x) for x in q_prev[kids]],
+                            "q_after": [float(x) for x in q_new[kids]],
+                            "child_costs": [float(x) for x in c[seg]],
                             "vertex_cost": float(cost[v]),
                         }
                     )
+        self.newton_iters = tuple(iters)
+        self.retried_rows = retried
         return q_new, cost
 
     def delta_map(self, q: np.ndarray) -> np.ndarray:
@@ -295,24 +368,18 @@ class MdEngine:
         tree = self.tree
         z = np.empty(tree.n_vertices)
         z[tree.root] = 1.0
-        for verts in tree.depth_layers[1:]:
-            z[verts] = z[tree.parent[verts]] * q[verts]
+        for lay in reversed(self._layers):
+            z[lay.kids] = z[lay.par] * q[lay.kids]
         return z
 
     def delta_inverse(self, z: np.ndarray) -> np.ndarray:
         """Conditionals from z; children of zero-mass parents get the uniform split."""
-        tree = self.tree
-        q = np.ones(tree.n_vertices)
-        n_sib = np.ones(tree.n_vertices)
-        for u in range(tree.n_vertices):
-            kids = tree.children[u]
-            if len(kids):
-                n_sib[kids] = float(len(kids))
-        for verts in tree.depth_layers[1:]:
-            zp = z[tree.parent[verts]]
+        q = np.ones(self.tree.n_vertices)
+        for lay in self._layers:
+            zp = z[lay.par]
             with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = z[verts] / zp
-            q[verts] = np.where(zp > 0.0, ratio, 1.0 / n_sib[verts])
+                ratio = z[lay.kids] / zp
+            q[lay.kids] = np.where(zp > 0.0, ratio, lay.uniform)
         return q
 
 

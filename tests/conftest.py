@@ -13,23 +13,49 @@ def rng():
     return np.random.default_rng(20240811)
 
 
-def random_hst(rng, n_leaves: int, tau: float = 5.0, max_children: int = 4) -> HstTree:
-    """A random laminar hierarchy with exact tau-decay, metric = its own d_T."""
+def random_hst(
+    rng,
+    n_leaves: int,
+    tau: float = 5.0,
+    max_children: int = 4,
+    chain: float = 0.0,
+    dup: float = 0.0,
+) -> HstTree:
+    """A random laminar hierarchy with exact tau-decay, metric = its own d_T.
+
+    ``chain`` is the chance that a vertex hands all its points to a single
+    child. ``dup`` is the chance that a vertex holding 2..max_children points
+    makes them duplicates: zero-weight leaves at distance 0 from each other,
+    as ``frt_embed`` restores repeated points. Both default to 0, which
+    draws no extra numbers.
+    """
     parents = [-1]
     depths = [0]
+    zero_weight = [False]
     leaf_vertex = np.full(n_leaves, -1, dtype=np.int64)
 
+    def add(parent: int, zeroed: bool = False) -> int:
+        parents.append(parent)
+        depths.append(depths[parent] + 1)
+        zero_weight.append(zeroed)
+        return len(parents) - 1
+
     def split(vertex: int, members: list):
+        if chain and rng.random() < chain:
+            split(add(vertex), members)
+            return
         if len(members) == 1:
             leaf_vertex[members[0]] = vertex
+            return
+        if dup and len(members) <= max_children and rng.random() < dup:
+            for m in members:
+                leaf_vertex[m] = add(vertex, zeroed=True)
             return
         k = min(len(members), int(rng.integers(2, max_children + 1)))
         cuts = sorted(rng.choice(np.arange(1, len(members)), size=k - 1, replace=False))
         groups = np.split(np.asarray(members), cuts)
         for g in groups:
-            parents.append(vertex)
-            depths.append(depths[vertex] + 1)
-            split(len(parents) - 1, list(g))
+            split(add(vertex), list(g))
 
     order = list(rng.permutation(n_leaves))
     if n_leaves == 1:
@@ -37,7 +63,9 @@ def random_hst(rng, n_leaves: int, tau: float = 5.0, max_children: int = 4) -> H
     else:
         split(0, order)
     w0 = float(rng.uniform(0.5, 4.0))
-    weights = np.array([0.0 if d == 0 else w0 * tau ** (1 - d) for d in depths])
+    weights = np.array(
+        [0.0 if d == 0 or z else w0 * tau ** (1 - d) for d, z in zip(depths, zero_weight)]
+    )
     zero = FiniteMetric.from_matrix(np.zeros((n_leaves, n_leaves)))
     probe = HstTree(
         parent=np.asarray(parents, dtype=np.int64),

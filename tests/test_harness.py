@@ -276,6 +276,24 @@ class TestWindRun:
         assert "5000 steps" in record["error"] and "48 rows" in record["error"]
         assert not list(out.glob("*.steps.csv"))
 
+    @pytest.mark.parametrize("starts", ["99", "3,99"])
+    def test_start_beyond_table_fails_the_env(self, tmp_path, starts):
+        # The altitude count is known only once the table is read, so a
+        # start beyond it fails the seed's environment, not each cell.
+        out = tmp_path / "o"
+        code = cli_main(
+            ["run", "--kind", "wind", "--policies", "stationary", "--steps", "5",
+             "--set", "wind_hours=5", "--starts", starts, "--out", str(out)]
+        )
+        assert code == 2
+        failed = list(out.glob("*.failed.json"))
+        assert len(failed) == len(starts.split(","))
+        for path in failed:
+            record = json.loads(path.read_text())
+            assert record["phase"] == "env"
+            assert "starts: 99 is beyond the table's 25 altitudes" in record["error"]
+        assert not list(out.glob("*.steps.csv"))
+
     def test_dataset_csv_replay(self, tmp_path):
         from gpmd.wind import default_altitudes, synthetic_wind_table, write_wind_csv
 

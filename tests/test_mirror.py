@@ -2,17 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gpmd.hst import HstTree
-from gpmd.metric import FiniteMetric
+from gpmd.harness import RunConfig, build_synthetic_env, rng_stream
+from gpmd.hst import HstTree, frt_embed
+from gpmd.metric import FiniteMetric, grid_metric
 from gpmd.mirror import (
+    MAX_NEWTON_ITERS,
+    STATE_TOL,
     MdEngine,
     PotentialParams,
+    SolverConvergenceError,
     TreeState,
     bregman,
     md_update_vertex,
     point_mass_state,
 )
+from gpmd.policies import ExactCostModel, make_policy
 
 from conftest import random_hst, validate_conditionals
 
@@ -368,3 +375,244 @@ def test_large_costs_converge(kappa, scale):
         validate_conditionals(tree, q)
         z = engine.delta_map(q)
         assert costs[tree.root] == pytest.approx(float(z[tree.leaf_vertex] @ leaf_costs), rel=1e-9)
+
+
+# -- The padded reference: the engine before the flat per-layer layout. -----
+#
+# Each depth layer was an (m, kmax) block of child ids with a mask for the
+# padding, built with per-row loops; the solver summed padded rows with
+# ``sum(axis=1)``. The flat engine must agree with it to rounding.
+
+
+def _padded_newton_rows(q, delta, a, cost, mask):
+    neg_inf = -np.inf
+    logqd = np.log(np.where(mask, q + delta, 1.0))
+    logd = np.log(np.where(mask, delta, 1.0))
+    b0 = np.where(mask, cost + (logd - logqd) / a, np.inf)
+    b1 = np.where(mask, cost + (np.log1p(delta) - logqd) / a, np.inf)
+    lo = b0.min(axis=1)
+    beta = b1.min(axis=1)
+
+    it = 0
+    while True:
+        expo = np.minimum(logqd + a * (beta[:, None] - cost), 700.0)
+        vals = np.where(mask, np.exp(np.where(mask, expo, neg_inf)) - delta, 0.0)
+        p = np.maximum(vals, 0.0)
+        s = p.sum(axis=1)
+        resid = s - 1.0
+        if np.all(np.abs(resid) <= 1e-13) or it >= MAX_NEWTON_ITERS:
+            return p, s, it
+        slope = np.where(p > 0.0, a * (p + delta), 0.0).sum(axis=1)
+        step = resid / np.where(slope > 0.0, slope, 1.0)
+        nxt = beta - step
+        bad = (nxt <= lo) | ~np.isfinite(nxt)
+        beta = np.where(bad, 0.5 * (lo + beta), nxt)
+        it += 1
+
+
+def _padded_solve_rows(q, delta, a, cost, mask):
+    p, s, it = _padded_newton_rows(q, delta, a, cost, mask)
+    failed = np.abs(s - 1.0) > STATE_TOL
+    if failed.any():
+        c = cost[failed]
+        low = np.where(mask[failed], c, np.inf).min(axis=1)
+        p[failed], s[failed], it = _padded_newton_rows(
+            q[failed], delta[failed], a[failed], c - low[:, None], mask[failed]
+        )
+        worst = float(np.max(np.abs(s - 1.0)))
+        if worst > STATE_TOL:
+            raise SolverConvergenceError(worst, it)
+    return p / s[:, None]
+
+
+class PaddedEngine:
+    """``MdEngine`` as it was: padded layers, masks and per-vertex loops."""
+
+    # diagnostics MirrorDescentPolicy reads from its engine
+    newton_iters = ()
+    retried_rows = 0
+
+    def __init__(self, tree, params):
+        self.tree = tree
+        internal = tree.topological_internal()
+        layers = []
+        for d in sorted({int(tree.depth[v]) for v in internal}, reverse=True):
+            verts = np.array([v for v in internal if tree.depth[v] == d], dtype=np.int64)
+            kmax = max(len(tree.children[v]) for v in verts)
+            idx = np.zeros((len(verts), kmax), dtype=np.int64)
+            msk = np.zeros((len(verts), kmax), dtype=bool)
+            for r, v in enumerate(verts):
+                kids = tree.children[v]
+                idx[r, : len(kids)] = kids
+                msk[r, : len(kids)] = True
+            w = np.where(msk, params.w[idx], 1.0)
+            row_zero = np.array(
+                [bool(np.all(w[r][msk[r]] == 0.0)) for r in range(len(verts))]
+            )
+            for r in range(len(verts)):
+                wr = w[r][msk[r]]
+                if not row_zero[r] and np.any(wr == 0.0):
+                    raise ValueError(
+                        f"vertex {verts[r]} mixes zero and positive child weights"
+                    )
+            eta = np.where(msk, params.eta[idx], 1.0)
+            delta = np.where(msk, params.delta[idx], 0.5)
+            safe_w = np.where(w > 0.0, w, 1.0)
+            a = params.kappa * eta / safe_w
+            layers.append((verts, idx, msk, delta, a, row_zero))
+        self._layers = layers
+
+    def step(self, q_prev, leaf_costs):
+        tree = self.tree
+        leaf_costs = np.asarray(leaf_costs, dtype=float)
+        if not np.all(np.isfinite(leaf_costs)):
+            raise ValueError("leaf costs must be finite")
+        cost = np.zeros(tree.n_vertices)
+        cost[tree.leaf_vertex] = leaf_costs
+        q_new = np.ones(tree.n_vertices)
+        for verts, idx, msk, delta, a, zr in self._layers:
+            q_rows = np.where(msk, q_prev[idx], 0.0)
+            c_rows = np.where(msk, cost[idx], 0.0)
+            p = _padded_solve_rows(q_rows, delta, a, c_rows, msk)
+            for r in np.where(zr)[0]:
+                krow = msk[r]
+                pr = np.zeros(krow.sum())
+                pr[int(np.argmin(c_rows[r][krow]))] = 1.0
+                p[r] = 0.0
+                p[r, : pr.size] = pr
+            q_new[idx[msk]] = p[msk]
+            cost[verts] = (p * c_rows).sum(axis=1)
+        return q_new, cost
+
+    def delta_map(self, q):
+        tree = self.tree
+        z = np.empty(tree.n_vertices)
+        z[tree.root] = 1.0
+        for verts in tree.depth_layers[1:]:
+            z[verts] = z[tree.parent[verts]] * q[verts]
+        return z
+
+    def delta_inverse(self, z):
+        tree = self.tree
+        q = np.ones(tree.n_vertices)
+        n_sib = np.ones(tree.n_vertices)
+        for u in range(tree.n_vertices):
+            kids = tree.children[u]
+            if len(kids):
+                n_sib[kids] = float(len(kids))
+        for verts in tree.depth_layers[1:]:
+            zp = z[tree.parent[verts]]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ratio = z[verts] / zp
+            q[verts] = np.where(zp > 0.0, ratio, 1.0 / n_sib[verts])
+        return q
+
+
+def _outcome(fn, *args):
+    """(result, None) or (None, (exception type, message))."""
+    try:
+        return fn(*args), None
+    except (ValueError, SolverConvergenceError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _frt_24x24():
+    # the tree the harness draws at program seed 0
+    seed = int(rng_stream(0, "frt").integers(2**31))
+    return frt_embed(grid_metric(24, 24), tau=5.0, rng_seed=seed)
+
+
+def _states(rng, tree):
+    """Interior states and point masses (whose off-path parents hold no mass)."""
+    n = tree.n_leaves
+    zs = [tree.subtree_sums(rng.dirichlet(np.ones(n))) for _ in range(3)]
+    zs += [point_mass_state(tree, int(i)).z for i in rng.integers(0, n, 2)]
+    return zs
+
+
+class TestFlatLayout:
+    def test_delta_maps_equal_layer_loops(self, rng):
+        trees = [random_hst(rng, int(rng.integers(2, 40)), max_children=10, chain=0.3, dup=0.3)
+                 for _ in range(8)]
+        trees.append(_frt_24x24())
+        for tree in trees:
+            engine = MdEngine(tree)
+            ref = PaddedEngine(tree, engine.params)
+            for z in _states(rng, tree):
+                q = engine.delta_inverse(z)
+                assert np.array_equal(q, ref.delta_inverse(z))
+                assert np.array_equal(engine.delta_map(q), ref.delta_map(q))
+
+    def test_policy_on_frt_tree_samples_reference_actions(self):
+        # 50 steps of md-known on the 24x24 grid at program seed 0: the flat
+        # engine's rounding differs from the padded one's in the last bits
+        # only, so every sampled action is the same.
+        cfg = RunConfig(grid=[24, 24], steps=50)
+        env = build_synthetic_env(cfg, 0)
+        runs = []
+        for padded in (False, True):
+            true_model = ExactCostModel(lambda key: env.f[:, key], n_actions=env.f.shape[0])
+            pol = make_policy("md-known", tree=env.tree, true_model=true_model,
+                              rng=rng_stream(0, "sampling"))
+            if padded:
+                pol.engine = PaddedEngine(env.tree, pol.engine.params)
+            pol.begin_episode(int(env.x0[0]))
+            actions, qs = [], []
+            for key in env.contexts[0]:
+                action, _ = pol.act(int(key))
+                actions.append(action)
+                qs.append(pol.q)
+            runs.append((actions, np.array(qs)))
+        (actions, qs), (ref_actions, ref_qs) = runs
+        assert actions == ref_actions
+        assert np.abs(qs - ref_qs).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+# wide fanouts (rows of 8+ children, where the padded and the flat sums
+# group the adds differently) with chains and duplicates, at both ends of
+# the cost range
+@example(seed=3, n=60, max_children=16, chain=0.3, dup=0.3, log_scale=12.0, kappa=1.0)
+@example(seed=4, n=60, max_children=16, chain=0.3, dup=0.3, log_scale=-12.0, kappa=100.0)
+@example(seed=5, n=60, max_children=16, chain=0.0, dup=0.0, log_scale=0.0, kappa=1.0)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    max_children=st.integers(2, 16),
+    chain=st.sampled_from([0.0, 0.3]),
+    dup=st.sampled_from([0.0, 0.3]),
+    log_scale=st.floats(-12.0, 12.0),
+    kappa=st.floats(1.0, 100.0),
+)
+def test_step_matches_padded_reference(seed, n, max_children, chain, dup, log_scale, kappa):
+    rng = np.random.default_rng(seed)
+    tree = random_hst(rng, n, max_children=max_children, chain=chain, dup=dup)
+    if rng.random() < 0.2:
+        # zero one leaf edge beside positive siblings: a mixed fanout,
+        # which both engines reject
+        kids = [c for c in tree.children if len(c) > 1 and np.all(tree.weight[c] > 0.0)]
+        leaves = [int(v) for c in kids for v in c if tree.point_index[v] >= 0]
+        if leaves:
+            weight = tree.weight.copy()
+            weight[leaves[int(rng.integers(len(leaves)))]] = 0.0
+            tree = HstTree(tree.parent, weight, tree.leaf_vertex, tree.tau, tree.metric)
+    params = PotentialParams(tree, kappa=kappa)
+    engine, err = _outcome(MdEngine, tree, params)
+    ref, ref_err = _outcome(PaddedEngine, tree, params)
+    assert err == ref_err
+    if err is not None:
+        assert "mixes zero and positive child weights" in err[1]
+        return
+    scale = 10.0**log_scale
+    for z in _states(rng, tree):
+        q = engine.delta_inverse(z)
+        leaf_costs = scale * rng.uniform(0.0, 1.0, n)
+        out, err = _outcome(engine.step, q, leaf_costs)
+        ref_out, ref_err = _outcome(ref.step, q, leaf_costs)
+        assert err == ref_err
+        if err is not None:
+            continue
+        (q_new, costs), (ref_q, ref_costs) = out, ref_out
+        assert np.abs(q_new - ref_q).max() <= 1e-12
+        # vertex costs average leaf costs, so their rounding scales with them
+        np.testing.assert_allclose(costs, ref_costs, rtol=1e-12, atol=1e-12 * leaf_costs.max())
