@@ -24,7 +24,8 @@ with a scalar multiplier beta chosen so the entries sum to one; the sum is
 convex and increasing in beta, so beta is found by a safeguarded Newton
 iteration inside an analytic bracket. Entries where the non-negativity
 multiplier is active come out exactly zero, so complementary slackness
-holds by construction.
+holds by construction. Costs are first shifted by each child set's minimum,
+which moves only beta, so one Newton pass serves every cost scale.
 
 ``MdEngine`` solves one depth layer of internal vertices at a time, deepest
 first. A layer keeps the real children of its vertices in flat arrays, one
@@ -135,16 +136,17 @@ def _newton(q, delta, logd, log1pd, a, cost, starts, rid):
     # entry alone reaches mass one.
     lo = np.minimum.reduceat(cost + (logd - logqd) / a, starts)
     beta = np.minimum.reduceat(cost + (log1pd - logqd) / a, starts)
+    base = logqd - a * cost
 
     it = 0
     while True:
-        # p = max(0, (q + delta) * exp(a * (beta - c)) - delta), in place.
-        # The exponent stays below log(1+delta) while bracketed; the cap
-        # only guards a pathological fallback excursion from overflowing.
+        # p = max(0, (q + delta) * exp(a * (beta - c)) - delta), in place,
+        # as exp(a * beta + base). Newton from beta_hi only lowers beta, so
+        # the exponent stays below log(1+delta); the cap is an overflow
+        # guard, should rounding ever push an iterate above the bracket.
         p = beta[rid]
-        p -= cost
         p *= a
-        p += logqd
+        p += base
         np.minimum(p, 700.0, out=p)
         np.exp(p, out=p)
         p -= delta
@@ -155,12 +157,11 @@ def _newton(q, delta, logd, log1pd, a, cost, starts, rid):
             return p, s, it
         # s is convex and increasing in beta, so Newton from above stays
         # bracketed; fall back to bisection if rounding pushes it out.
-        # The masks p <= 0 and slope <= 0 differ from "not > 0" only at
-        # NaN, and a NaN entry makes its segment's residual and step NaN
-        # either way.
+        # Clamped entries add no slope. A NaN entry makes its segment's
+        # residual and step NaN either way.
         dp = p + delta
         dp *= a
-        dp[p <= 0.0] = 0.0
+        dp *= p > 0.0
         slope = np.add.reduceat(dp, starts)
         slope[slope <= 0.0] = 1.0
         nxt = beta - resid / slope
@@ -174,32 +175,17 @@ def _newton(q, delta, logd, log1pd, a, cost, starts, rid):
 def _solve(q, delta, logd, log1pd, a, cost, starts, rid):
     """Segmented KKT solve: one simplex problem per segment of the flat arrays.
 
-    Returns (minimizers, Newton iterations, segments re-solved). Every
-    segment iterates until all of them converge.
-
-    At large costs, a * (beta - cost) loses the digits that set the sum.
-    Segments that miss the residual are solved again with their costs
-    shifted by the segment's minimum, which leaves the minimizer unchanged;
-    segments that converged keep their first solution.
+    Returns (minimizers, Newton iterations); every segment iterates until
+    all of them converge. Each segment's costs are first shifted by their
+    minimum, which leaves the minimizer unchanged and keeps a * (beta - cost)
+    from losing the digits that set the sum at large costs.
     """
+    cost = cost - np.minimum.reduceat(cost, starts)[rid]
     p, s, it = _newton(q, delta, logd, log1pd, a, cost, starts, rid)
-    failed = np.abs(s - 1.0) > STATE_TOL
-    n_failed = int(np.count_nonzero(failed))
-    if n_failed:
-        sel = failed[rid]
-        counts = np.diff(starts, append=rid.size)[failed]
-        sub_starts = np.cumsum(counts) - counts
-        sub_rid = np.repeat(np.arange(n_failed), counts)
-        c = cost[sel]
-        c = c - np.minimum.reduceat(c, sub_starts)[sub_rid]
-        p[sel], s[failed], retry_it = _newton(
-            q[sel], delta[sel], logd[sel], log1pd[sel], a[sel], c, sub_starts, sub_rid
-        )
-        worst = float(np.max(np.abs(s - 1.0)))
-        if worst > STATE_TOL:
-            raise SolverConvergenceError(worst, retry_it)
-        it += retry_it
-    return p / s[rid], it, n_failed
+    worst = float(np.max(np.abs(s - 1.0)))
+    if worst > STATE_TOL:
+        raise SolverConvergenceError(worst, it)
+    return p / s[rid], it
 
 
 def md_update_vertex(params: PotentialParams, u: int, q_prev, cost) -> np.ndarray:
@@ -224,7 +210,7 @@ def md_update_vertex(params: PotentialParams, u: int, q_prev, cost) -> np.ndarra
     delta = params.delta[kids]
     a = params.kappa * params.eta[kids] / w
     rid = np.zeros(k, dtype=np.intp)  # one segment, starting at entry 0
-    p, _, _ = _solve(q_prev, delta, np.log(delta), np.log1p(delta), a, cost, rid[:1], rid)
+    p, _ = _solve(q_prev, delta, np.log(delta), np.log1p(delta), a, cost, rid[:1], rid)
     return p
 
 
@@ -257,8 +243,7 @@ class MdEngine:
     """Caches the per-depth layer layout of a tree for fast repeated steps.
 
     After each ``step``, ``newton_iters`` holds the Newton iterations per
-    layer (deepest first) and ``retried_rows`` the number of segments
-    re-solved with shifted costs.
+    layer (deepest first).
     """
 
     def __init__(self, tree: HstTree, params: PotentialParams | None = None):
@@ -268,7 +253,6 @@ class MdEngine:
             raise ValueError("params were built for a different tree")
         self._layers = self._build_plan()
         self.newton_iters: tuple = ()
-        self.retried_rows = 0
 
     def _build_plan(self) -> list:
         tree = self.tree
@@ -324,7 +308,6 @@ class MdEngine:
         cost[tree.leaf_vertex] = leaf_costs
         q_new = np.ones(tree.n_vertices)
         iters = []
-        retried = 0
         for lay in self._layers:
             c = cost[lay.kids]
             if lay.direct:
@@ -332,7 +315,7 @@ class MdEngine:
                 cost[lay.verts] = c
                 iters.append(0)
             else:
-                p, it, n_failed = _solve(
+                p, it = _solve(
                     q_prev[lay.kids], lay.delta, lay.logd, lay.log1pd, lay.a, c,
                     lay.starts, lay.rid,
                 )
@@ -343,7 +326,6 @@ class MdEngine:
                 q_new[lay.kids] = p
                 cost[lay.verts] = np.add.reduceat(p * c, lay.starts)
                 iters.append(it)
-                retried += n_failed
             if trace is not None:
                 bounds = np.append(lay.starts, lay.kids.size)
                 for r, v in enumerate(lay.verts):
@@ -360,7 +342,6 @@ class MdEngine:
                         }
                     )
         self.newton_iters = tuple(iters)
-        self.retried_rows = retried
         return q_new, cost
 
     def delta_map(self, q: np.ndarray) -> np.ndarray:

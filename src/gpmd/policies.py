@@ -196,7 +196,6 @@ class MirrorDescentPolicy(Policy):
             "hallucinated_root_cost": float(vertex_costs[self.tree.root]),
             "tree_wasserstein_step": float((self.tree.weight * diff).sum()),
             "newton_iters": list(self.engine.newton_iters),
-            "retried_rows": self.engine.retried_rows,
         }
         leaves = self.tree.leaf_vertex
         action = sample_next(

@@ -1,9 +1,13 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpmd import harness
 from gpmd.cli import main as cli_main
@@ -17,6 +21,7 @@ from gpmd.harness import (
     run,
     run_cell,
 )
+from gpmd.policies import POLICY_NAMES
 
 
 def small_cfg(tmp_path, **overrides) -> RunConfig:
@@ -588,8 +593,8 @@ def test_cell_failure_spares_the_other_policies(tmp_path, monkeypatch):
 
 
 def test_large_costs_converge(tmp_path):
-    # The solver re-solves rows that lose precision at large costs with
-    # each row's costs shifted by its minimum.
+    # rho = 1e9 scales every service cost: the solver shifts each child
+    # set's costs by their minimum, so no row loses the precision it needs.
     out = tmp_path / "o"
     code = cli_main(
         ["run", "--kind", "synthetic", "--policies", "md-known", "--seeds", "0",
@@ -636,3 +641,30 @@ def test_wind_cell_invariants(tmp_path):
     )
     assert run(cfg) == 0
     _check_cell_invariants(tmp_path / "out", harness.build_wind_env(cfg, 1), 2.0, start=3)
+
+
+@settings(max_examples=60, deadline=None)
+# the largest grid at rho = 1e9, where the solver needs its cost shift
+@example(rows=5, cols=5, steps=4, policy="md-known", rho=1e9, kappa=1.0, seed=0)
+@example(rows=5, cols=5, steps=4, policy="gp-md", rho=1e9, kappa=50.0, seed=0)
+@given(
+    rows=st.integers(2, 5),
+    cols=st.integers(2, 5),
+    steps=st.integers(1, 4),
+    policy=st.sampled_from(POLICY_NAMES),
+    rho=st.sampled_from([0.5, 1.0, 1e3, 1e9]),
+    kappa=st.sampled_from([1.0, 50.0]),
+    seed=st.integers(0, 3),
+)
+def test_cell_invariants_over_random_configs(rows, cols, steps, policy, rho, kappa, seed):
+    # Large rho and kappa are where the mirror-descent solver is most
+    # likely to lose precision; every cell must still run and add up.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = small_cfg(
+            Path(tmp), policies=[policy], seeds=[seed], rhos=[rho], kappa=kappa,
+            grid=[rows, cols], steps=steps, episodes=2,
+        )
+        assert run(cfg) == 0
+        out = Path(tmp) / "out"
+        assert not list(out.glob("*.failed.json"))
+        _check_cell_invariants(out, build_synthetic_env(cfg, seed), rho)

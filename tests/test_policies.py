@@ -314,12 +314,11 @@ class TestMirrorDescentPolicy:
             "row_pieces",
             "coupling_fallback",
             "newton_iters",
-            "retried_rows",
         }
         assert diag["tree_wasserstein_step"] >= 0.0
         # one iteration count per depth layer of the tree's internal vertices
         assert len(diag["newton_iters"]) == int(tree.depth.max())
-        for count in (*diag["newton_iters"], diag["retried_rows"]):
+        for count in diag["newton_iters"]:
             assert type(count) is int and count >= 0
         # from a point mass the row is the whole next distribution
         assert diag["row_pieces"] == int((pol.leaf_distribution() > 0.0).sum())

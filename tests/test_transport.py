@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpmd.hst import frt_embed
 from gpmd.metric import FiniteMetric, grid_metric
@@ -189,6 +191,15 @@ def sparse_dirichlet(rng, n):
     return p / p.sum()
 
 
+def grid_distribution(rng, n):
+    """A sparse distribution with masses on a grid of 1/total. The LP oracle
+    resolves masses only to HiGHS's 1e-7 feasibility tolerance, so a
+    Dirichlet draw's tiny masses would move its optimum by more than 1e-9."""
+    counts = rng.integers(0, 10, n) * (rng.random(n) >= 0.3)
+    counts[int(rng.integers(n))] += 1
+    return counts / counts.sum()
+
+
 def md_sequence(tree, rng, steps, x0=0):
     """Leaf distributions of ``steps`` mirror-descent steps from a point mass."""
     engine = MdEngine(tree, PotentialParams(tree))
@@ -217,6 +228,31 @@ def test_row_matches_coupling_on_frt_tree_with_duplicates(rng):
     for a, b in zip(dists[:-1], dists[1:]):
         for prev in range(tree.n_leaves):
             assert_row_matches_coupling(tree, a, b, prev)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    max_children=st.integers(2, 4),
+    dup=st.sampled_from([0.0, 0.3]),
+)
+def test_rows_assemble_an_optimal_coupling(seed, n, max_children, dup):
+    # The rows of every previous leaf, put together, form a coupling of a and
+    # b whose cost is the optimal transport cost on the tree metric.
+    rng = np.random.default_rng(seed)
+    tree = random_hst(rng, n, max_children=max_children, dup=dup)
+    a, b = grid_distribution(rng, n), grid_distribution(rng, n)
+    plan = np.zeros((n, n))
+    for prev in range(n):
+        js, ms = coupling_row(tree, a, b, prev)
+        np.add.at(plan[prev], js, ms)
+    assert np.abs(plan.sum(axis=1) - a).max() <= 1e-12
+    assert np.abs(plan.sum(axis=0) - b).max() <= 1e-12
+    dist = tree.distance_matrix()
+    cost = float((plan * dist).sum())
+    assert cost == pytest.approx(lp_transport_cost(dist, a, b), abs=1e-9)
+    assert cost == pytest.approx(tree_wasserstein(tree, a, b), abs=1e-9)
 
 
 def test_point_mass_row_is_the_next_distribution(rng):
