@@ -1,26 +1,23 @@
 """Exact Gaussian-process regression over action-context feature vectors.
 
-The model keeps a lower Cholesky factor L of (K_t + lam*I) and z = L^-1 y.
-With V = L^-1 K(X, Xq), the posterior at query rows Xq has mean V^T z and
-variance k(x, x) - colsum(V^2), so no update solves for weights.
+The model stores one row per distinct input. With one noise variance lam,
+c observations of input x with mean ybar give the same posterior as the
+single row (x, ybar) with noise lam / c (the replicate trick of Binois,
+Gramacy & Ludkovski, JCGS 2018). So for the u distinct inputs U with
+counts c, the model keeps the lower Cholesky factor L of
+K_U + lam*diag(1/c) and z = L^-1 ybar. With V = L^-1 K(U, Xq), the
+posterior at query rows Xq has mean V^T z and variance
+k(x, x) - colsum(V^2): one triangular solve per query, none per update
+for weights.
 
-One model serves one learner: ``update`` extends it in place and returns
-it. Rows only ever append. X, y, z and L live in storage sized, at each
-refactor, to hold every row until the next one, and a new row's factor
-row is [v^T, l] with v = L^-1 k(X, x) and l = sqrt(var(x) + lam). A
-per-step update reads v from the column of the step's own query whose row
-is x, so it solves nothing; any other update solves its border like a
-query. The factor is rebuilt from scratch every ``REFACTOR_EVERY`` points
-to keep rounding drift in check, and a refactor starts new storage.
-
-Query cache: the model keeps V per distinct query block, keyed by the
-block's content, and extends a block only by the rows added since it was
-last read: V[s:t] = L[s:t,s:t]^-1 (K(X[s:t], Xq) - L[s:t,:s] V[:s]). A miss
-is the same extension from s = 0. The solve runs in row chunks, so only a
-chunk-sized diagonal block of L is ever copied. Blocks are admitted while
-their total column count stays within the storage's row capacity, so the
-cache never holds more floats than the factor; they are never evicted and
-go with their storage at a refactor.
+An update refactors L and z only from its earliest touched row i0: a
+repeated input changes only its own row's noise, so the rows of L above
+i0 stay, and so does L[i0:, :i0], which depends only on those rows and on
+off-diagonal kernel entries. A new input's part of L[:, :i0] is one solve against L[:i0, :i0].
+The trailing block L[i0:, i0:] is the Cholesky factor of the conditional
+covariance K(U[i0:], U[i0:]) - L[i0:, :i0] L[i0:, :i0]^T + lam*diag(1/c[i0:]).
+The factor is rebuilt from row 0 only on the first update, or when that
+block is not numerically positive definite. Storage grows by doubling.
 """
 
 from __future__ import annotations
@@ -29,13 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky as sp_cholesky
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.spatial.distance import cdist
 
-REFACTOR_EVERY = 256
 VAR_CLAMP = 1e-12
-SOLVE_ROWS = 128  # rows per chunk of a triangular solve against the growing factor
 
 
 @dataclass(frozen=True)
@@ -91,8 +85,10 @@ class GpModel:
     confidence width ("theory") and a fixed exploration constant
     ("constant").
 
-    Only rows ``[:n]`` of the storage buffers are valid, and only the lower
-    triangle of ``_L``. Their row capacity is fixed at each refactor.
+    ``n`` counts observations. Storage row i holds the i-th distinct input
+    ``_X[i]``, its observation count ``_c[i]`` and sum ``_s[i]``; only rows
+    ``[:_u]`` are valid, and only the lower triangle of ``_L``. Inputs match
+    by exact content.
     """
 
     def __init__(
@@ -120,17 +116,18 @@ class GpModel:
         self.delta = float(delta)
         self.beta_mode = beta_mode
         self.beta_value = float(beta_value)
-        self.n = 0
-        self._since_refactor = 0
-        self._X = self._y = self._z = self._L = None
-        self._blocks: dict = {}  # query content -> V, one row per solved training row
-        self._cached_cols = 0
-        self._last = None  # (Xq, V) of the latest query, cached or not
+        self.n = self._u = 0
+        self._rows: dict[bytes, int] = {}  # input content -> storage row
+        self._X = self._L = self._z = None
+        self._c = self._s = np.zeros(0)
 
     # -- updates ---------------------------------------------------------
 
     def update(self, X_new, y_new) -> "GpModel":
-        """Learn the new rows in place and return the model."""
+        """Learn the new rows in place and return the model.
+
+        A ValueError for a kernel matrix that is not numerically positive
+        definite leaves the model unusable."""
         X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
         y_new = np.atleast_1d(np.asarray(y_new, dtype=float))
         if y_new.size == 0:
@@ -140,106 +137,53 @@ class GpModel:
         if not np.all(np.isfinite(y_new)) or not np.all(np.isfinite(X_new)):
             raise ValueError("observations must be finite")
 
-        self._since_refactor += y_new.shape[0]
-        if not (self.n and self._since_refactor < REFACTOR_EVERY and self._append(X_new, y_new)):
-            # Refactor on schedule, or when the new block lost positive
-            # definiteness to rounding.
-            self._refactor(X_new, y_new)
+        u0 = self._u
+        rows = [self._rows.setdefault(x.tobytes(), len(self._rows)) for x in X_new]
+        self._reserve(len(self._rows), X_new.shape[1])
+        self._X[rows] = X_new  # a repeat rewrites its own content
+        np.add.at(self._c, rows, 1.0)
+        np.add.at(self._s, rows, y_new)
+        self.n += y_new.shape[0]
+        self._u = len(self._rows)
+        i0 = min(rows)
+        if not self._factor(i0, u0):
+            # The trailing block lost positive definiteness to rounding.
+            if not (i0 and self._factor(0, u0)):
+                raise ValueError("kernel matrix is not positive definite")
         return self
 
-    def _append(self, X_new, y_new) -> bool:
-        """Append rows; False, leaving the storage as it was, if the new
-        diagonal block is not numerically positive definite."""
-        t, b = self.n, y_new.shape[0]
-        v = self._border(X_new[0]) if b == 1 else None
-        B = self._extend(X_new, None) if v is None else v[:, None]
-        S = self.kernel(X_new, X_new) - B.T @ B  # conditional covariance of the new rows
-        S[np.diag_indices(b)] += self.lam
-        if b == 1:
-            if not S[0, 0] > 0.0:
-                return False
-            Lb = np.sqrt(S)
-        else:
-            try:
-                Lb = sp_cholesky(S, lower=True, overwrite_a=True, check_finite=False)
-            except np.linalg.LinAlgError:
-                return False
-        r = y_new - B.T @ self._z[:t]
-        end = t + b
-        self._X[t:end], self._y[t:end] = X_new, y_new
-        self._L[t:end, :t], self._L[t:end, t:end] = B.T, Lb
-        self._z[t:end] = r / Lb[0, 0] if b == 1 else solve_triangular(
-            Lb, r, lower=True, check_finite=False
-        )
-        self.n = end
+    def _reserve(self, u: int, d: int) -> None:
+        """Grow the storage by doubling until it holds u rows."""
+        cap = self._c.shape[0]
+        if u <= cap:
+            return
+        cap, k = max(u, 2 * cap), self._u
+        X, L, z = np.empty((cap, d)), np.empty((cap, cap)), np.empty(cap)
+        c, s = np.zeros(cap), np.zeros(cap)
+        if k:
+            X[:k], L[:k, :k], z[:k] = self._X[:k], self._L[:k, :k], self._z[:k]
+            c[:k], s[:k] = self._c[:k], self._s[:k]
+        self._X, self._L, self._z, self._c, self._s = X, L, z, c, s
+
+    def _factor(self, i0: int, u0: int) -> bool:
+        """Refactor rows [i0:u] of L and z, given rows [:i0] and, for the
+        rows stored before the update, L[:u0, :i0]. False, leaving L[:i0]
+        and z[:i0] as they were, if the trailing block is not numerically
+        positive definite."""
+        u, U, L = self._u, self._X[: self._u], self._L
+        if i0 and u > u0:  # the new rows' border against the kept rows
+            L[u0:u, :i0] = _solve_lower(L[:i0, :i0], self.kernel(U[:i0], U[u0:])).T
+        M = L[i0:u, :i0]
+        S = self.kernel(U[i0:], U[i0:]) - M @ M.T
+        S[np.diag_indices(u - i0)] += self.lam / self._c[i0:u]
+        # S is symmetric, so S.T is the same matrix in the column order
+        # LAPACK factors in place.
+        Lb, info = dpotrf(S.T, lower=1, clean=1, overwrite_a=1)
+        if info:
+            return False
+        L[i0:u, i0:u] = Lb
+        self._z[i0:u] = _solve_lower(Lb, self._s[i0:u] / self._c[i0:u] - M @ self._z[:i0])
         return True
-
-    def _refactor(self, X_new, y_new) -> None:
-        """Factor the model's rows plus the new ones from scratch, into new storage."""
-        t = self.n
-        X = np.concatenate([self._X[:t], X_new]) if t else X_new
-        y = np.concatenate([self._y[:t], y_new]) if t else y_new
-        K = self.kernel(X, X)
-        K[np.diag_indices(X.shape[0])] += self.lam
-        try:
-            # K is symmetric, so K.T is the same matrix in the column order
-            # LAPACK factors in place.
-            L = sp_cholesky(K.T, lower=True, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"kernel matrix is not positive definite: {exc}") from None
-        z = solve_triangular(L, y, lower=True, check_finite=False)
-        end = X.shape[0]
-        capacity = end + REFACTOR_EVERY
-        self._X = np.empty((capacity, X.shape[1]))
-        self._y = np.empty(capacity)
-        self._z = np.empty(capacity)
-        self._L = np.empty((capacity, capacity))
-        self._X[:end], self._y[:end], self._z[:end], self._L[:end, :end] = X, y, z, L
-        self.n, self._since_refactor = end, 0
-        self._blocks, self._cached_cols, self._last = {}, 0, None
-
-    def _extend(self, Xq, V) -> np.ndarray:
-        """L^-1 K(X, Xq), given its first s rows ``V`` (None: s = 0).
-
-        Solves V[s:t] = L[s:t,s:t]^-1 (K(X[s:t], Xq) - L[s:t,:s] V[:s]) in row
-        chunks, so only a chunk of L is ever copied.
-        """
-        s, t = 0 if V is None else V.shape[0], self.n
-        R = self.kernel(self._X[s:t], Xq)
-        if s:
-            R -= self._L[s:t, :s] @ V
-        for a in range(0, t - s, SOLVE_ROWS):
-            b = min(a + SOLVE_ROWS, t - s)
-            lo, hi = s + a, s + b
-            if a:
-                R[a:b] -= self._L[lo:hi, s:lo] @ R[:a]
-            R[a:b] = solve_triangular(self._L[lo:hi, lo:hi], R[a:b], lower=True, check_finite=False)
-        return np.concatenate([V, R]) if s else R
-
-    def _solve(self, Xq) -> np.ndarray:
-        """L^-1 K(X, Xq), extending the cached block of ``Xq`` if there is one."""
-        key = (Xq.shape, Xq.tobytes())
-        V = self._blocks.get(key)
-        if V is None:
-            V = self._extend(Xq, None)
-            if self._cached_cols + Xq.shape[0] <= self._L.shape[0]:
-                self._blocks[key] = V
-                self._cached_cols += Xq.shape[0]
-        elif V.shape[0] < self.n:
-            V = self._blocks[key] = self._extend(Xq, V)
-        self._last = (Xq.copy(), V)  # the caller may reuse its query array
-        return V
-
-    def _border(self, x) -> np.ndarray | None:
-        """L^-1 k(X, x) from the latest query if one of its rows is ``x`` and
-        it covers every row; None otherwise."""
-        if self._last is None:
-            return None
-        Xq, V = self._last
-        if V.shape[0] != self.n:
-            return None
-        hit = np.flatnonzero((Xq == x).all(axis=1))
-        return V[:, hit[0]] if hit.size else None
 
     # -- queries -----------------------------------------------------------
 
@@ -251,8 +195,9 @@ class GpModel:
         kdiag = self.kernel.diag(Xq)
         if self.n == 0:
             return np.zeros(Xq.shape[0]), np.sqrt(kdiag)
-        V = self._solve(Xq)
-        mean = V.T @ self._z[: self.n]
+        u = self._u
+        V = _solve_lower(self._L[:u, :u], self.kernel(self._X[:u], Xq))
+        mean = V.T @ self._z[:u]
         var = kdiag - np.einsum("ij,ij->j", V, V)
         low = var.min()
         if low < -VAR_CLAMP:
@@ -260,11 +205,17 @@ class GpModel:
         return mean, np.sqrt(np.maximum(var, 0.0))
 
     def info_gain(self) -> float:
-        """Realized information gain 0.5 * log det(I + K_t / lam)."""
+        """Realized information gain 0.5 * log det(I + K_t / lam) over all t
+        observations, which equals 0.5 * [log det(K_U + lam*diag(1/c))
+        + sum(log c) - u * log(lam)]."""
         if self.n == 0:
             return 0.0
-        diag = self._L.diagonal()[: self.n]
-        return float(np.log(diag).sum() - 0.5 * self.n * math.log(self.lam))
+        u = self._u
+        return float(
+            np.log(self._L.diagonal()[:u]).sum()
+            + 0.5 * np.log(self._c[:u]).sum()
+            - 0.5 * u * math.log(self.lam)
+        )
 
     def beta_t(self) -> float:
         if self.beta_mode == "constant":
@@ -276,3 +227,13 @@ class GpModel:
             * math.sqrt(2.0 * math.log(1.0 / self.delta) + 2.0 * gamma)
             + self.rkhs_bound
         )
+
+
+def _solve_lower(L, B) -> np.ndarray:
+    """L^-1 B for a lower-triangular L with a nonzero diagonal."""
+    # L is stored by rows, which is the column order of the upper factor L^T:
+    # LAPACK solves with that factor transposed.
+    X, info = dtrtrs(L.T, B, lower=0, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"triangular solve failed: info {info}")
+    return X

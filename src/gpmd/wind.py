@@ -121,58 +121,104 @@ def ingest_wind_csv(path, altitudes=None) -> WindTable:
     altitude set. Malformed rows are rejected with their line number.
     """
     header_expect = ["timestamp", "altitude_m", "windspeed_ms"]
-    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != header_expect:
             raise ValueError(f"{path}: expected header {','.join(header_expect)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 columns")
-            try:
-                ts = datetime.fromisoformat(row[0].strip())
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad timestamp {row[0]!r}") from None
-            try:
-                alt = float(row[1])
-                speed = float(row[2])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
-            if speed < 0:
-                raise ValueError(f"{path}: line {lineno}: negative windspeed {speed}")
-            rows.append((lineno, ts, alt, speed))
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+        body = list(reader)
+    lines = np.arange(2, len(body) + 2)
+    try:
+        cols = _columns(body)
+    except ValueError:
+        # A blank or malformed row: find the first fault in line order.
+        lines, body = _data_rows(path, body)
+        if not body:
+            raise ValueError(f"{path}: no data rows") from None
+        cols = _columns(body)
+    ts_col, parsed, alt_col, alt_of, speed = cols
 
     if altitudes is None:
-        altitudes = np.array(sorted({alt for _, _, alt, _ in rows}))
+        altitudes = np.array(sorted(set(alt_of.values())))
     else:
         altitudes = np.asarray(altitudes, dtype=float)
     alt_index = {a: i for i, a in enumerate(altitudes)}
+    idx = _codes(alt_col, {s: alt_index.get(a, -1) for s, a in alt_of.items()})
+    # Rank the distinct instants: a row's block starts where its rank
+    # changes, and the blocks must come in increasing rank.
+    rank = {ts: r for r, ts in enumerate(sorted(set(parsed.values())))}
+    code = _codes(ts_col, {s: rank[ts] for s, ts in parsed.items()})
+    new_block = np.diff(code, prepend=-1) != 0
+    starts, block = np.flatnonzero(new_block), np.cumsum(new_block) - 1
+    known = idx >= 0
+    speeds = np.full((altitudes.shape[0], starts.size), np.nan)
+    speeds[idx[known], block[known]] = speed[known]  # a repeated altitude keeps its last row
+    missing = np.flatnonzero(np.isnan(speeds).any(axis=0))[:1]
 
-    stamps: list[datetime] = []
-    blocks: list[np.ndarray] = []
-    current: np.ndarray | None = None
-    for lineno, ts, alt, speed in rows:
-        if alt not in alt_index:
-            raise ValueError(f"{path}: line {lineno}: unknown altitude {alt}")
-        if not stamps or ts != stamps[-1]:
-            if stamps and ts < stamps[-1]:
-                raise ValueError(f"{path}: line {lineno}: timestamps not increasing")
-            if current is not None and np.any(np.isnan(current)):
-                raise ValueError(f"{path}: timestamp {stamps[-1]} misses altitudes")
-            current = np.full(altitudes.shape[0], np.nan)
-            stamps.append(ts)
-            blocks.append(current)
-        current[alt_index[alt]] = speed
-    if current is not None and np.any(np.isnan(current)):
-        raise ValueError(f"{path}: timestamp {stamps[-1]} misses altitudes")
+    # The first fault as a row-by-row pass meets them: at one row, an unknown
+    # altitude, then a timestamp below the one before, then a block that
+    # misses altitudes (met at the next block's first row, or at the end).
+    ends = np.append(starts[1:], len(body))
+    faults = [(k, 0) for k in np.flatnonzero(~known)[:1]]
+    faults += [(k, 1) for k in starts[1:][np.diff(code[starts]) < 0][:1]]
+    faults += [(ends[b], 2) for b in missing]
+    if faults:
+        k, kind = min(faults)
+        if kind == 0:
+            raise ValueError(f"{path}: line {lines[k]}: unknown altitude {alt_of[alt_col[k]]}")
+        if kind == 1:
+            raise ValueError(f"{path}: line {lines[k]}: timestamps not increasing")
+        stamp = parsed[ts_col[starts[missing[0]]]]
+        raise ValueError(f"{path}: timestamp {stamp} misses altitudes")
 
-    speeds = np.stack(blocks, axis=1)
-    return WindTable(altitudes=altitudes, timestamps=tuple(stamps), speeds=speeds)
+    stamps = tuple(parsed[ts_col[k]] for k in starts)
+    return WindTable(altitudes=altitudes, timestamps=stamps, speeds=speeds)
+
+
+def _columns(body):
+    """The columns of the data rows, each distinct timestamp and altitude
+    string parsed once: (timestamp strings, their datetimes, altitude
+    strings, their floats, windspeeds). ValueError on any blank or malformed
+    row."""
+    if set(map(len, body)) != {3}:
+        raise ValueError("not three columns per row")
+    ts_col = [r[0] for r in body]
+    alt_col = [r[1] for r in body]
+    parsed = {s: datetime.fromisoformat(s.strip()) for s in set(ts_col)}
+    alt_of = {s: float(s) for s in set(alt_col)}
+    speed = np.fromiter(map(float, [r[2] for r in body]), float, len(body))
+    if (speed < 0).any():
+        raise ValueError("negative windspeed")
+    return ts_col, parsed, alt_col, alt_of, speed
+
+
+def _codes(col, code_of) -> np.ndarray:
+    return np.fromiter(map(code_of.__getitem__, col), int, len(col))
+
+
+def _data_rows(path, body):
+    """Line numbers and rows of the non-blank rows; raises on the first
+    malformed row with its line number."""
+    lines, rows = [], []
+    for lineno, row in enumerate(body, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 3:
+            raise ValueError(f"{path}: line {lineno}: expected 3 columns")
+        try:
+            datetime.fromisoformat(row[0].strip())
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: bad timestamp {row[0]!r}") from None
+        try:
+            float(row[1])
+            speed = float(row[2])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
+        if speed < 0:
+            raise ValueError(f"{path}: line {lineno}: negative windspeed {speed}")
+        lines.append(lineno)
+        rows.append(row)
+    return lines, rows
 
 
 def write_wind_csv(path, table: WindTable) -> None:

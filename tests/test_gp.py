@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from gpmd.gp import REFACTOR_EVERY, GpModel, Normalizer, RbfKernel
+from gpmd.gp import GpModel, Normalizer, RbfKernel
 from gpmd.policies import GpServiceModel
 
 LAM = 0.25
@@ -293,7 +293,7 @@ def test_cholesky_reconstructs_regularized_kernel(rng):
     kernel = RbfKernel(lengthscale=0.6)
     model = GpModel(kernel=kernel, lam=0.2)
     X = rng.uniform(0, 1, size=(50, 2))
-    for i in range(50):  # incremental path, no refactor below 256
+    for i in range(50):  # distinct inputs, so the factor holds one row per observation
         model = model.update(X[i : i + 1], rng.normal(size=1))
     L = np.tril(model._L[:50, :50])  # only the lower triangle is kept
     K = kernel(X, X) + 0.2 * np.eye(50)
@@ -303,14 +303,20 @@ def test_cholesky_reconstructs_regularized_kernel(rng):
 
 # A coarse grid of inputs, so that duplicate training and query rows are common.
 GRID_POINTS = np.array([[a, b] for a in np.linspace(-1, 1, 5) for b in np.linspace(-1, 1, 5)])
-OPS = ("row", "batch", "step", "query")
+OPS = ("row", "batch", "step", "query", "first", "zero")
 
 
 def _draw_rows(rng, b):
-    """b inputs, each a grid point (often repeated) or a fresh uniform draw."""
+    """b inputs, mostly grid points (so mostly repeats), else fresh uniform draws."""
     fresh = rng.uniform(-1, 1, size=(b, 2))
     on_grid = GRID_POINTS[rng.integers(len(GRID_POINTS), size=b)]
-    return np.where(rng.random((b, 1)) < 0.5, on_grid, fresh)
+    return np.where(rng.random((b, 1)) < 0.9, on_grid, fresh)
+
+
+def _signed_zero_pair(rng):
+    """A grid point with a zero coordinate, once as +0.0 and once as -0.0."""
+    p = GRID_POINTS[rng.choice(np.flatnonzero((GRID_POINTS == 0.0).any(axis=1)))]
+    return np.stack([p, np.where(p == 0.0, -0.0, p)])
 
 
 def _check_against_dense(model, X, y, Xq):
@@ -329,22 +335,19 @@ def _check_against_dense(model, X, y, Xq):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_engine_interleavings_match_dense(data):
-    """Random interleavings of single-row and batch updates and of repeated
-    and fresh query blocks (some holding the next update's input), checked
-    against a dense solve."""
+    """Random interleavings of single-row and batch updates, mostly repeats of
+    grid inputs (a batch repeats inputs within itself too), of repeats of the
+    first stored input, of inputs that differ only in the sign of a zero, and
+    of repeated and fresh query blocks (some holding the next update's input),
+    checked against a dense solve."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     kernel = RbfKernel(lengthscale=data.draw(st.sampled_from([0.3, 0.8])), outputscale=1.3)
     lam = data.draw(st.sampled_from([0.01, 0.1, 1.0]), label="lam")
     blocks = [GRID_POINTS[rng.integers(len(GRID_POINTS), size=k)] for k in (1, 7, 25)]
     model, X, y = GpModel(kernel=kernel, lam=lam), np.zeros((0, 2)), np.zeros(0)
-    # A lead of rows puts the next refactor within reach of a few updates.
-    lead = data.draw(st.sampled_from([0, REFACTOR_EVERY - 20]), label="lead")
-    if lead:
-        X, y = _draw_rows(rng, lead), rng.normal(size=lead)
-        model = model.update(X[:1], y[:1]).update(X[1:], y[1:])
     ops = data.draw(st.lists(st.sampled_from(OPS), min_size=1, max_size=30), label="ops")
     for op in ops:
-        if op != "query" and len(y) > REFACTOR_EVERY + 100:
+        if op != "query" and len(y) > 300:
             op = "query"
         if op == "query":
             pick = data.draw(st.integers(0, len(blocks)), label="block")
@@ -357,6 +360,10 @@ def test_engine_interleavings_match_dense(data):
             Xn = block[data.draw(st.integers(0, len(block) - 1), label="row")][None, :]
         elif op == "batch":
             Xn = _draw_rows(rng, data.draw(st.integers(1, 60), label="rows"))
+        elif op == "first" and len(y):  # a repeat of stored row 0 refactors from row 0
+            Xn = X[:1]
+        elif op == "zero":
+            Xn = _signed_zero_pair(rng)
         else:
             Xn = _draw_rows(rng, 1)
         yn = rng.normal(size=len(Xn))
@@ -365,21 +372,22 @@ def test_engine_interleavings_match_dense(data):
     _check_against_dense(model, X, y, blocks[2])
 
 
-def test_engine_trace_crosses_refactors():
-    """A per-step trace past two refactors, each step querying the block
-    that holds its input, stays on the dense solve."""
+def test_engine_long_repeat_trace():
+    """3,000 per-step updates over the 25 grid inputs, each step querying a
+    block that holds its input: storage stays near the distinct-input count
+    and the posterior stays on the dense solve."""
     rng = np.random.default_rng(7)
     kernel = RbfKernel(lengthscale=0.5)
     model = GpModel(kernel=kernel, lam=0.1)
     blocks = [GRID_POINTS[rng.permutation(len(GRID_POINTS))[:10]] for _ in range(4)]
-    X, y = [], []
-    for t in range(2 * REFACTOR_EVERY + 20):
+    X, y = np.empty((3000, 2)), rng.normal(size=3000)
+    for t in range(3000):
         block = blocks[t % 4]
-        mean, std = model.posterior(block)
-        if t % 97 == 0 or t in (REFACTOR_EVERY, 2 * REFACTOR_EVERY + 1):
-            _check_against_dense(model, np.array(X).reshape(-1, 2), np.array(y), block)
-        x = block[int(rng.integers(10))]
-        X.append(x)
-        y.append(float(rng.normal()))
-        model = model.update(x[None, :], y[-1:])
-    _check_against_dense(model, np.array(X), np.array(y), blocks[0])
+        model.posterior(block)
+        if t == 1000:
+            _check_against_dense(model, X[:t], y[:t], block)
+        X[t] = block[int(rng.integers(10))]
+        model = model.update(X[t : t + 1], y[t : t + 1])
+    assert model.n == 3000
+    assert model._L.shape[0] <= 64
+    _check_against_dense(model, X, y, GRID_POINTS)
