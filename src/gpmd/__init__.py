@@ -4,7 +4,6 @@ from .bench import (
     EpisodeLog,
     RegretReport,
     SyntheticInstance,
-    brute_force_optimal,
     offline_optimal_matrix,
     regret,
     synth_instance,
@@ -17,9 +16,6 @@ from .mirror import (
     MdEngine,
     PotentialParams,
     SolverConvergenceError,
-    TreeState,
-    bregman,
-    md_update_vertex,
     point_mass_state,
 )
 from .policies import (
@@ -30,10 +26,7 @@ from .policies import (
     make_policy,
 )
 from .transport import (
-    Coupling,
-    LeafDistribution,
     coupling_row,
-    optimal_coupling,
     sample_next,
     tree_wasserstein,
 )

@@ -115,20 +115,6 @@ def offline_optimal_matrix(cost_matrix: np.ndarray, dist: np.ndarray, x0: int):
     return seq, float(value.min())
 
 
-def brute_force_optimal(cost_matrix: np.ndarray, dist: np.ndarray, x0: int):
-    """Enumerates every action sequence; test oracle for the DP."""
-    cost_matrix = np.asarray(cost_matrix, dtype=float)
-    H, n = cost_matrix.shape
-    if n**H > 2_000_000:
-        raise ValueError("instance too large to enumerate")
-    seqs = np.indices((n,) * H).reshape(H, -1)
-    total = cost_matrix[0][seqs[0]] + dist[x0][seqs[0]]
-    for h in range(1, H):
-        total = total + cost_matrix[h][seqs[h]] + dist[seqs[h - 1], seqs[h]]
-    best = int(np.argmin(total))
-    return [int(s) for s in seqs[:, best]], float(total[best])
-
-
 @dataclass(frozen=True)
 class SyntheticInstance:
     """A sampled service objective over a grid of actions and scalar contexts.

@@ -197,6 +197,8 @@ def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
         target = data
         for part in parts[:-1]:
             target = target.setdefault(part, {})
+            if not isinstance(target, dict):
+                raise ValueError(f"override {pair!r}: {part} is not a mapping")
         target[parts[-1]] = value
     return RunConfig.from_dict(data)
 
@@ -521,6 +523,11 @@ def run(cfg: RunConfig) -> int:
     """Execute every cell of the config grid, one task per seed. Exit codes:
     0 ok, 1 config error, 2 at least one cell failed."""
     errors = cfg.validate()
+    raw_workers = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(raw_workers)
+    except ValueError:
+        errors.append(f"{WORKERS_ENV}: must be an integer, got {raw_workers!r}")
     if errors:
         for e in errors:
             print(f"config error: {e}")
@@ -528,7 +535,6 @@ def run(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(cfg.to_dict(), seed) for seed in cfg.seeds]
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(_execute_seed, tasks))
@@ -588,7 +594,8 @@ def report(run_dir, out_path=None) -> list[dict]:
 
 def mts_demo(costs_seed: int = 7) -> str:
     """Run the leaves-to-root recursion on a depth-3 binary tree and render
-    the per-vertex trace."""
+    each internal vertex's conditionals before and after, and its cost, in
+    the order the recursion solves them."""
     from .metric import FiniteMetric
 
     n = 8
@@ -605,23 +612,22 @@ def mts_demo(costs_seed: int = 7) -> str:
     tree = HstTree(parent=parent, weight=weight, leaf_vertex=leaf_vertex, tau=2.0, metric=metric)
 
     engine = MdEngine(tree, PotentialParams(tree))
-    z0 = point_mass_state(tree, 0).z
-    q = engine.delta_inverse(z0)
+    q = engine.delta_inverse(point_mass_state(tree, 0))
     rng = np.random.default_rng(costs_seed)
     costs = np.round(rng.uniform(0.0, 2.0, n), 3)
 
+    order = tree.topological_internal().tolist()
     lines = [
         "depth-3 binary tree, 8 leaves; leaf costs: " + ", ".join(f"{c:g}" for c in costs),
-        f"processing order (children before parents): "
-        + ", ".join(str(v) for v in tree.topological_internal()),
+        "processing order (children before parents): " + ", ".join(map(str, order)),
     ]
-    trace: list = []
-    q_new, vertex_costs = engine.step(q, costs, trace=trace)
-    for rec in trace:
+    q_new, vertex_costs = engine.step(q, costs)
+    for v in order:
+        kids = tree.children[v]
         lines.append(
-            f"vertex {rec['vertex']:>2} children {rec['children']}: "
-            f"q {np.round(rec['q_before'], 4).tolist()} -> {np.round(rec['q_after'], 4).tolist()}, "
-            f"cost {rec['vertex_cost']:.4f}"
+            f"vertex {v:>2} children {kids.tolist()}: "
+            f"q {np.round(q[kids], 4).tolist()} -> {np.round(q_new[kids], 4).tolist()}, "
+            f"cost {vertex_costs[v]:.4f}"
         )
     z = engine.delta_map(q_new)
     leaf_probs = z[tree.leaf_vertex]

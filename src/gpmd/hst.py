@@ -152,33 +152,6 @@ class HstTree:
             raise ValueError(f"unknown point index {point}")
         return int(self.leaf_vertex[point])
 
-    def distance_matrix(self) -> np.ndarray:
-        """All-pairs d_T over metric points; intended for tests.
-
-        Climbs every pair at once with the steps of ``tree_distance``, so each
-        entry is the same float sum in the same order.
-        """
-        n = self.n_leaves
-        i, j = np.triu_indices(n, 1)
-        a, b = self.leaf_vertex[i], self.leaf_vertex[j]
-        total = np.zeros(a.shape[0])
-        for deeper, other in ((a, b), (b, a)):
-            while True:
-                up = np.flatnonzero(self.depth[deeper] > self.depth[other])
-                if not up.size:
-                    break
-                total[up] += self.weight[deeper[up]]
-                deeper[up] = self.parent[deeper[up]]
-        while True:
-            up = np.flatnonzero(a != b)
-            if not up.size:
-                break
-            total[up] += self.weight[a[up]] + self.weight[b[up]]
-            a[up], b[up] = self.parent[a[up]], self.parent[b[up]]
-        out = np.zeros((n, n))
-        out[i, j] = out[j, i] = total
-        return out
-
     # -- per-vertex bookkeeping used by the mirror-descent potential ----
 
     def subtree_sums(self, leaf_values) -> np.ndarray:

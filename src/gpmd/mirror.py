@@ -1,9 +1,10 @@
-"""Mirror descent over a weighted tree: states, potential, and the leaf-to-root update.
+"""Mirror descent over a weighted tree: potential and the leaf-to-root update.
 
 The randomized controller keeps a probability vector over tree vertices.
-Two parameterizations are used: ``TreeState`` holds per-vertex subtree
-probabilities z (root = 1, parents are sums of children); the engine
-steps conditional probabilities q over siblings (each child set sums to 1).
+Two parameterizations are used, both plain arrays indexed by vertex: the
+subtree probabilities z (root = 1, parents are sums of children), and the
+conditional probabilities q over siblings (each child set sums to 1) that
+the engine steps.
 One control step updates, for every internal vertex in children-first
 order, the conditional distribution over its children by minimizing
 
@@ -38,8 +39,11 @@ segment's sum is its first entry plus numpy's pairwise sum of the rest, so
 it can differ in the last bits from a sum that groups the same numbers
 differently, such as ``sum(axis=1)`` over a zero-padded row. A layer whose
 vertices all have one child is a direct assignment (q = 1, and the vertex
-takes its child's cost). ``md_update_vertex`` runs the same solver on a
-single segment.
+takes its child's cost). A single vertex's update is a step on a star tree.
+
+The reference implementations that tests compare against, the divergence
+``bregman`` and the state check ``validate_state``, live in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -67,29 +71,6 @@ class SolverConvergenceError(RuntimeError):
 
 
 @dataclass
-class TreeState:
-    """Subtree-probability vector z indexed by tree vertex."""
-
-    z: np.ndarray
-
-    def validate(self, tree: HstTree, tol: float = STATE_TOL) -> None:
-        z = self.z
-        if z.shape != (tree.n_vertices,):
-            raise ValueError("state length must match the vertex count")
-        if np.any(z < -tol):
-            raise ValueError("subtree probabilities must be non-negative")
-        if abs(z[tree.root] - 1.0) > tol:
-            raise ValueError("root probability must be 1")
-        for u in range(tree.n_vertices):
-            kids = tree.children[u]
-            if len(kids) and abs(z[kids].sum() - z[u]) > tol:
-                raise ValueError(f"children of {u} do not sum to the parent mass")
-
-    def leaf_distribution(self, tree: HstTree) -> np.ndarray:
-        return self.z[tree.leaf_vertex]
-
-
-@dataclass
 class PotentialParams:
     """Constants of the entropic potential for one tree: kappa and (w, eta, delta)."""
 
@@ -109,20 +90,6 @@ class PotentialParams:
             self.eta = eta
         if self.delta is None:
             self.delta = delta
-
-
-def bregman(params: PotentialParams, u: int, p, q) -> float:
-    """Divergence D(p || q) between child distributions of vertex ``u``."""
-    kids = params.tree.children[u]
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != (len(kids),) or q.shape != (len(kids),):
-        raise ValueError(f"vertex {u} has {len(kids)} children")
-    w = params.w[kids]
-    eta = params.eta[kids]
-    delta = params.delta[kids]
-    terms = (w / eta) * ((p + delta) * np.log((p + delta) / (q + delta)) + q - p)
-    return float(terms.sum() / params.kappa)
 
 
 def _newton(q, delta, logd, log1pd, a, cost, starts, rid):
@@ -186,32 +153,6 @@ def _solve(q, delta, logd, log1pd, a, cost, starts, rid):
     if worst > STATE_TOL:
         raise SolverConvergenceError(worst, it)
     return p / s[rid], it
-
-
-def md_update_vertex(params: PotentialParams, u: int, q_prev, cost) -> np.ndarray:
-    """Exact minimizer of D(p || q_prev) + <p, cost> over the children of ``u``."""
-    kids = params.tree.children[u]
-    k = len(kids)
-    q_prev = np.asarray(q_prev, dtype=float)
-    cost = np.asarray(cost, dtype=float)
-    if q_prev.shape != (k,) or cost.shape != (k,):
-        raise ValueError(f"vertex {u} has {k} children")
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("child costs must be finite")
-    if k == 1:
-        return np.ones(1)
-    w = params.w[kids]
-    if np.all(w == 0.0):
-        out = np.zeros(k)
-        out[int(np.argmin(cost))] = 1.0
-        return out
-    if np.any(w == 0.0):
-        raise ValueError(f"vertex {u} mixes zero and positive child weights")
-    delta = params.delta[kids]
-    a = params.kappa * params.eta[kids] / w
-    rid = np.zeros(k, dtype=np.intp)  # one segment, starting at entry 0
-    p, _ = _solve(q_prev, delta, np.log(delta), np.log1p(delta), a, cost, rid[:1], rid)
-    return p
 
 
 @dataclass(frozen=True)
@@ -296,7 +237,7 @@ class MdEngine:
             )
         return layers
 
-    def step(self, q_prev: np.ndarray, leaf_costs: np.ndarray, trace=None):
+    def step(self, q_prev: np.ndarray, leaf_costs: np.ndarray):
         """One mirror-descent sweep; returns (q_new, per-vertex costs)."""
         tree = self.tree
         leaf_costs = np.asarray(leaf_costs, dtype=float)
@@ -326,21 +267,6 @@ class MdEngine:
                 q_new[lay.kids] = p
                 cost[lay.verts] = np.add.reduceat(p * c, lay.starts)
                 iters.append(it)
-            if trace is not None:
-                bounds = np.append(lay.starts, lay.kids.size)
-                for r, v in enumerate(lay.verts):
-                    seg = slice(bounds[r], bounds[r + 1])
-                    kids = lay.kids[seg]
-                    trace.append(
-                        {
-                            "vertex": int(v),
-                            "children": [int(x) for x in kids],
-                            "q_before": [float(x) for x in q_prev[kids]],
-                            "q_after": [float(x) for x in q_new[kids]],
-                            "child_costs": [float(x) for x in c[seg]],
-                            "vertex_cost": float(cost[v]),
-                        }
-                    )
         self.newton_iters = tuple(iters)
         return q_new, cost
 
@@ -364,8 +290,8 @@ class MdEngine:
         return q
 
 
-def point_mass_state(tree: HstTree, point: int) -> TreeState:
-    """The deterministic state: 1 on the root-to-leaf path of ``point``, else 0."""
+def point_mass_state(tree: HstTree, point: int) -> np.ndarray:
+    """The deterministic z: 1 on the root-to-leaf path of ``point``, else 0."""
     if not 0 <= point < tree.n_leaves:
         raise ValueError(f"unknown point index {point}")
     z = np.zeros(tree.n_vertices)
@@ -373,4 +299,4 @@ def point_mass_state(tree: HstTree, point: int) -> TreeState:
     while v >= 0:
         z[v] = 1.0
         v = int(tree.parent[v])
-    return TreeState(z)
+    return z

@@ -180,7 +180,7 @@ class MirrorDescentPolicy(Policy):
 
     def begin_episode(self, x0: int):
         super().begin_episode(x0)
-        self.z_prev = point_mass_state(self.tree, self.x0).z
+        self.z_prev = point_mass_state(self.tree, self.x0)
         self.q = self.engine.delta_inverse(self.z_prev)
 
     def act(self, context):
@@ -228,16 +228,11 @@ def make_policy(
     n_actions: int | None = None,
 ) -> Policy:
     """Policy factory. Learning policies take ``cost_model``; the known-f
-    baselines take ``true_model``."""
+    baselines take ``true_model``; ``stationary`` takes ``n_actions``."""
     if name == "stationary":
-        n = n_actions
-        if n is None and tree is not None:
-            n = tree.n_leaves
-        if n is None and true_model is not None and hasattr(true_model, "n_actions"):
-            n = true_model.n_actions
-        if n is None:
+        if n_actions is None:
             raise ValueError("stationary needs the action count")
-        return StationaryPolicy(n)
+        return StationaryPolicy(n_actions)
     if name == "cgp-lcb":
         if cost_model is None:
             raise ValueError("cgp-lcb needs a learned cost model")

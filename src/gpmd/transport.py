@@ -6,30 +6,27 @@ coupling is built greedily: mass that can stay put stays put, and per
 subtree the remaining surplus is matched against the deficit before the
 imbalance is routed through the parent edge.
 
-``optimal_coupling`` builds that whole FIFO coupling and is the reference.
-The controller only ever needs one row of it, the row of its current
-action, and ``coupling_row`` computes that row alone. With e = the lifted
-imbalance a - b, the surplus queue at a vertex is the concatenation, in
-child order, of the queues its children with e > 0 pass up, and likewise
-the deficit queue for children with e < 0. FIFO matching eats the first
-min(surplus, deficit) of both queues (the north-west-corner rule), so in
-cumulative coordinates the matched part is an interval, and what a
-vertex passes up is the tail of its queue. The walk follows the previous
-action's single surplus piece up from its leaf as an (offset, residual)
-pair in each ancestor's queue, and maps each matched interval to deficit
-leaves by descending into the deficit children it overlaps, shifting the
-offset at each child by the deficit that child matched itself. Pieces
-come out in the reference's pair order: the stay mass first, then
-bottom-up by ancestor and in queue order within each. The masses agree
-with the reference up to rounding, which differs only in the last bits
-and in crumbs of about 1e-17 that the reference's repeated subtractions
-leave behind.
+The reference, ``optimal_coupling`` in ``tests/conftest.py``, builds that
+whole FIFO coupling. The controller only ever needs one row of it, the row
+of its current action, and ``coupling_row`` computes that row alone. With
+e = the lifted imbalance a - b, the surplus queue at a vertex is the
+concatenation, in child order, of the queues its children with e > 0 pass
+up, and likewise the deficit queue for children with e < 0. FIFO matching
+eats the first min(surplus, deficit) of both queues (the north-west-corner
+rule), so in cumulative coordinates the matched part is an interval, and
+what a vertex passes up is the tail of its queue. The walk follows the
+previous action's single surplus piece up from its leaf as an (offset,
+residual) pair in each ancestor's queue, and maps each matched interval to
+deficit leaves by descending into the deficit children it overlaps,
+shifting the offset at each child by the deficit that child matched
+itself. Pieces come out in the reference's pair order: the stay mass
+first, then bottom-up by ancestor and in queue order within each. The
+masses agree with the reference up to rounding, which differs only in the
+last bits and in crumbs of about 1e-17 that the reference's repeated
+subtractions leave behind.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,51 +36,14 @@ DIST_SUM_TOL = 1e-10
 MARGINAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class LeafDistribution:
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", p)
-        if np.any(p < 0):
-            raise ValueError("leaf probabilities must be non-negative")
-        if abs(p.sum() - 1.0) > DIST_SUM_TOL:
-            raise ValueError(f"leaf probabilities sum to {p.sum()!r}, not 1")
-
-
-@dataclass(frozen=True)
-class Coupling:
-    """Sparse joint distribution over (previous leaf, next leaf) pairs."""
-
-    tree: HstTree
-    pairs: tuple  # ((i, j, mass), ...)
-
-    def row_marginal(self) -> np.ndarray:
-        out = np.zeros(self.tree.n_leaves)
-        for i, _, m in self.pairs:
-            out[i] += m
-        return out
-
-    def col_marginal(self) -> np.ndarray:
-        out = np.zeros(self.tree.n_leaves)
-        for _, j, m in self.pairs:
-            out[j] += m
-        return out
-
-    def expected_cost(self) -> float:
-        return float(sum(m * self.tree.tree_distance(i, j) for i, j, m in self.pairs))
-
-    def conditional_row(self, prev: int) -> tuple[np.ndarray, np.ndarray]:
-        js = np.array([j for i, j, _ in self.pairs if i == prev], dtype=np.int64)
-        ms = np.array([m for i, _, m in self.pairs if i == prev], dtype=float)
-        return js, ms
-
-
 def _as_probs(dist) -> np.ndarray:
-    if isinstance(dist, LeafDistribution):
-        return dist.probs
-    return LeafDistribution(np.asarray(dist, dtype=float)).probs
+    """``dist`` as a float array, checked to be a probability vector."""
+    p = np.asarray(dist, dtype=float)
+    if np.any(p < 0):
+        raise ValueError("leaf probabilities must be non-negative")
+    if abs(p.sum() - 1.0) > DIST_SUM_TOL:
+        raise ValueError(f"leaf probabilities sum to {p.sum()!r}, not 1")
+    return p
 
 
 def tree_wasserstein(tree: HstTree, a, b) -> float:
@@ -96,70 +56,6 @@ def tree_wasserstein(tree: HstTree, a, b) -> float:
     diff = np.abs(za - zb)
     diff[tree.root] = 0.0  # root mass is 1 on both sides; its weight is unused
     return float((tree.weight * diff).sum())
-
-
-def optimal_coupling(tree: HstTree, a, b) -> Coupling:
-    """A minimal-cost coupling between leaf distributions ``a`` and ``b``.
-
-    Bottom-up matching: the diagonal min(a, b) stays in place; at each
-    internal vertex the surplus queued below is matched FIFO against the
-    deficit queued below, so the net flow across every edge equals the
-    subtree imbalance and the coupling attains the closed-form W1 cost.
-    """
-    pa, pb = _as_probs(a), _as_probs(b)
-    if pa.shape != (tree.n_leaves,) or pb.shape != (tree.n_leaves,):
-        raise ValueError("distributions must cover the tree's leaves")
-    pairs: list[tuple[int, int, float]] = []
-    stay = np.minimum(pa, pb)
-    for i in range(tree.n_leaves):
-        if stay[i] > 0.0:
-            pairs.append((i, i, float(stay[i])))
-
-    # surplus[v] / deficit[v]: FIFO queues of (leaf point, mass) below v.
-    surplus: dict[int, deque] = {}
-    deficit: dict[int, deque] = {}
-    for i in range(tree.n_leaves):
-        v = int(tree.leaf_vertex[i])
-        extra = float(pa[i] - pb[i])
-        if extra > 0.0:
-            surplus[v] = deque([(i, extra)])
-        elif extra < 0.0:
-            deficit[v] = deque([(i, -extra)])
-
-    for v in tree.topological_vertices():
-        kids = tree.children[v]
-        if len(kids) == 0:
-            continue
-        sq: deque = deque()
-        dq: deque = deque()
-        for c in kids:
-            sq.extend(surplus.pop(int(c), ()))
-            dq.extend(deficit.pop(int(c), ()))
-        while sq and dq:
-            si, sm = sq[0]
-            di, dm = dq[0]
-            moved = min(sm, dm)
-            pairs.append((si, di, moved))
-            if sm - moved <= 0.0:
-                sq.popleft()
-            else:
-                sq[0] = (si, sm - moved)
-            if dm - moved <= 0.0:
-                dq.popleft()
-            else:
-                dq[0] = (di, dm - moved)
-        if sq:
-            surplus[v] = sq
-        if dq:
-            deficit[v] = dq
-
-    root = tree.root
-    leftover = sum(m for _, m in surplus.get(root, ())) + sum(
-        m for _, m in deficit.get(root, ())
-    )
-    if leftover > MARGINAL_TOL:
-        raise AssertionError(f"unmatched transport mass {leftover:.3e}")
-    return Coupling(tree=tree, pairs=tuple(pairs))
 
 
 class _RowWalk:
@@ -211,10 +107,11 @@ def _row_walk(tree: HstTree) -> _RowWalk:
 
 
 def coupling_row(tree: HstTree, a, b, prev: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row ``prev`` of ``optimal_coupling(tree, a, b)`` without building it.
+    """Row ``prev`` of the FIFO coupling of ``a`` and ``b``, without building it.
 
-    Returns (next leaves, masses) in the reference's pair order; masses
-    agree up to rounding.
+    Returns (next leaves, masses) in the pair order of the reference
+    ``optimal_coupling`` in ``tests/conftest.py``; masses agree with it up
+    to rounding.
     """
     pa, pb = _as_probs(a), _as_probs(b)
     if pa.shape != (tree.n_leaves,) or pb.shape != (tree.n_leaves,):

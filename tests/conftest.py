@@ -1,4 +1,16 @@
-"""Shared fixtures and independent oracles used across the test suite."""
+"""Shared fixtures and independent oracles used across the test suite.
+
+The oracles are reference implementations that no run calls: the full FIFO
+coupling (``optimal_coupling``) that ``gpmd.transport.coupling_row`` walks
+one row of, the all-pairs tree metric (``distance_matrix``), the entropic
+divergence (``bregman``) that mirror descent minimizes, brute-force
+enumeration for the offline DP (``brute_force_optimal``), state checks
+(``validate_state``, ``validate_conditionals``) and a dense LP for optimal
+transport (``lp_transport_cost``).
+"""
+
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,6 +18,8 @@ from scipy.optimize import linprog
 
 from gpmd.hst import HstTree
 from gpmd.metric import FiniteMetric
+from gpmd.mirror import STATE_TOL, PotentialParams
+from gpmd.transport import MARGINAL_TOL, _as_probs
 
 
 @pytest.fixture
@@ -74,7 +88,7 @@ def random_hst(
         tau=tau,
         metric=zero,
     )
-    metric = FiniteMetric.from_matrix(probe.distance_matrix())
+    metric = FiniteMetric.from_matrix(distance_matrix(probe))
     return HstTree(
         parent=np.asarray(parents, dtype=np.int64),
         weight=weights,
@@ -82,6 +96,48 @@ def random_hst(
         tau=tau,
         metric=metric,
     )
+
+
+def distance_matrix(tree: HstTree) -> np.ndarray:
+    """All-pairs d_T over metric points.
+
+    Climbs every pair at once with the steps of ``tree_distance``, so each
+    entry is the same float sum in the same order.
+    """
+    n = tree.n_leaves
+    i, j = np.triu_indices(n, 1)
+    a, b = tree.leaf_vertex[i], tree.leaf_vertex[j]
+    total = np.zeros(a.shape[0])
+    for deeper, other in ((a, b), (b, a)):
+        while True:
+            up = np.flatnonzero(tree.depth[deeper] > tree.depth[other])
+            if not up.size:
+                break
+            total[up] += tree.weight[deeper[up]]
+            deeper[up] = tree.parent[deeper[up]]
+    while True:
+        up = np.flatnonzero(a != b)
+        if not up.size:
+            break
+        total[up] += tree.weight[a[up]] + tree.weight[b[up]]
+        a[up], b[up] = tree.parent[a[up]], tree.parent[b[up]]
+    out = np.zeros((n, n))
+    out[i, j] = out[j, i] = total
+    return out
+
+
+def validate_state(tree: HstTree, z: np.ndarray, tol: float = STATE_TOL) -> None:
+    """Raise unless z, indexed by vertex, holds subtree probabilities."""
+    if z.shape != (tree.n_vertices,):
+        raise ValueError("state length must match the vertex count")
+    if np.any(z < -tol):
+        raise ValueError("subtree probabilities must be non-negative")
+    if abs(z[tree.root] - 1.0) > tol:
+        raise ValueError("root probability must be 1")
+    for u in range(tree.n_vertices):
+        kids = tree.children[u]
+        if len(kids) and abs(z[kids].sum() - z[u]) > tol:
+            raise ValueError(f"children of {u} do not sum to the parent mass")
 
 
 def validate_conditionals(tree: HstTree, q: np.ndarray, tol: float = 1e-8) -> None:
@@ -110,6 +166,131 @@ def lp_transport_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
         rows.append(row.ravel())
     A_eq = np.asarray(rows)[:-1]  # drop one redundant marginal constraint
     b_eq = np.concatenate([a, b])[:-1]
-    res = linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    # HiGHS's default 1e-7 feasibility tolerances move the optimum of a
+    # sparse or skewed pair by more than the 1e-9 the tests compare at.
+    res = linprog(
+        cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def bregman(params: PotentialParams, u: int, p, q) -> float:
+    """Divergence D(p || q) between child distributions of vertex ``u``."""
+    kids = params.tree.children[u]
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != (len(kids),) or q.shape != (len(kids),):
+        raise ValueError(f"vertex {u} has {len(kids)} children")
+    w = params.w[kids]
+    eta = params.eta[kids]
+    delta = params.delta[kids]
+    terms = (w / eta) * ((p + delta) * np.log((p + delta) / (q + delta)) + q - p)
+    return float(terms.sum() / params.kappa)
+
+
+def brute_force_optimal(cost_matrix: np.ndarray, dist: np.ndarray, x0: int):
+    """Enumerates every action sequence; test oracle for the DP."""
+    cost_matrix = np.asarray(cost_matrix, dtype=float)
+    H, n = cost_matrix.shape
+    if n**H > 2_000_000:
+        raise ValueError("instance too large to enumerate")
+    seqs = np.indices((n,) * H).reshape(H, -1)
+    total = cost_matrix[0][seqs[0]] + dist[x0][seqs[0]]
+    for h in range(1, H):
+        total = total + cost_matrix[h][seqs[h]] + dist[seqs[h - 1], seqs[h]]
+    best = int(np.argmin(total))
+    return [int(s) for s in seqs[:, best]], float(total[best])
+
+
+@dataclass(frozen=True)
+class Coupling:
+    """Sparse joint distribution over (previous leaf, next leaf) pairs."""
+
+    tree: HstTree
+    pairs: tuple  # ((i, j, mass), ...)
+
+    def row_marginal(self) -> np.ndarray:
+        out = np.zeros(self.tree.n_leaves)
+        for i, _, m in self.pairs:
+            out[i] += m
+        return out
+
+    def col_marginal(self) -> np.ndarray:
+        out = np.zeros(self.tree.n_leaves)
+        for _, j, m in self.pairs:
+            out[j] += m
+        return out
+
+    def expected_cost(self) -> float:
+        return float(sum(m * self.tree.tree_distance(i, j) for i, j, m in self.pairs))
+
+    def conditional_row(self, prev: int) -> tuple[np.ndarray, np.ndarray]:
+        js = np.array([j for i, j, _ in self.pairs if i == prev], dtype=np.int64)
+        ms = np.array([m for i, _, m in self.pairs if i == prev], dtype=float)
+        return js, ms
+
+
+def optimal_coupling(tree: HstTree, a, b) -> Coupling:
+    """A minimal-cost coupling between leaf distributions ``a`` and ``b``.
+
+    Bottom-up matching: the diagonal min(a, b) stays in place; at each
+    internal vertex the surplus queued below is matched FIFO against the
+    deficit queued below, so the net flow across every edge equals the
+    subtree imbalance and the coupling attains the closed-form W1 cost.
+    """
+    pa, pb = _as_probs(a), _as_probs(b)
+    if pa.shape != (tree.n_leaves,) or pb.shape != (tree.n_leaves,):
+        raise ValueError("distributions must cover the tree's leaves")
+    pairs: list[tuple[int, int, float]] = []
+    stay = np.minimum(pa, pb)
+    for i in range(tree.n_leaves):
+        if stay[i] > 0.0:
+            pairs.append((i, i, float(stay[i])))
+
+    # surplus[v] / deficit[v]: FIFO queues of (leaf point, mass) below v.
+    surplus: dict[int, deque] = {}
+    deficit: dict[int, deque] = {}
+    for i in range(tree.n_leaves):
+        v = int(tree.leaf_vertex[i])
+        extra = float(pa[i] - pb[i])
+        if extra > 0.0:
+            surplus[v] = deque([(i, extra)])
+        elif extra < 0.0:
+            deficit[v] = deque([(i, -extra)])
+
+    for v in tree.topological_vertices():
+        kids = tree.children[v]
+        if len(kids) == 0:
+            continue
+        sq: deque = deque()
+        dq: deque = deque()
+        for c in kids:
+            sq.extend(surplus.pop(int(c), ()))
+            dq.extend(deficit.pop(int(c), ()))
+        while sq and dq:
+            si, sm = sq[0]
+            di, dm = dq[0]
+            moved = min(sm, dm)
+            pairs.append((si, di, moved))
+            if sm - moved <= 0.0:
+                sq.popleft()
+            else:
+                sq[0] = (si, sm - moved)
+            if dm - moved <= 0.0:
+                dq.popleft()
+            else:
+                dq[0] = (di, dm - moved)
+        if sq:
+            surplus[v] = sq
+        if dq:
+            deficit[v] = dq
+
+    root = tree.root
+    leftover = sum(m for _, m in surplus.get(root, ())) + sum(
+        m for _, m in deficit.get(root, ())
+    )
+    if leftover > MARGINAL_TOL:
+        raise AssertionError(f"unmatched transport mass {leftover:.3e}")
+    return Coupling(tree=tree, pairs=tuple(pairs))

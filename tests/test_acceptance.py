@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from gpmd.bench import (
-    brute_force_optimal,
     log_alpha,
     offline_optimal_matrix,
     synth_instance,
@@ -20,12 +19,19 @@ from gpmd.gp import GpModel, RbfKernel
 from gpmd.harness import RunConfig, build_synthetic_env, build_wind_env, run_cell
 from gpmd.hst import frt_embed
 from gpmd.metric import FiniteMetric, grid_metric
-from gpmd.mirror import MdEngine, PotentialParams, bregman, md_update_vertex, point_mass_state
+from gpmd.mirror import MdEngine, PotentialParams, point_mass_state
 from gpmd.policies import ExactCostModel, GpServiceModel, MirrorDescentPolicy
-from gpmd.transport import optimal_coupling, sample_next, tree_wasserstein
+from gpmd.transport import sample_next, tree_wasserstein
 from gpmd.wind import EnergyParams, energy_move, energy_service
 
-from conftest import lp_transport_cost, random_hst
+from conftest import (
+    bregman,
+    brute_force_optimal,
+    distance_matrix,
+    lp_transport_cost,
+    optimal_coupling,
+    random_hst,
+)
 
 
 def _report(num: int, label: str, started: float, detail: str = ""):
@@ -47,7 +53,7 @@ def test_c01_transport_oracle_equivalence():
         tree = random_hst(rng, n)
         a = rng.dirichlet(np.ones(n))
         b = rng.dirichlet(np.ones(n))
-        lp = lp_transport_cost(tree.distance_matrix(), a, b)
+        lp = lp_transport_cost(distance_matrix(tree), a, b)
         closed = tree_wasserstein(tree, a, b)
         coupling_cost = optimal_coupling(tree, a, b).expected_cost()
         worst_closed = max(worst_closed, abs(closed - lp))
@@ -125,7 +131,7 @@ def test_c02_md_update_matches_exhaustive_grid():
         params, w, eta, delta, kappa = _random_vertex_params(rng, k)
         q = rng.dirichlet(np.ones(k) * rng.uniform(0.5, 3.0))
         costs = rng.uniform(0.0, 3.0, k)
-        p = md_update_vertex(params, 0, q, costs)
+        p = MdEngine(params.tree, params).step(np.r_[1.0, q], costs)[0][1:]
         val = bregman(params, 0, p, q) + float(p @ costs)
         oracle = _grid_oracle_min(w / (kappa * eta), q, delta, costs)
         worst = max(worst, abs(val - oracle))
@@ -171,13 +177,13 @@ def test_c04_frt_contracts():
     # dominance: hard assertion on 50 seeds
     for seed in range(50):
         tree = frt_embed(metric, tau=5.0, rng_seed=seed)
-        DT = tree.distance_matrix()
+        DT = distance_matrix(tree)
         assert np.all(DT >= metric.dist - 1e-12), f"dominance failed at seed {seed}"
     # distortion: statistical soft check over 200 seeds
     ratios = []
     for seed in range(200):
         tree = frt_embed(metric, tau=5.0, rng_seed=seed)
-        DT = tree.distance_matrix()
+        DT = distance_matrix(tree)
         ratios.append(float((DT[mask] / metric.dist[mask]).mean()))
     mean_distortion = float(np.mean(ratios))
     bound = 8.0 * math.log(32)
@@ -467,7 +473,7 @@ def test_c11_coupling_sampling_marginals():
     rng = np.random.default_rng(1111)
     tree = random_hst(rng, 8)
     engine = MdEngine(tree, PotentialParams(tree))
-    q0 = engine.delta_inverse(point_mass_state(tree, 0).z)
+    q0 = engine.delta_inverse(point_mass_state(tree, 0))
     costs1 = rng.uniform(0.0, 2.0, 8)
     costs2 = rng.uniform(0.0, 2.0, 8)
     q1, _ = engine.step(q0, costs1)

@@ -3,13 +3,14 @@ import pytest
 
 from gpmd.bench import (
     EpisodeLog,
-    brute_force_optimal,
     log_alpha,
     offline_optimal_matrix,
     regret,
     synth_instance,
 )
 from gpmd.metric import FiniteMetric, grid_metric
+
+from conftest import brute_force_optimal
 
 
 class TestOfflineOptimal:

@@ -23,6 +23,8 @@ from gpmd.harness import (
 )
 from gpmd.policies import POLICY_NAMES
 
+from conftest import optimal_coupling
+
 
 def small_cfg(tmp_path, **overrides) -> RunConfig:
     base = dict(
@@ -393,6 +395,26 @@ class TestCli:
     def test_bad_config_exit_one(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 1
 
+    @pytest.mark.parametrize("override", ["grid.x=1", "steps.x=1"])
+    def test_override_below_a_non_mapping_is_a_config_error(self, tmp_path, capsys, override):
+        out = tmp_path / "o"
+        assert cli_main(["run", "--out", str(out), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "is not a mapping" in err
+        assert not out.exists()
+
+    def test_non_integer_worker_count_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GPMD_WORKERS", "abc")
+        out = tmp_path / "o"
+        code = cli_main(
+            ["run", "--policies", "stationary", "--steps", "3", "--out", str(out),
+             "--set", "grid=[3,3]"]
+        )
+        assert code == 1
+        assert capsys.readouterr().out == "config error: GPMD_WORKERS: must be an integer, got 'abc'\n"
+        assert not out.exists()
+
     def test_mts_demo_prints_walkthrough(self, capsys):
         assert cli_main(["mts-demo"]) == 0
         text = capsys.readouterr().out
@@ -406,7 +428,24 @@ class TestCli:
         assert "kind: unknown experiment kind 'mts-demo'" in small_cfg(tmp_path, kind="mts-demo").validate()
 
 
+MTS_DEMO_SEED_7 = """\
+depth-3 binary tree, 8 leaves; leaf costs: 1.25, 1.794, 1.551, 0.45, 0.6, 1.747, 0.011, 1.642
+processing order (children before parents): 3, 4, 5, 6, 1, 2, 0
+vertex  3 children [7, 8]: q [1.0, 0.0] -> [1.0, 0.0], cost 1.2500
+vertex  4 children [9, 10]: q [0.5, 0.5] -> [0.0, 1.0], cost 0.4500
+vertex  5 children [11, 12]: q [0.5, 0.5] -> [1.0, 0.0], cost 0.6000
+vertex  6 children [13, 14]: q [0.5, 0.5] -> [1.0, 0.0], cost 0.0110
+vertex  1 children [3, 4]: q [1.0, 0.0] -> [0.8026, 0.1974], cost 1.0921
+vertex  2 children [5, 6]: q [0.5, 0.5] -> [0.3057, 0.6943], cost 0.1911
+vertex  0 children [1, 2]: q [1.0, 0.0] -> [0.8972, 0.1028], cost 0.9995
+leaf distribution: 0.7201, 0.0000, 0.0000, 0.1771, 0.0314, 0.0000, 0.0714, 0.0000
+root cost (expected leaf cost): 0.999455"""
+
+
 class TestMtsDemoContent:
+    def test_default_seed_text(self):
+        assert mts_demo() == MTS_DEMO_SEED_7
+
     def test_children_processed_before_parents(self):
         text = mts_demo()
         lines = [l for l in text.splitlines() if l.startswith("vertex")]
@@ -463,7 +502,6 @@ def test_walked_row_sampler_matches_the_full_coupling(tmp_path, monkeypatch):
     # The same run with every step drawn from the full coupling's row writes
     # byte-identical step CSVs.
     from gpmd import policies
-    from gpmd.transport import optimal_coupling
 
     def coupling_sampler(tree, a, b, prev, rng, diag=None):
         js, ms = optimal_coupling(tree, a, b).conditional_row(prev)

@@ -7,7 +7,7 @@ from gpmd.hst import HstTree, frt_embed
 from gpmd.metric import FiniteMetric, grid_metric
 from gpmd.wind import EnergyParams, altitude_metric, synthetic_wind_table
 
-from conftest import random_hst
+from conftest import distance_matrix, random_hst
 
 
 def star_tree(weights=(1.0, 1.0)) -> HstTree:
@@ -50,7 +50,7 @@ class TestTreeDistance:
 
     def test_symmetry_and_triangle(self, rng):
         t = random_hst(rng, 12)
-        D = t.distance_matrix()
+        D = distance_matrix(t)
         assert np.allclose(D, D.T)
         for _ in range(200):
             i, j, k = rng.integers(0, 12, 3)
@@ -65,7 +65,7 @@ class TestTreeDistance:
             for i in range(n):
                 for j in range(i + 1, n):
                     loop[i, j] = loop[j, i] = t.tree_distance(i, j)
-            assert np.array_equal(t.distance_matrix(), loop)
+            assert np.array_equal(distance_matrix(t), loop)
 
     def test_unknown_leaf(self):
         t = star_tree()
@@ -142,7 +142,7 @@ class TestFrtEmbed:
             pts = rng.uniform(0.0, 1.0, size=(12, 2))
             m = FiniteMetric.from_coords(pts)
             t = frt_embed(m, tau=5.0, rng_seed=trial)
-            assert np.all(t.distance_matrix() >= m.dist - 1e-12)
+            assert np.all(distance_matrix(t) >= m.dist - 1e-12)
 
     def test_deterministic_in_seed(self):
         m = grid_metric(3, 3)
@@ -168,7 +168,7 @@ class TestFrtEmbed:
         m = FiniteMetric.from_matrix(np.zeros((3, 3)))
         t = frt_embed(m, tau=5.0, rng_seed=0)
         assert t.n_leaves == 3
-        assert t.distance_matrix().max() == 0.0
+        assert distance_matrix(t).max() == 0.0
 
     def test_distortion_statistic_small(self, rng):
         # Statistical soft check at test scale; the acceptance suite runs the
@@ -178,7 +178,7 @@ class TestFrtEmbed:
         mask = m.dist > 0
         for seed in range(30):
             t = frt_embed(m, tau=5.0, rng_seed=seed)
-            DT = t.distance_matrix()
+            DT = distance_matrix(t)
             ratios.append((DT[mask] / m.dist[mask]).mean())
         assert np.mean(ratios) <= 8.0 * math.log(16)
 

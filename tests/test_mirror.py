@@ -14,14 +14,11 @@ from gpmd.mirror import (
     MdEngine,
     PotentialParams,
     SolverConvergenceError,
-    TreeState,
-    bregman,
-    md_update_vertex,
     point_mass_state,
 )
 from gpmd.policies import ExactCostModel, make_policy
 
-from conftest import random_hst, validate_conditionals
+from conftest import bregman, distance_matrix, random_hst, validate_conditionals, validate_state
 
 
 def two_child_params(w=(1.0, 1.0), eta=(1.0, 1.0), delta=(0.5, 0.5), kappa=1.0):
@@ -40,6 +37,11 @@ def two_child_params(w=(1.0, 1.0), eta=(1.0, 1.0), delta=(0.5, 0.5), kappa=1.0):
         eta=np.array([np.nan, *eta]),
         delta=np.array([np.nan, *delta]),
     )
+
+
+def star_update(params, q_prev, cost):
+    """The update of a star tree's root: one engine step, minus the root's entry."""
+    return MdEngine(params.tree, params).step(np.r_[1.0, q_prev], cost)[0][1:]
 
 
 def md_objective(params, u, p, q_prev, cost):
@@ -83,20 +85,20 @@ class TestMdUpdateVertex:
     def test_zero_cost_returns_prev(self):
         params = two_child_params()
         q = np.array([0.25, 0.75])
-        out = md_update_vertex(params, 0, q, np.zeros(2))
+        out = star_update(params, q, np.zeros(2))
         assert np.allclose(out, q, atol=1e-9)
 
     def test_constant_cost_absorbed(self):
         params = two_child_params()
         q = np.array([0.6, 0.4])
-        out = md_update_vertex(params, 0, q, np.full(2, 17.3))
+        out = star_update(params, q, np.full(2, 17.3))
         assert np.allclose(out, q, atol=1e-9)
 
     def test_mass_moves_to_cheaper_child_monotonically(self):
         params = two_child_params()
         prev_first = 0.5
         for c in (0.1, 0.5, 1.0, 3.0):
-            out = md_update_vertex(params, 0, [0.5, 0.5], [0.0, c])
+            out = star_update(params, [0.5, 0.5], [0.0, c])
             assert out[0] > prev_first - 1e-12
             assert out[0] > 0.5
             prev_first = out[0]
@@ -106,7 +108,7 @@ class TestMdUpdateVertex:
         for _ in range(25):
             q = rng.dirichlet((1.0, 1.0))
             cost = rng.uniform(0.0, 3.0, 2)
-            out = md_update_vertex(params, 0, q, cost)
+            out = star_update(params, q, cost)
             val = md_objective(params, 0, out, q, cost)
             grid_val, _ = grid_search_2(params, 0, q, cost)
             assert val <= grid_val + 1e-6
@@ -122,12 +124,12 @@ class TestMdUpdateVertex:
             metric=metric,
         )
         params = PotentialParams(tree)
-        assert md_update_vertex(params, 0, [1.0], [5.0]) == pytest.approx([1.0])
+        assert star_update(params, [1.0], [5.0]) == pytest.approx([1.0])
 
     def test_rejects_nonfinite_cost(self):
         params = two_child_params()
         with pytest.raises(ValueError, match="finite"):
-            md_update_vertex(params, 0, [0.5, 0.5], [np.inf, 0.0])
+            star_update(params, [0.5, 0.5], [np.inf, 0.0])
 
     def test_kkt_form_holds(self, rng):
         # Positive entries must satisfy the exponential stationarity form
@@ -139,7 +141,7 @@ class TestMdUpdateVertex:
         for _ in range(50):
             q = rng.dirichlet((0.7, 0.7))
             cost = rng.uniform(0.0, 4.0, 2)
-            p = md_update_vertex(params, 0, q, cost)
+            p = star_update(params, q, cost)
             assert p.sum() == pytest.approx(1.0, abs=1e-8)
             # recover beta from each positive coordinate; they must agree
             betas = []
@@ -169,26 +171,26 @@ class TestDeltaMaps:
             metric=metric,
         )
         q = np.array([1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
-        z = TreeState(MdEngine(tree).delta_map(q))
-        assert np.allclose(z.leaf_distribution(tree), 0.25)
-        z.validate(tree)
+        z = MdEngine(tree).delta_map(q)
+        assert np.allclose(z[tree.leaf_vertex], 0.25)
+        validate_state(tree, z)
 
     def test_point_mass_roundtrip(self, rng):
         tree = random_hst(rng, 9)
         engine = MdEngine(tree)
         for point in (0, 4, 8):
             z0 = point_mass_state(tree, point)
-            q0 = engine.delta_inverse(z0.z)
+            q0 = engine.delta_inverse(z0)
             validate_conditionals(tree, q0)
-            z1 = TreeState(engine.delta_map(q0))
-            assert np.abs(z1.z - z0.z).max() <= 1e-12
-            probs = z1.leaf_distribution(tree)
+            z1 = engine.delta_map(q0)
+            assert np.abs(z1 - z0).max() <= 1e-12
+            probs = z1[tree.leaf_vertex]
             assert probs[point] == pytest.approx(1.0)
 
     def test_deterministic_path_gives_point_mass(self, rng):
         tree = random_hst(rng, 6)
         z0 = point_mass_state(tree, 3)
-        q = MdEngine(tree).delta_inverse(z0.z)
+        q = MdEngine(tree).delta_inverse(z0)
         # conditionals along the path are 1; off-path zero-mass parents
         # default to the uniform split
         v = int(tree.leaf_vertex[3])
@@ -253,7 +255,7 @@ class TestMdStep:
             q = engine.delta_inverse(tree.subtree_sums(probs))
             q_new, _ = engine.step(q, rng.uniform(0.0, 5.0, n))
             validate_conditionals(tree, q_new, tol=1e-8)
-            TreeState(engine.delta_map(q_new)).validate(tree, tol=1e-8)
+            validate_state(tree, engine.delta_map(q_new), tol=1e-8)
 
     def test_topological_order_children_first(self, rng):
         tree = random_hst(rng, 11)
@@ -265,10 +267,10 @@ class TestMdStep:
                     assert int(c) in seen
             seen.add(int(v))
 
-    def test_trace_walkthrough_depth3_binary(self):
-        # The eight-leaf complete binary tree: the recursion must process the
-        # four leaf-parents, then the two mid vertices, then the root, and
-        # every vertex cost must be its children's q-weighted average.
+    def test_vertex_costs_average_children_depth3_binary(self):
+        # The eight-leaf complete binary tree: every vertex cost must be its
+        # children's q-weighted average of their final costs, which fails for
+        # a parent solved before its children.
         parent = np.array([-1, 0, 0, 1, 1, 2, 2] + [3, 3, 4, 4, 5, 5, 6, 6])
         weight = np.array([0.0, 4.0, 4.0, 2.0, 2.0, 2.0, 2.0] + [1.0] * 8)
         metric = FiniteMetric.from_matrix(np.where(np.eye(8), 0.0, 2.0))
@@ -280,18 +282,17 @@ class TestMdStep:
             metric=metric,
         )
         engine = MdEngine(tree, PotentialParams(tree))
-        q0 = engine.delta_inverse(point_mass_state(tree, 0).z)
+        q0 = engine.delta_inverse(point_mass_state(tree, 0))
         rng = np.random.default_rng(5)
         costs = rng.uniform(0.0, 2.0, 8)
-        trace = []
-        q_new, vertex_costs = engine.step(q0, costs, trace=trace)
-        visited = [rec["vertex"] for rec in trace]
-        assert visited == [3, 4, 5, 6, 1, 2, 0]
-        for rec in trace:
-            q_after = np.asarray(rec["q_after"])
-            child_costs = np.asarray(rec["child_costs"])
-            assert rec["vertex_cost"] == pytest.approx(float(q_after @ child_costs), abs=1e-12)
-            assert q_after.sum() == pytest.approx(1.0, abs=1e-8)
+        q_new, vertex_costs = engine.step(q0, costs)
+        assert np.array_equal(vertex_costs[tree.leaf_vertex], costs)
+        for v in tree.topological_internal():
+            kids = tree.children[v]
+            assert vertex_costs[v] == pytest.approx(
+                float(q_new[kids] @ vertex_costs[kids]), abs=1e-12
+            )
+            assert q_new[kids].sum() == pytest.approx(1.0, abs=1e-8)
 
 
 class TestZeroWeightFanout:
@@ -307,9 +308,9 @@ class TestZeroWeightFanout:
             metric=metric,
         )
         params = PotentialParams(tree)
-        out = md_update_vertex(params, 0, [0.5, 0.5], [1.0, 0.2])
+        out = star_update(params, [0.5, 0.5], [1.0, 0.2])
         assert np.allclose(out, [0.0, 1.0])
-        tie = md_update_vertex(params, 0, [0.5, 0.5], [0.7, 0.7])
+        tie = star_update(params, [0.5, 0.5], [0.7, 0.7])
         assert np.allclose(tie, [1.0, 0.0])
 
 
@@ -336,13 +337,13 @@ def test_service_cost_competitive_with_offline_optimum(rng):
         engine = MdEngine(tree, PotentialParams(tree))
         costs = rng.uniform(0.0, 2.0, size=(H, n))
         x0 = int(rng.integers(0, n))
-        q = engine.delta_inverse(point_mass_state(tree, x0).z)
+        q = engine.delta_inverse(point_mass_state(tree, x0))
         expected_service = 0.0
         for h in range(H):
             q, _ = engine.step(q, costs[h])
             z = engine.delta_map(q)
             expected_service += float(z[tree.leaf_vertex] @ costs[h])
-        _, opt = offline_optimal_matrix(costs, tree.distance_matrix(), x0)
+        _, opt = offline_optimal_matrix(costs, distance_matrix(tree), x0)
         path_bound = max(_weight_to_root(tree, v) for v in tree.leaf_vertex)
         held += expected_service <= opt + path_bound
     assert held >= 0.95 * seeds
@@ -368,7 +369,7 @@ def test_large_costs_converge(kappa, scale):
     metric = grid_metric(24, 24)
     tree = frt_embed(metric, tau=5.0, rng_seed=0)
     engine = MdEngine(tree, PotentialParams(tree, kappa=kappa))
-    q = engine.delta_inverse(point_mass_state(tree, 0).z)
+    q = engine.delta_inverse(point_mass_state(tree, 0))
     rng = np.random.default_rng(0)
     for _ in range(3):
         leaf_costs = scale * rng.uniform(0.0, 1.0, metric.n)
@@ -527,7 +528,7 @@ def _states(rng, tree):
     """Interior states and point masses (whose off-path parents hold no mass)."""
     n = tree.n_leaves
     zs = [tree.subtree_sums(rng.dirichlet(np.ones(n))) for _ in range(3)]
-    zs += [point_mass_state(tree, int(i)).z for i in rng.integers(0, n, 2)]
+    zs += [point_mass_state(tree, int(i)) for i in rng.integers(0, n, 2)]
     return zs
 
 

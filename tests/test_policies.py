@@ -336,3 +336,6 @@ class TestFactory:
             make_policy("gp-md", cost_model=gp_model_for(inst))
         with pytest.raises(ValueError, match="true cost"):
             make_policy("minc-known")
+        for kwargs in ({}, {"tree": tree}, {"true_model": exact_model(inst)}):
+            with pytest.raises(ValueError, match="stationary needs the action count"):
+                make_policy("stationary", **kwargs)

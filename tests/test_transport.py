@@ -6,22 +6,18 @@ from hypothesis import strategies as st
 from gpmd.hst import frt_embed
 from gpmd.metric import FiniteMetric, grid_metric
 from gpmd.mirror import MdEngine, PotentialParams, point_mass_state
-from gpmd.transport import (
-    LeafDistribution,
-    coupling_row,
-    optimal_coupling,
-    sample_next,
-    tree_wasserstein,
-)
+from gpmd.transport import coupling_row, sample_next, tree_wasserstein
 
-from conftest import lp_transport_cost, random_hst
+from conftest import distance_matrix, lp_transport_cost, optimal_coupling, random_hst
 
 
-def test_distribution_must_sum_to_one():
+def test_distribution_must_sum_to_one(rng):
+    tree = random_hst(rng, 2)
+    ok = np.array([0.5, 0.5])
     with pytest.raises(ValueError, match="sum"):
-        LeafDistribution(np.array([0.5, 0.4]))
+        tree_wasserstein(tree, np.array([0.5, 0.4]), ok)
     with pytest.raises(ValueError, match="non-negative"):
-        LeafDistribution(np.array([1.5, -0.5]))
+        tree_wasserstein(tree, ok, np.array([1.5, -0.5]))
 
 
 def test_identical_distributions(rng):
@@ -67,7 +63,7 @@ def test_matches_lp_oracle_random_instances(rng):
         a = rng.dirichlet(np.ones(n))
         b = rng.dirichlet(np.ones(n))
         closed = tree_wasserstein(tree, a, b)
-        lp = lp_transport_cost(tree.distance_matrix(), a, b)
+        lp = lp_transport_cost(distance_matrix(tree), a, b)
         assert closed == pytest.approx(lp, abs=1e-9)
         assert optimal_coupling(tree, a, b).expected_cost() == pytest.approx(lp, abs=1e-9)
 
@@ -148,7 +144,7 @@ def test_realized_movement_tracks_wasserstein_sum(rng):
     tree = random_hst(rng, 8)
     engine = MdEngine(tree, PotentialParams(tree))
     x0 = 0
-    q = engine.delta_inverse(point_mass_state(tree, x0).z)
+    q = engine.delta_inverse(point_mass_state(tree, x0))
     dists = [engine.delta_map(q)[tree.leaf_vertex]]
     for h in range(6):
         q, _ = engine.step(q, rng.uniform(0.0, 2.0, 8))
@@ -192,18 +188,30 @@ def sparse_dirichlet(rng, n):
 
 
 def grid_distribution(rng, n):
-    """A sparse distribution with masses on a grid of 1/total. The LP oracle
-    resolves masses only to HiGHS's 1e-7 feasibility tolerance, so a
-    Dirichlet draw's tiny masses would move its optimum by more than 1e-9."""
+    """A sparse distribution with masses on a grid of 1/total: a count of
+    0-9 per leaf, about 30% of them zeroed, at least one positive. The LP
+    oracle resolves these and the tiny masses of ``sparse_dirichlet`` alike
+    (``test_lp_oracle_resolves_sparse_draws``)."""
     counts = rng.integers(0, 10, n) * (rng.random(n) >= 0.3)
     counts[int(rng.integers(n))] += 1
     return counts / counts.sum()
 
 
+def test_lp_oracle_resolves_sparse_draws():
+    # At HiGHS's default 1e-7 feasibility tolerances the LP value of draws 0
+    # and 23 of this sequence is more than 1e-9 off the tree W1.
+    rng = np.random.default_rng(1579)
+    tree = random_hst(rng, 5, max_children=4, dup=0.3)
+    dist = distance_matrix(tree)
+    for _ in range(30):
+        a, b = sparse_dirichlet(rng, 5), sparse_dirichlet(rng, 5)
+        assert lp_transport_cost(dist, a, b) == pytest.approx(tree_wasserstein(tree, a, b), abs=1e-9)
+
+
 def md_sequence(tree, rng, steps, x0=0):
     """Leaf distributions of ``steps`` mirror-descent steps from a point mass."""
     engine = MdEngine(tree, PotentialParams(tree))
-    q = engine.delta_inverse(point_mass_state(tree, x0).z)
+    q = engine.delta_inverse(point_mass_state(tree, x0))
     dists = [engine.delta_map(q)[tree.leaf_vertex]]
     for _ in range(steps):
         q, _ = engine.step(q, rng.uniform(0.0, 3.0, tree.n_leaves))
@@ -249,7 +257,7 @@ def test_rows_assemble_an_optimal_coupling(seed, n, max_children, dup):
         np.add.at(plan[prev], js, ms)
     assert np.abs(plan.sum(axis=1) - a).max() <= 1e-12
     assert np.abs(plan.sum(axis=0) - b).max() <= 1e-12
-    dist = tree.distance_matrix()
+    dist = distance_matrix(tree)
     cost = float((plan * dist).sum())
     assert cost == pytest.approx(lp_transport_cost(dist, a, b), abs=1e-9)
     assert cost == pytest.approx(tree_wasserstein(tree, a, b), abs=1e-9)
