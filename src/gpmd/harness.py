@@ -161,9 +161,11 @@ class RunConfig:
             if not isinstance(table, dict):
                 errors.append(f"{name}: must be a mapping")
                 continue
-            for key in table:
+            for key, value in table.items():
                 if key not in known:
                     errors.append(f"{name}: unknown key {key!r}")
+                elif not (_is_real(value) and value > 0):
+                    errors.append(f"{name}.{key}: must be positive")
         return errors
 
     def to_dict(self) -> dict:
@@ -596,27 +598,19 @@ def mts_demo(costs_seed: int = 7) -> str:
     """Run the leaves-to-root recursion on a depth-3 binary tree and render
     each internal vertex's conditionals before and after, and its cost, in
     the order the recursion solves them."""
-    from .metric import FiniteMetric
-
     n = 8
     # Complete binary tree: 8 leaves, weights 1 at leaf level, 2 above, 4 on top.
     parent = np.array([-1, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6])
     weight = np.array([0.0, 4.0, 4.0, 2.0, 2.0, 2.0, 2.0] + [1.0] * 8)
-    leaf_vertex = np.arange(7, 15)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                dist[i, j] = 2.0 if (i // 2 == j // 2) else (6.0 if i // 4 == j // 4 else 12.0)
-    metric = FiniteMetric.from_matrix(dist, labels=[f"l{i+1}" for i in range(n)])
-    tree = HstTree(parent=parent, weight=weight, leaf_vertex=leaf_vertex, tau=2.0, metric=metric)
+    tree = HstTree(parent=parent, weight=weight, leaf_vertex=np.arange(7, 15), tau=2.0)
 
     engine = MdEngine(tree, PotentialParams(tree))
     q = engine.delta_inverse(point_mass_state(tree, 0))
     rng = np.random.default_rng(costs_seed)
     costs = np.round(rng.uniform(0.0, 2.0, n), 3)
 
-    order = tree.topological_internal().tolist()
+    bottom_up = np.concatenate(tree.depth_layers[::-1])
+    order = bottom_up[tree.point_index[bottom_up] < 0].tolist()
     lines = [
         "depth-3 binary tree, 8 leaves; leaf costs: " + ", ".join(f"{c:g}" for c in costs),
         "processing order (children before parents): " + ", ".join(map(str, order)),

@@ -21,8 +21,9 @@ from .metric import FiniteMetric
 class HstTree:
     """Rooted weighted tree whose leaves are the points of a finite metric.
 
-    ``parent[v]`` is -1 for the root. ``leaf_vertex[i]`` maps metric point i
-    to its leaf vertex; ``point_index[v]`` is the inverse (-1 on internal
+    ``parent[v]`` is -1 for the root. ``leaf_vertex[i]`` maps point i to its
+    leaf vertex, one distinct vertex per point, and every childless vertex
+    is some point's leaf; ``point_index[v]`` is the inverse (-1 on internal
     vertices). Weight decay by a factor ``tau`` is enforced on every edge
     whose parent is not the root.
     """
@@ -31,7 +32,6 @@ class HstTree:
     weight: np.ndarray
     leaf_vertex: np.ndarray
     tau: float
-    metric: FiniteMetric
 
     # Derived structure, filled in __post_init__.
     children: tuple = field(default=None, repr=False)
@@ -48,6 +48,10 @@ class HstTree:
         object.__setattr__(self, "leaf_vertex", leaf_vertex)
 
         nv = parent.shape[0]
+        if weight.shape != parent.shape:
+            raise ValueError(f"{weight.size} weights for {nv} vertices")
+        _check_vertices("parent", parent, -1, nv)
+        _check_vertices("leaf_vertex", leaf_vertex, 0, nv)
         kids: list[list[int]] = [[] for _ in range(nv)]
         roots = []
         for v in range(nv):
@@ -79,6 +83,11 @@ class HstTree:
 
         point_index = np.full(nv, -1, dtype=np.int64)
         for i, v in enumerate(leaf_vertex):
+            if point_index[v] >= 0:
+                raise ValueError(
+                    f"leaf_vertex[{i}] = {v} is also leaf_vertex[{point_index[v]}]: "
+                    "each point needs a leaf of its own"
+                )
             point_index[v] = i
         object.__setattr__(self, "point_index", point_index)
         self._validate()
@@ -96,12 +105,10 @@ class HstTree:
         return self.leaf_vertex.shape[0]
 
     def _validate(self) -> None:
-        if self.tau <= 1:
+        if not self.tau > 1:
             raise ValueError(f"tau must exceed 1, got {self.tau}")
-        if np.any(self.weight < 0):
+        if not np.all(self.weight >= 0):
             raise ValueError("vertex weights must be non-negative")
-        if self.n_leaves != self.metric.n:
-            raise ValueError("leaves must be in bijection with the metric points")
         parent = self.parent
         is_leaf = self.point_index >= 0
         has_kids = np.bincount(parent[parent >= 0], minlength=self.n_vertices) > 0
@@ -123,34 +130,6 @@ class HstTree:
                 f"weight decay violated at vertex {v}: "
                 f"{self.weight[v]} > {self.weight[p]}/{self.tau}"
             )
-
-    # -- tree metric ---------------------------------------------------
-
-    def tree_distance(self, a: int, b: int) -> float:
-        """Weighted path length between metric points a and b (point indices)."""
-        la, lb = self._leaf_of(a), self._leaf_of(b)
-        if la == lb:
-            return 0.0
-        total = 0.0
-        da, db = self.depth[la], self.depth[lb]
-        while da > db:
-            total += self.weight[la]
-            la = self.parent[la]
-            da -= 1
-        while db > da:
-            total += self.weight[lb]
-            lb = self.parent[lb]
-            db -= 1
-        while la != lb:
-            total += self.weight[la] + self.weight[lb]
-            la = self.parent[la]
-            lb = self.parent[lb]
-        return float(total)
-
-    def _leaf_of(self, point: int) -> int:
-        if not 0 <= point < self.n_leaves:
-            raise ValueError(f"unknown point index {point}")
-        return int(self.leaf_vertex[point])
 
     # -- per-vertex bookkeeping used by the mirror-descent potential ----
 
@@ -179,15 +158,13 @@ class HstTree:
         delta = theta / eta
         return theta, eta, delta
 
-    def topological_vertices(self) -> np.ndarray:
-        """All vertices ordered children-before-parents: by (-depth, index)."""
-        order = np.lexsort((np.arange(self.n_vertices), -self.depth))
-        return order
 
-    def topological_internal(self) -> np.ndarray:
-        order = self.topological_vertices()
-        is_internal = self.point_index[order] < 0
-        return order[is_internal]
+def _check_vertices(name: str, entries: np.ndarray, low: int, nv: int) -> None:
+    """Raise unless every entry lies in [low, nv), naming the first that does not."""
+    bad = np.flatnonzero((entries < low) | (entries >= nv))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{name}[{i}] = {entries[i]} is not a vertex of a {nv}-vertex tree")
 
 
 def frt_embed(metric: FiniteMetric, tau: float = 5.0, rng_seed: int = 0) -> HstTree:
@@ -202,7 +179,7 @@ def frt_embed(metric: FiniteMetric, tau: float = 5.0, rng_seed: int = 0) -> HstT
     pair on every seed. Points at zero distance are collapsed and restored
     as zero-weight children below the shared leaf.
     """
-    if tau <= 1:
+    if not tau > 1:
         raise ValueError(f"tau must exceed 1, got {tau}")
     rng = np.random.default_rng(rng_seed)
     n = metric.n
@@ -284,5 +261,4 @@ def frt_embed(metric: FiniteMetric, tau: float = 5.0, rng_seed: int = 0) -> HstT
         weight=np.asarray(weights, dtype=float),
         leaf_vertex=leaf_vertex,
         tau=float(tau),
-        metric=metric,
     )

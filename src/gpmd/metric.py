@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +22,7 @@ class FiniteMetric:
     """
 
     dist: np.ndarray
-    labels: tuple[str, ...]
-    coords: np.ndarray | None = field(default=None)
+    coords: np.ndarray | None = None
 
     def __post_init__(self):
         dist = np.asarray(self.dist, dtype=float)
@@ -36,10 +35,6 @@ class FiniteMetric:
     def n(self) -> int:
         return self.dist.shape[0]
 
-    @property
-    def diameter(self) -> float:
-        return float(self.dist.max()) if self.n else 0.0
-
     def _validate(self) -> None:
         d = self.dist
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -47,8 +42,6 @@ class FiniteMetric:
         n = d.shape[0]
         if n < 1:
             raise ValueError("a metric space needs at least one point")
-        if len(self.labels) != n:
-            raise ValueError(f"{len(self.labels)} labels for {n} points")
         if self.coords is not None and self.coords.shape[0] != n:
             raise ValueError("coords row count must match the point count")
         if not np.all(np.isfinite(d)):
@@ -63,19 +56,10 @@ class FiniteMetric:
         _check_triangle(d, symmetric)
 
     @classmethod
-    def from_matrix(cls, dist, labels=None, coords=None) -> "FiniteMetric":
-        dist = np.asarray(dist, dtype=float)
-        if labels is None:
-            labels = tuple(str(i) for i in range(dist.shape[0]))
-        return cls(dist=dist, labels=tuple(labels), coords=coords)
-
-    @classmethod
-    def from_coords(cls, coords, labels=None, norm: str = "euclidean") -> "FiniteMetric":
+    def from_coords(cls, coords) -> "FiniteMetric":
+        """Euclidean distances between the rows of ``coords``."""
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        dist = _coord_dist(coords, norm)
-        if labels is None:
-            labels = tuple(str(i) for i in range(coords.shape[0]))
-        return cls(dist=dist, labels=tuple(labels), coords=coords)
+        return cls(dist=_coord_dist(coords), coords=coords)
 
     def mean_pairwise_distance(self) -> float:
         """Average distance over distinct ordered pairs (zero diagonal excluded)."""
@@ -122,29 +106,21 @@ def _check_triangle(d: np.ndarray, symmetric: bool) -> None:
             )
 
 
-def _coord_dist(coords: np.ndarray, norm: str) -> np.ndarray:
-    """Pairwise distances between the rows of ``coords``, one dimension at a time.
+def _coord_dist(coords: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``coords``, one dimension at a time.
 
-    Accumulates per-dimension terms into one n x n array, so no n x n x dim
+    Accumulates per-dimension squares into one n x n array, so no n x n x dim
     difference array is built. Subtraction is exactly antisymmetric, so the
     result is exactly symmetric with a zero diagonal for finite coords.
     """
-    if norm not in ("euclidean", "manhattan", "chebyshev"):
-        raise ValueError(f"unknown norm {norm!r}")
-    combine = np.maximum if norm == "chebyshev" else np.add
     n = coords.shape[0]
     dist = np.zeros((n, n))
     term = np.empty((n, n))
     for col in coords.T:
         np.subtract(col[:, None], col[None, :], out=term)
-        if norm == "euclidean":
-            np.multiply(term, term, out=term)
-        else:
-            np.abs(term, out=term)
-        combine(dist, term, out=dist)
-    if norm == "euclidean":
-        np.sqrt(dist, out=dist)
-    return dist
+        np.multiply(term, term, out=term)
+        np.add(dist, term, out=dist)
+    return np.sqrt(dist, out=dist)
 
 
 def grid_metric(side_x: int, side_y: int | None = None) -> FiniteMetric:

@@ -62,7 +62,7 @@ class _RowWalk:
     """Per-tree tables of the row walk, as Python lists for scalar access.
 
     The tree stores them, so they hold no reference back to it: a cycle
-    would keep the tree and its metric alive until a full garbage collection.
+    would keep the tree alive until a full garbage collection.
     """
 
     def __init__(self, tree: HstTree):

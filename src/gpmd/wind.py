@@ -261,8 +261,7 @@ def altitude_metric(params: EnergyParams, altitudes) -> FiniteMetric:
     alts = np.asarray(altitudes, dtype=float)
     diff = np.abs(alts[:, None] - alts[None, :])
     dist = params.c3 * params.v_rated**2 * diff
-    labels = tuple(f"{a:.1f}m" for a in alts)
-    return FiniteMetric(dist=dist, labels=labels, coords=alts[:, None])
+    return FiniteMetric(dist=dist, coords=alts[:, None])
 
 
 def make_wind_gp(

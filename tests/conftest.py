@@ -17,7 +17,6 @@ import pytest
 from scipy.optimize import linprog
 
 from gpmd.hst import HstTree
-from gpmd.metric import FiniteMetric
 from gpmd.mirror import STATE_TOL, PotentialParams
 from gpmd.transport import MARGINAL_TOL, _as_probs
 
@@ -35,7 +34,8 @@ def random_hst(
     chain: float = 0.0,
     dup: float = 0.0,
 ) -> HstTree:
-    """A random laminar hierarchy with exact tau-decay, metric = its own d_T.
+    """A random laminar hierarchy with exact tau-decay; ``distance_matrix``
+    gives its leaf metric.
 
     ``chain`` is the chance that a vertex hands all its points to a single
     child. ``dup`` is the chance that a vertex holding 2..max_children points
@@ -80,29 +80,20 @@ def random_hst(
     weights = np.array(
         [0.0 if d == 0 or z else w0 * tau ** (1 - d) for d, z in zip(depths, zero_weight)]
     )
-    zero = FiniteMetric.from_matrix(np.zeros((n_leaves, n_leaves)))
-    probe = HstTree(
-        parent=np.asarray(parents, dtype=np.int64),
-        weight=weights,
-        leaf_vertex=leaf_vertex,
-        tau=tau,
-        metric=zero,
-    )
-    metric = FiniteMetric.from_matrix(distance_matrix(probe))
     return HstTree(
         parent=np.asarray(parents, dtype=np.int64),
         weight=weights,
         leaf_vertex=leaf_vertex,
         tau=tau,
-        metric=metric,
     )
 
 
 def distance_matrix(tree: HstTree) -> np.ndarray:
     """All-pairs d_T over metric points.
 
-    Climbs every pair at once with the steps of ``tree_distance``, so each
-    entry is the same float sum in the same order.
+    Climbs every pair at once: the deeper leaf up to the other's depth,
+    then both leaves together until they meet, adding the child-side
+    weight of each edge passed, so d(i, j) and d(j, i) are the same float.
     """
     n = tree.n_leaves
     i, j = np.triu_indices(n, 1)
@@ -224,7 +215,8 @@ class Coupling:
         return out
 
     def expected_cost(self) -> float:
-        return float(sum(m * self.tree.tree_distance(i, j) for i, j, m in self.pairs))
+        dist = distance_matrix(self.tree)
+        return float(sum(m * dist[i, j] for i, j, m in self.pairs))
 
     def conditional_row(self, prev: int) -> tuple[np.ndarray, np.ndarray]:
         js = np.array([j for i, j, _ in self.pairs if i == prev], dtype=np.int64)
@@ -260,7 +252,7 @@ def optimal_coupling(tree: HstTree, a, b) -> Coupling:
         elif extra < 0.0:
             deficit[v] = deque([(i, -extra)])
 
-    for v in tree.topological_vertices():
+    for v in np.concatenate(tree.depth_layers[::-1]):
         kids = tree.children[v]
         if len(kids) == 0:
             continue

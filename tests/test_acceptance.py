@@ -95,7 +95,6 @@ def _grid_oracle_min(scales, q, deltas, costs):
 
 
 def _random_vertex_params(rng, k):
-    metric = FiniteMetric.from_matrix(np.where(np.eye(k), 0.0, 1.0))
     tree_parent = np.array([-1] + [0] * k)
     w = rng.uniform(0.3, 4.0, k)
     theta = rng.uniform(0.15, 1.0, k)
@@ -109,7 +108,6 @@ def _random_vertex_params(rng, k):
         weight=np.array([0.0, *w]),
         leaf_vertex=np.arange(1, k + 1),
         tau=2.0,
-        metric=metric,
     )
     params = PotentialParams(
         tree,

@@ -41,27 +41,27 @@ class TestOfflineOptimal:
 
     def test_zero_metric_decouples_steps(self, rng):
         n, H = 6, 4
-        metric = FiniteMetric.from_matrix(np.zeros((n, n)))
+        metric = FiniteMetric(np.zeros((n, n)))
         cost_matrix = rng.uniform(0, 1, (H, n))
         seq, cost = offline_optimal_matrix(cost_matrix, metric.dist, 0)
         assert seq == [int(np.argmin(cost_matrix[h])) for h in range(H)]
         assert cost == pytest.approx(cost_matrix.min(axis=1).sum())
 
     def test_ties_break_low_index(self):
-        metric = FiniteMetric.from_matrix(np.zeros((3, 3)))
+        metric = FiniteMetric(np.zeros((3, 3)))
         cost_matrix = np.array([[0.5, 0.5, 0.5], [0.2, 0.2, 0.2]])
         seq, _ = offline_optimal_matrix(cost_matrix, metric.dist, 1)
         assert seq == [0, 0]
 
     def test_missing_entries_rejected(self):
-        metric = FiniteMetric.from_matrix(np.zeros((2, 2)))
+        metric = FiniteMetric(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="finite"):
             offline_optimal_matrix(np.array([[1.0, np.nan]]), metric.dist, 0)
 
     def test_movement_matters(self):
         # cheap action far away vs slightly dearer action nearby
         dist = np.array([[0.0, 10.0, 1.0], [10.0, 0.0, 10.0], [1.0, 10.0, 0.0]])
-        metric = FiniteMetric.from_matrix(dist)
+        metric = FiniteMetric(dist)
         cost_matrix = np.array([[5.0, 0.0, 1.0]] * 3)
         seq, cost = offline_optimal_matrix(cost_matrix, metric.dist, 0)
         assert seq == [2, 2, 2]
@@ -98,7 +98,7 @@ class TestRowLayoutDp:
             dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).astype(float)
             nudge = np.triu(rng.integers(0, 2, (n, n)) * 1e-10, k=1)
             nudge[0, n - 1] = 1e-10
-            metric = FiniteMetric.from_matrix(dist + nudge)
+            metric = FiniteMetric(dist + nudge)
             cost_matrix = rng.integers(0, 5, (H, n)).astype(float)
             x0 = int(rng.integers(0, n))
             seq, cost = offline_optimal_matrix(cost_matrix, metric.dist, x0)
@@ -178,6 +178,6 @@ class TestSynthInstance:
         assert cov[1, 2] == pytest.approx(k01, rel=0.10)
 
     def test_requires_coordinates(self):
-        metric = FiniteMetric.from_matrix(np.where(np.eye(3), 0.0, 1.0))
+        metric = FiniteMetric(np.where(np.eye(3), 0.0, 1.0))
         with pytest.raises(ValueError, match="coordinates"):
             synth_instance(0, metric=metric)

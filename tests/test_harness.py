@@ -152,6 +152,28 @@ class TestConfig:
                           wind_gp={"lengthscale": 2.0, "outputscale": 4.0, "lam": 1.5})
         assert known.validate() == []
 
+    @pytest.mark.parametrize(
+        "policy, override, message",
+        [
+            ("stationary", 'energy.v_rated="abc"', "energy.v_rated: must be positive"),
+            ("stationary", "energy.c1=-1", "energy.c1: must be positive"),
+            ("cgp-lcb", "wind_gp.lam=0", "wind_gp.lam: must be positive"),
+            ("cgp-lcb", 'wind_gp.lengthscale="x"', "wind_gp.lengthscale: must be positive"),
+            ("cgp-lcb", "wind_gp.lengthscale=-1", "wind_gp.lengthscale: must be positive"),
+        ],
+        ids=["v_rated-string", "c1-negative", "lam-zero", "lengthscale-string",
+             "lengthscale-negative"],
+    )
+    def test_bad_wind_gp_and_energy_values_rejected(self, tmp_path, capsys, policy, override,
+                                                    message):
+        code = cli_main(
+            ["run", "--kind", "wind", "--policies", policy, "--steps", "2",
+             "--set", "wind_hours=4", "--set", override, "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert capsys.readouterr().out == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_hash_stable(self, tmp_path):
         assert small_cfg(tmp_path).config_hash() == small_cfg(tmp_path).config_hash()
 

@@ -12,13 +12,11 @@ from conftest import distance_matrix, random_hst
 
 def star_tree(weights=(1.0, 1.0)) -> HstTree:
     n = len(weights)
-    metric = FiniteMetric.from_matrix(np.where(np.eye(n), 0.0, min(weights) * 2))
     return HstTree(
         parent=np.array([-1] + [0] * n),
         weight=np.array([0.0, *weights]),
         leaf_vertex=np.arange(1, n + 1),
         tau=2.0,
-        metric=metric,
     )
 
 
@@ -27,18 +25,37 @@ def depth3_tree() -> HstTree:
     parent = np.array([-1, 0, 0, 1, 3, 3, 1, 2])
     weight = np.array([0.0, 8.0, 8.0, 4.0, 2.0, 2.0, 4.0, 4.0])
     leaf_vertex = np.array([4, 5, 6, 7])  # l1, l2, l3, l4
-    metric = FiniteMetric.from_matrix(np.where(np.eye(4), 0.0, 4.0))
-    return HstTree(parent=parent, weight=weight, leaf_vertex=leaf_vertex, tau=2.0, metric=metric)
+    return HstTree(parent=parent, weight=weight, leaf_vertex=leaf_vertex, tau=2.0)
+
+
+def loop_tree_distance(tree: HstTree, a: int, b: int) -> float:
+    """Path length between points a and b, one pair and one edge at a time."""
+    la, lb = tree.leaf_vertex[a], tree.leaf_vertex[b]
+    total = 0.0
+    da, db = tree.depth[la], tree.depth[lb]
+    while da > db:
+        total += tree.weight[la]
+        la = tree.parent[la]
+        da -= 1
+    while db > da:
+        total += tree.weight[lb]
+        lb = tree.parent[lb]
+        db -= 1
+    while la != lb:
+        total += tree.weight[la] + tree.weight[lb]
+        la = tree.parent[la]
+        lb = tree.parent[lb]
+    return float(total)
 
 
 class TestTreeDistance:
     def test_identity(self):
         t = star_tree()
-        assert t.tree_distance(0, 0) == 0.0
+        assert distance_matrix(t)[0, 0] == 0.0
 
     def test_star_two_leaves(self):
         t = star_tree((1.0, 1.0))
-        assert t.tree_distance(0, 1) == pytest.approx(2.0)
+        assert distance_matrix(t)[0, 1] == pytest.approx(2.0)
 
     def test_depth3_child_side_weights(self):
         # Path sums the child-side weight of every traversed edge once:
@@ -46,7 +63,7 @@ class TestTreeDistance:
         t = depth3_tree()
         w = t.weight
         expected = w[4] + w[3] + w[6]  # l1 -> c -> a <- l3
-        assert t.tree_distance(0, 2) == pytest.approx(expected)
+        assert distance_matrix(t)[0, 2] == pytest.approx(expected)
 
     def test_symmetry_and_triangle(self, rng):
         t = random_hst(rng, 12)
@@ -64,13 +81,16 @@ class TestTreeDistance:
             loop = np.zeros((n, n))
             for i in range(n):
                 for j in range(i + 1, n):
-                    loop[i, j] = loop[j, i] = t.tree_distance(i, j)
+                    loop[i, j] = loop[j, i] = loop_tree_distance(t, i, j)
             assert np.array_equal(distance_matrix(t), loop)
 
-    def test_unknown_leaf(self):
-        t = star_tree()
-        with pytest.raises(ValueError, match="unknown point"):
-            t.tree_distance(0, 99)
+    @pytest.mark.parametrize("chain, dup", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.4), (0.3, 0.4)])
+    def test_random_trees_give_metrics(self, rng, chain, dup):
+        # Symmetric, zero on the diagonal and within the triangle tolerance,
+        # as FiniteMetric checks, also with single-child chains and
+        # zero-distance duplicates.
+        for n in (1, 2, 5, 13, 32):
+            FiniteMetric(distance_matrix(random_hst(rng, n, chain=chain, dup=dup)))
 
 
 class TestLeafCountRatios:
@@ -102,40 +122,64 @@ class TestLeafCountRatios:
 
 class TestTreeValidation:
     def test_weight_decay_enforced(self):
-        metric = FiniteMetric.from_matrix(np.where(np.eye(2), 0.0, 1.0))
         with pytest.raises(ValueError, match="decay"):
             HstTree(
                 parent=np.array([-1, 0, 1, 1]),
                 weight=np.array([0.0, 4.0, 3.0, 3.0]),  # 3 > 4/2
                 leaf_vertex=np.array([2, 3]),
                 tau=2.0,
-                metric=metric,
             )
 
     def test_internal_vertex_needs_children(self):
-        metric = FiniteMetric.from_matrix(np.zeros((1, 1)))
         with pytest.raises(ValueError, match="no children"):
             HstTree(
                 parent=np.array([-1, 0, 0]),
                 weight=np.array([0.0, 1.0, 1.0]),
                 leaf_vertex=np.array([1]),  # vertex 2 is childless and not a leaf
                 tau=2.0,
-                metric=metric,
+            )
+
+    @pytest.mark.parametrize(
+        "parent, weight, leaf_vertex, tau, message",
+        [
+            # two points on the one leaf of a one-edge tree
+            ([-1, 0], [0, 1], [1, 1], 2.0, r"leaf_vertex\[1\] = 1 is also leaf_vertex\[0\]"),
+            # a negative entry would wrap around to the last vertex
+            ([-1, 0, 0, 0], [0, 1, 1, 1], [1, 2, -1], 2.0,
+             r"leaf_vertex\[2\] = -1 is not a vertex of a 4-vertex"),
+            ([-1, 0, 0], [0, 1, 1], [1, 3], 2.0, r"leaf_vertex\[1\] = 3 is not a vertex of a 3-"),
+            ([-1, 0, 7], [0, 1, 1], [1, 2], 2.0, r"parent\[2\] = 7 is not a vertex of a 3-"),
+            ([-1, -2, 0], [0, 1, 1], [1, 2], 2.0, r"parent\[1\] = -2 is not a vertex of a 3-"),
+            ([-1, 0, 0], [0, 1], [1, 2], 2.0, "2 weights for 3 vertices"),
+            ([-1, 0, 0], [0, 1, 1, 1], [1, 2], 2.0, "4 weights for 3 vertices"),
+            ([-1, 0, 0], [0, np.nan, 1], [1, 2], 2.0, "weights must be non-negative"),
+            ([-1, 0, 0], [0, 1, 1], [1, 2], np.nan, "tau must exceed 1"),
+        ],
+        ids=["shared-leaf", "negative-leaf", "leaf-out-of-range", "parent-out-of-range",
+             "parent-below-root-marker", "short-weight", "long-weight", "nan-weight", "nan-tau"],
+    )
+    def test_malformed_input_named(self, parent, weight, leaf_vertex, tau, message):
+        with pytest.raises(ValueError, match=message):
+            HstTree(
+                parent=np.array(parent),
+                weight=np.array(weight, dtype=float),
+                leaf_vertex=np.array(leaf_vertex),
+                tau=tau,
             )
 
 
 class TestFrtEmbed:
     def test_single_point(self):
-        m = FiniteMetric.from_matrix(np.zeros((1, 1)))
+        m = FiniteMetric(np.zeros((1, 1)))
         t = frt_embed(m, tau=5.0, rng_seed=0)
         assert t.n_vertices == 1 and t.n_leaves == 1
-        assert t.tree_distance(0, 0) == 0.0
+        assert distance_matrix(t)[0, 0] == 0.0
 
     def test_two_points_dominance_every_seed(self):
-        m = FiniteMetric.from_matrix(np.array([[0.0, 3.0], [3.0, 0.0]]))
+        m = FiniteMetric(np.array([[0.0, 3.0], [3.0, 0.0]]))
         for seed in range(40):
             t = frt_embed(m, tau=5.0, rng_seed=seed)
-            assert t.tree_distance(0, 1) >= 3.0
+            assert distance_matrix(t)[0, 1] >= 3.0
 
     def test_dominance_random_metrics(self, rng):
         for trial in range(10):
@@ -161,11 +205,12 @@ class TestFrtEmbed:
         m = FiniteMetric.from_coords(pts)
         t = frt_embed(m, tau=5.0, rng_seed=2)
         assert t.n_leaves == 3
-        assert t.tree_distance(0, 1) == 0.0
-        assert t.tree_distance(0, 2) >= 1.0
+        D = distance_matrix(t)
+        assert D[0, 1] == 0.0
+        assert D[0, 2] >= 1.0
 
     def test_all_zero_metric(self):
-        m = FiniteMetric.from_matrix(np.zeros((3, 3)))
+        m = FiniteMetric(np.zeros((3, 3)))
         t = frt_embed(m, tau=5.0, rng_seed=0)
         assert t.n_leaves == 3
         assert distance_matrix(t).max() == 0.0
@@ -218,8 +263,7 @@ class TestPlantedBadVertex:
         expected = loop_vertex_error(parent, weight, leaf_vertex, tree.tau)
         assert expected is not None
         with pytest.raises(ValueError) as err:
-            HstTree(parent=parent, weight=weight, leaf_vertex=leaf_vertex, tau=tree.tau,
-                    metric=tree.metric)
+            HstTree(parent=parent, weight=weight, leaf_vertex=leaf_vertex, tau=tree.tau)
         assert str(err.value) == expected
 
     @pytest.mark.parametrize("trial", range(6))
@@ -246,17 +290,11 @@ class TestWeightDecayCheck:
     @staticmethod
     def chain_tree(parent_weight: float, child_weight: float) -> HstTree:
         # root -> a -> {l0, l1}, root -> l2: the edge a -> l_i decays from a.
-        d = 2 * child_weight
-        far = parent_weight + child_weight
-        metric = FiniteMetric.from_matrix(
-            np.array([[0.0, d, far], [d, 0.0, far], [far, far, 0.0]])
-        )
         return HstTree(
             parent=np.array([-1, 0, 1, 1, 0]),
             weight=np.array([0.0, parent_weight, child_weight, child_weight, parent_weight]),
             leaf_vertex=np.array([2, 3, 4]),
             tau=5.0,
-            metric=metric,
         )
 
     def test_wind_seed_twelve_runs(self, tmp_path):

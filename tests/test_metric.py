@@ -12,50 +12,47 @@ from gpmd.metric import TRIANGLE_ROWS, TRIANGLE_TOL, FiniteMetric, grid_metric
 def test_grid_metric_shape_and_diameter():
     m = grid_metric(4, 4)
     assert m.n == 16
-    assert m.diameter == pytest.approx(np.sqrt(2.0))
+    assert m.dist.max() == pytest.approx(np.sqrt(2.0))
     assert m.dist[0, 0] == 0.0
 
 
 def test_symmetry_and_triangle_enforced():
     bad = np.array([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(ValueError, match="symmetric"):
-        FiniteMetric.from_matrix(bad)
+        FiniteMetric(bad)
     tri = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     with pytest.raises(ValueError, match="triangle"):
-        FiniteMetric.from_matrix(tri)
+        FiniteMetric(tri)
 
 
 def test_triangle_tolerance_boundary():
     eps = 5e-10  # inside the 1e-9 allowance
     d = np.array([[0.0, 1.0, 2.0 + eps], [1.0, 0.0, 1.0], [2.0 + eps, 1.0, 0.0]])
-    m = FiniteMetric.from_matrix(d)
-    assert m.diameter == pytest.approx(2.0 + eps)
+    m = FiniteMetric(d)
+    assert m.dist.max() == pytest.approx(2.0 + eps)
 
 
 def test_rejects_negative_and_nonzero_diagonal():
     with pytest.raises(ValueError):
-        FiniteMetric.from_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        FiniteMetric(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(ValueError):
-        FiniteMetric.from_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
+        FiniteMetric(np.array([[1.0, 1.0], [1.0, 0.0]]))
 
 
 def test_single_point_space():
-    m = FiniteMetric.from_matrix(np.zeros((1, 1)))
+    m = FiniteMetric(np.zeros((1, 1)))
     assert m.n == 1
-    assert m.diameter == 0.0
+    assert m.dist.max() == 0.0
 
 
 def test_from_coords_norms():
+    # Euclidean is the only norm.
     pts = np.array([[0.0, 0.0], [3.0, 4.0]])
     assert FiniteMetric.from_coords(pts).dist[0, 1] == pytest.approx(5.0)
-    assert FiniteMetric.from_coords(pts, norm="manhattan").dist[0, 1] == pytest.approx(7.0)
-    assert FiniteMetric.from_coords(pts, norm="chebyshev").dist[0, 1] == pytest.approx(4.0)
-    with pytest.raises(ValueError, match="norm"):
-        FiniteMetric.from_coords(pts, norm="hamming")
 
 
 def test_mean_pairwise_distance():
-    m = FiniteMetric.from_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
+    m = FiniteMetric(np.array([[0.0, 2.0], [2.0, 0.0]]))
     assert m.mean_pairwise_distance() == pytest.approx(2.0)
 
 
@@ -119,10 +116,10 @@ def test_triangle_check_matches_per_k_scan(n, dim, seed, asymmetric, plant, ijk)
     if plant == "above":
         assert expected == "triangle"
     if expected is None:
-        FiniteMetric.from_matrix(d)
+        FiniteMetric(d)
         return
     with pytest.raises(ValueError, match=expected) as err:
-        FiniteMetric.from_matrix(d)
+        FiniteMetric(d)
     if expected == "triangle":
         i, j, i2, k, k2, j2, slack = re.search(
             r"d\((\d+),(\d+)\) > d\((\d+),(\d+)\) \+ d\((\d+),(\d+)\) by (\S+)$",
@@ -135,13 +132,13 @@ def test_triangle_check_matches_per_k_scan(n, dim, seed, asymmetric, plant, ijk)
         assert f"{named:.3e}" == slack
 
 
-@pytest.mark.parametrize("norm", ["euclidean", "manhattan", "chebyshev"])
+@pytest.mark.parametrize("norm", ["euclidean"])  # the norm of from_coords
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_from_coords_bit_identical_to_dense_expression(norm, dim):
     rng = np.random.default_rng(dim)
     pts = rng.normal(0.0, 3.0, (90, dim))
     pts[10:15] = pts[:5]  # duplicate points
-    dist = FiniteMetric.from_coords(pts, norm=norm).dist
+    dist = FiniteMetric.from_coords(pts).dist
     assert np.array_equal(dist, dense_coord_dist(pts, norm))
 
 

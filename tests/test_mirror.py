@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gpmd.harness import RunConfig, build_synthetic_env, rng_stream
 from gpmd.hst import HstTree, frt_embed
-from gpmd.metric import FiniteMetric, grid_metric
+from gpmd.metric import grid_metric
 from gpmd.mirror import (
     MAX_NEWTON_ITERS,
     STATE_TOL,
@@ -22,13 +22,11 @@ from conftest import bregman, distance_matrix, random_hst, validate_conditionals
 
 
 def two_child_params(w=(1.0, 1.0), eta=(1.0, 1.0), delta=(0.5, 0.5), kappa=1.0):
-    metric = FiniteMetric.from_matrix(np.where(np.eye(2), 0.0, 1.0))
     tree = HstTree(
         parent=np.array([-1, 0, 0]),
         weight=np.array([0.0, *w]),
         leaf_vertex=np.array([1, 2]),
         tau=2.0,
-        metric=metric,
     )
     return PotentialParams(
         tree,
@@ -115,13 +113,11 @@ class TestMdUpdateVertex:
             assert abs(val - grid_val) <= 1e-6
 
     def test_single_child(self):
-        metric = FiniteMetric.from_matrix(np.zeros((1, 1)))
         tree = HstTree(
             parent=np.array([-1, 0]),
             weight=np.array([0.0, 1.0]),
             leaf_vertex=np.array([1]),
             tau=2.0,
-            metric=metric,
         )
         params = PotentialParams(tree)
         assert star_update(params, [1.0], [5.0]) == pytest.approx([1.0])
@@ -162,13 +158,11 @@ class TestMdUpdateVertex:
 
 class TestDeltaMaps:
     def test_uniform_binary_depth2(self):
-        metric = FiniteMetric.from_matrix(np.where(np.eye(4), 0.0, 1.0))
         tree = HstTree(
             parent=np.array([-1, 0, 0, 1, 1, 2, 2]),
             weight=np.array([0.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0]),
             leaf_vertex=np.array([3, 4, 5, 6]),
             tau=2.0,
-            metric=metric,
         )
         q = np.array([1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
         z = MdEngine(tree).delta_map(q)
@@ -258,13 +252,13 @@ class TestMdStep:
             validate_state(tree, engine.delta_map(q_new), tol=1e-8)
 
     def test_topological_order_children_first(self, rng):
-        tree = random_hst(rng, 11)
-        order = list(tree.topological_internal())
+        # The deepest-first layer order the engine's sweep and mts-demo use.
+        tree = random_hst(rng, 11, chain=0.2, dup=0.2)
+        order = list(np.concatenate(tree.depth_layers[::-1]))
+        assert sorted(order) == list(range(tree.n_vertices))
         seen = set()
         for v in order:
-            for c in tree.children[v]:
-                if tree.point_index[c] < 0:
-                    assert int(c) in seen
+            assert set(tree.children[v].tolist()) <= seen
             seen.add(int(v))
 
     def test_vertex_costs_average_children_depth3_binary(self):
@@ -273,13 +267,11 @@ class TestMdStep:
         # a parent solved before its children.
         parent = np.array([-1, 0, 0, 1, 1, 2, 2] + [3, 3, 4, 4, 5, 5, 6, 6])
         weight = np.array([0.0, 4.0, 4.0, 2.0, 2.0, 2.0, 2.0] + [1.0] * 8)
-        metric = FiniteMetric.from_matrix(np.where(np.eye(8), 0.0, 2.0))
         tree = HstTree(
             parent=parent,
             weight=weight,
             leaf_vertex=np.arange(7, 15),
             tau=2.0,
-            metric=metric,
         )
         engine = MdEngine(tree, PotentialParams(tree))
         q0 = engine.delta_inverse(point_mass_state(tree, 0))
@@ -287,7 +279,7 @@ class TestMdStep:
         costs = rng.uniform(0.0, 2.0, 8)
         q_new, vertex_costs = engine.step(q0, costs)
         assert np.array_equal(vertex_costs[tree.leaf_vertex], costs)
-        for v in tree.topological_internal():
+        for v in np.flatnonzero(tree.point_index < 0):
             kids = tree.children[v]
             assert vertex_costs[v] == pytest.approx(
                 float(q_new[kids] @ vertex_costs[kids]), abs=1e-12
@@ -299,13 +291,11 @@ class TestZeroWeightFanout:
     def test_all_zero_weight_children_take_argmin(self):
         # Duplicate-point fanouts have zero-weight edges: the update is a
         # plain argmin there (lowest index on ties).
-        metric = FiniteMetric.from_matrix(np.zeros((2, 2)))
         tree = HstTree(
             parent=np.array([-1, 0, 0]),
             weight=np.array([0.0, 0.0, 0.0]),
             leaf_vertex=np.array([1, 2]),
             tau=2.0,
-            metric=metric,
         )
         params = PotentialParams(tree)
         out = star_update(params, [0.5, 0.5], [1.0, 0.2])
@@ -436,7 +426,7 @@ class PaddedEngine:
 
     def __init__(self, tree, params):
         self.tree = tree
-        internal = tree.topological_internal()
+        internal = np.flatnonzero(tree.point_index < 0)
         layers = []
         for d in sorted({int(tree.depth[v]) for v in internal}, reverse=True):
             verts = np.array([v for v in internal if tree.depth[v] == d], dtype=np.int64)
@@ -597,7 +587,7 @@ def test_step_matches_padded_reference(seed, n, max_children, chain, dup, log_sc
         if leaves:
             weight = tree.weight.copy()
             weight[leaves[int(rng.integers(len(leaves)))]] = 0.0
-            tree = HstTree(tree.parent, weight, tree.leaf_vertex, tree.tau, tree.metric)
+            tree = HstTree(tree.parent, weight, tree.leaf_vertex, tree.tau)
     params = PotentialParams(tree, kappa=kappa)
     engine, err = _outcome(MdEngine, tree, params)
     ref, ref_err = _outcome(PaddedEngine, tree, params)

@@ -259,16 +259,13 @@ class TestMirrorDescentPolicy:
         # chosen distributions unchanged.
         inst, tree = small_world
         from gpmd.hst import HstTree
-        from gpmd.metric import FiniteMetric
 
         s = 3.7
-        scaled_metric = FiniteMetric.from_matrix(inst.metric.dist * s, labels=inst.metric.labels)
         scaled_tree = HstTree(
             parent=tree.parent,
             weight=tree.weight * s,
             leaf_vertex=tree.leaf_vertex,
             tau=tree.tau,
-            metric=scaled_metric,
         )
         scaled_model = ExactCostModel(
             lambda c: inst.f_table[:, int(c)] * s, n_actions=inst.n_actions

@@ -38,7 +38,7 @@ def test_point_masses_pay_tree_distance(rng):
     a[1] = 1.0
     b[4] = 1.0
     w = tree_wasserstein(tree, a, b)
-    assert w == pytest.approx(tree.tree_distance(1, 4))
+    assert w == pytest.approx(distance_matrix(tree)[1, 4])
     coupling = optimal_coupling(tree, a, b)
     assert coupling.pairs == ((1, 4, 1.0),)
     assert sample_next(tree, a, b, 1, rng) == 4
@@ -152,6 +152,7 @@ def test_realized_movement_tracks_wasserstein_sum(rng):
     w_total = sum(
         tree_wasserstein(tree, dists[h], dists[h + 1]) for h in range(len(dists) - 1)
     )
+    dist = distance_matrix(tree)
     replays = 3000
     moved = np.zeros(replays)
     for r in range(replays):
@@ -159,7 +160,7 @@ def test_realized_movement_tracks_wasserstein_sum(rng):
         total = 0.0
         for prev_dist, next_dist in zip(dists[:-1], dists[1:]):
             nxt = sample_next(tree, prev_dist, next_dist, x, rng)
-            total += tree.tree_distance(x, nxt)
+            total += dist[x, nxt]
             x = nxt
         moved[r] = total
     se = moved.std() / np.sqrt(replays)
