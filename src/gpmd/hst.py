@@ -40,9 +40,9 @@ class HstTree:
     point_index: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        parent = np.asarray(self.parent, dtype=np.int64)
+        parent = _as_indices("parent", self.parent)
         weight = np.asarray(self.weight, dtype=float)
-        leaf_vertex = np.asarray(self.leaf_vertex, dtype=np.int64)
+        leaf_vertex = _as_indices("leaf_vertex", self.leaf_vertex)
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "leaf_vertex", leaf_vertex)
@@ -157,6 +157,18 @@ class HstTree:
         eta = 1.0 - np.log(theta)
         delta = theta / eta
         return theta, eta, delta
+
+
+def _as_indices(name: str, entries) -> np.ndarray:
+    """``entries`` as int64, naming the first entry the cast would change."""
+    raw = np.asarray(entries)
+    with np.errstate(invalid="ignore"):  # NaN and inf are reported below
+        cast = raw.astype(np.int64, copy=False)
+    bad = np.flatnonzero(cast != raw)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{name}[{i}] = {raw[i]} is not an integer")
+    return cast
 
 
 def _check_vertices(name: str, entries: np.ndarray, low: int, nv: int) -> None:

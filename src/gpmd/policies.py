@@ -22,7 +22,7 @@ import numpy as np
 from .gp import GpModel
 from .hst import HstTree
 from .mirror import MdEngine, PotentialParams, point_mass_state
-from .transport import sample_next
+from .transport import lifted_w1, sample_next
 
 POLICY_NAMES = ("gp-md", "cgp-lcb", "md-known", "minc-known", "stationary")
 
@@ -58,6 +58,12 @@ class GpServiceModel:
     ``to_cost(mean, std, beta)``, by default the lower bound; a model of
     another quantity (the wind runs model the windspeed) passes the map
     from its bounds to cost bounds.
+
+    The bounds are served once per context per GP state: a context's array
+    is kept, read-only, until ``gp.n`` changes (by a flush here or a direct
+    ``gp.update``). Only a model frozen within an episode
+    (``update_mode="per-episode"``) sees a context twice between updates; a
+    per-step model learns after every query, so it always computes afresh.
     """
 
     def __init__(
@@ -77,9 +83,20 @@ class GpServiceModel:
         self.to_cost = to_cost
         self._buffer_X: list = []
         self._buffer_y: list = []
+        self._served: dict = {}  # context key -> its cost bounds at GP state _served_n
+        self._served_n = 0
 
     def lcb_costs(self, context) -> np.ndarray:
-        return self.to_cost(*self.gp.posterior(self.featurize(context)), self.gp.beta_t())
+        if self._served_n != self.gp.n:
+            # beta_t, like the posterior, changes only when the GP learns.
+            self._served.clear()
+            self._served_n = self.gp.n
+        costs = self._served.get(context)
+        if costs is None:
+            costs = self.to_cost(*self.gp.posterior(self.featurize(context)), self.gp.beta_t())
+            costs.flags.writeable = False
+            self._served[context] = costs
+        return costs
 
     def observe(self, action, context, y):
         self._buffer_X.append(self.featurize(context)[action])
@@ -190,11 +207,9 @@ class MirrorDescentPolicy(Policy):
         costs = np.maximum(self.rho * np.asarray(lcb, dtype=float), 0.0)
         q_new, vertex_costs = self.engine.step(self.q, costs)
         z_new = self.engine.delta_map(q_new)
-        diff = np.abs(z_new - self.z_prev)
-        diff[self.tree.root] = 0.0
         diag = {
             "hallucinated_root_cost": float(vertex_costs[self.tree.root]),
-            "tree_wasserstein_step": float((self.tree.weight * diff).sum()),
+            "tree_wasserstein_step": lifted_w1(self.tree, z_new, self.z_prev),
             "newton_iters": list(self.engine.newton_iters),
         }
         leaves = self.tree.leaf_vertex
@@ -204,10 +219,6 @@ class MirrorDescentPolicy(Policy):
         self.q = q_new
         self.z_prev = z_new
         return self._record(action), diag
-
-    def leaf_distribution(self) -> np.ndarray:
-        """Current marginal l(z) over actions (exposed for analysis)."""
-        return self.z_prev[self.tree.leaf_vertex]
 
     def observe(self, action, context, y):
         super().observe(action, context, y)

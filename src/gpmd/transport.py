@@ -51,8 +51,12 @@ def tree_wasserstein(tree: HstTree, a, b) -> float:
     pa, pb = _as_probs(a), _as_probs(b)
     if pa.shape != (tree.n_leaves,) or pb.shape != (tree.n_leaves,):
         raise ValueError("distributions must cover the tree's leaves")
-    za = tree.subtree_sums(pa)
-    zb = tree.subtree_sums(pb)
+    return lifted_w1(tree, tree.subtree_sums(pa), tree.subtree_sums(pb))
+
+
+def lifted_w1(tree: HstTree, za: np.ndarray, zb: np.ndarray) -> float:
+    """W1 between two distributions given as lifted vertex masses:
+    sum_v w_v * |za_v - zb_v| over the non-root vertices."""
     diff = np.abs(za - zb)
     diff[tree.root] = 0.0  # root mass is 1 on both sides; its weight is unused
     return float((tree.weight * diff).sum())

@@ -221,15 +221,6 @@ def _data_rows(path, body):
     return lines, rows
 
 
-def write_wind_csv(path, table: WindTable) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "altitude_m", "windspeed_ms"])
-        for k, ts in enumerate(table.timestamps):
-            for i, alt in enumerate(table.altitudes):
-                writer.writerow([ts.isoformat(), repr(float(alt)), repr(float(table.speeds[i, k]))])
-
-
 def service_matrix(params: EnergyParams, wind: WindTable) -> np.ndarray:
     """Dense f(x, t) over the whole table, one row per altitude."""
     es = energy_service(params, wind.speeds)

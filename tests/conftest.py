@@ -6,9 +6,11 @@ one row of, the all-pairs tree metric (``distance_matrix``), the entropic
 divergence (``bregman``) that mirror descent minimizes, brute-force
 enumeration for the offline DP (``brute_force_optimal``), state checks
 (``validate_state``, ``validate_conditionals``) and a dense LP for optimal
-transport (``lp_transport_cost``).
+transport (``lp_transport_cost``). ``write_wind_csv`` writes a wind table
+in the format ``gpmd.wind.ingest_wind_csv`` reads.
 """
 
+import csv
 from collections import deque
 from dataclasses import dataclass
 
@@ -19,6 +21,7 @@ from scipy.optimize import linprog
 from gpmd.hst import HstTree
 from gpmd.mirror import STATE_TOL, PotentialParams
 from gpmd.transport import MARGINAL_TOL, _as_probs
+from gpmd.wind import WindTable
 
 
 @pytest.fixture
@@ -286,3 +289,13 @@ def optimal_coupling(tree: HstTree, a, b) -> Coupling:
     if leftover > MARGINAL_TOL:
         raise AssertionError(f"unmatched transport mass {leftover:.3e}")
     return Coupling(tree=tree, pairs=tuple(pairs))
+
+
+def write_wind_csv(path, table: WindTable) -> None:
+    """One ``timestamp,altitude_m,windspeed_ms`` row per hour and altitude."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "altitude_m", "windspeed_ms"])
+        for k, ts in enumerate(table.timestamps):
+            for i, alt in enumerate(table.altitudes):
+                writer.writerow([ts.isoformat(), repr(float(alt)), repr(float(table.speeds[i, k]))])

@@ -303,10 +303,8 @@ def test_c07_known_f_consistency():
         c = int(ctx_rng.integers(0, inst.n_contexts))
         gp_side.act(c)
         known_side.act(c)
-        worst = max(
-            worst,
-            float(np.abs(gp_side.leaf_distribution() - known_side.leaf_distribution()).max()),
-        )
+        gap = gp_side.z_prev[tree.leaf_vertex] - known_side.z_prev[tree.leaf_vertex]
+        worst = max(worst, float(np.abs(gap).max()))
     assert worst <= 1e-6
     _report(7, "controller with exact model reproduces the known-cost baseline", started,
             f"worst per-step distribution gap {worst:.1e}")

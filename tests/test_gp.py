@@ -17,8 +17,8 @@ def make_model(lam=LAM, **kwargs) -> GpModel:
 
 
 def lcb_costs(model, Xq):
-    """The default cost bounds of a service model whose context is the query rows."""
-    return GpServiceModel(model, lambda rows: rows, n_actions=len(Xq)).lcb_costs(Xq)
+    """The default cost bounds of a service model whose one context queries ``Xq``."""
+    return GpServiceModel(model, lambda _: Xq, n_actions=len(Xq)).lcb_costs(0)
 
 
 def dense_posterior(kernel, lam, X, y, Xq):

@@ -23,7 +23,7 @@ from gpmd.harness import (
 )
 from gpmd.policies import POLICY_NAMES
 
-from conftest import optimal_coupling
+from conftest import optimal_coupling, write_wind_csv
 
 
 def small_cfg(tmp_path, **overrides) -> RunConfig:
@@ -324,7 +324,7 @@ class TestWindRun:
         assert not list(out.glob("*.steps.csv"))
 
     def test_dataset_csv_replay(self, tmp_path):
-        from gpmd.wind import default_altitudes, synthetic_wind_table, write_wind_csv
+        from gpmd.wind import default_altitudes, synthetic_wind_table
 
         table = synthetic_wind_table(4, hours=12, altitudes=default_altitudes(6))
         csv_path = tmp_path / "wind.csv"

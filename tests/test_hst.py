@@ -154,9 +154,13 @@ class TestTreeValidation:
             ([-1, 0, 0], [0, 1, 1, 1], [1, 2], 2.0, "4 weights for 3 vertices"),
             ([-1, 0, 0], [0, np.nan, 1], [1, 2], 2.0, "weights must be non-negative"),
             ([-1, 0, 0], [0, 1, 1], [1, 2], np.nan, "tau must exceed 1"),
+            # an int64 cast would truncate these to valid vertices
+            ([-1, 0, 0], [0, 1, 1], [1.7, 2.2], 2.0, r"leaf_vertex\[0\] = 1.7 is not an integer"),
+            ([-1, 0.5, 0], [0, 1, 1], [1, 2], 2.0, r"parent\[1\] = 0.5 is not an integer"),
         ],
         ids=["shared-leaf", "negative-leaf", "leaf-out-of-range", "parent-out-of-range",
-             "parent-below-root-marker", "short-weight", "long-weight", "nan-weight", "nan-tau"],
+             "parent-below-root-marker", "short-weight", "long-weight", "nan-weight", "nan-tau",
+             "fractional-leaf", "fractional-parent"],
     )
     def test_malformed_input_named(self, parent, weight, leaf_vertex, tau, message):
         with pytest.raises(ValueError, match=message):

@@ -10,8 +10,10 @@ from gpmd.policies import (
     ExactCostModel,
     GpServiceModel,
     MirrorDescentPolicy,
+    lower_bound,
     make_policy,
 )
+from gpmd.transport import tree_wasserstein
 
 
 @pytest.fixture
@@ -26,11 +28,11 @@ def exact_model(inst) -> ExactCostModel:
     return ExactCostModel(lambda c: inst.f_table[:, int(c)], n_actions=inst.n_actions)
 
 
-def gp_model_for(inst, update_mode="per-step") -> GpServiceModel:
+def gp_model_for(inst, update_mode="per-step", beta_mode="constant") -> GpServiceModel:
     gp = GpModel(
         kernel=RbfKernel(lengthscale=inst.lengthscale, outputscale=inst.scale**2),
         lam=max(inst.noise_sigma**2, 1e-8),
-        beta_mode="constant",
+        beta_mode=beta_mode,
         beta_value=2.0,
     )
 
@@ -39,6 +41,18 @@ def gp_model_for(inst, update_mode="per-step") -> GpServiceModel:
         return np.column_stack([inst.metric.coords, np.full(inst.metric.n, e)])
 
     return GpServiceModel(gp, featurize, n_actions=inst.metric.n, update_mode=update_mode)
+
+
+def count_posteriors(gp) -> list:
+    """Record each later ``gp.posterior`` call in the returned list."""
+    calls, posterior = [], gp.posterior
+
+    def counted(Xq):
+        calls.append(Xq)
+        return posterior(Xq)
+
+    gp.posterior = counted
+    return calls
 
 
 class TestStationary:
@@ -140,6 +154,74 @@ class TestGpServiceModel:
         assert beta == base.gp.beta_t() == 2.0
         assert np.array_equal(costs, ref_mean + ref_std)
         assert np.array_equal(base.lcb_costs(3), ref_mean - 2.0 * ref_std)
+
+    def test_frozen_model_serves_each_context_once(self, small_world):
+        inst, tree = small_world
+        model = gp_model_for(inst, update_mode="per-episode")
+        model.gp.update(model.featurize(1)[[4]], [float(inst.f_table[4, 1])])
+        gp, calls = model.gp, count_posteriors(model.gp)
+        pol = make_policy("gp-md", tree=tree, cost_model=model, rng=np.random.default_rng(2))
+        pol.begin_episode(0)
+        for c in (0, 1, 0, 0):
+            a, _ = pol.act(c)  # mirror descent runs on the served read-only arrays
+            pol.observe(a, c, float(inst.f_table[a, c]))
+        assert len(calls) == 2
+        served = model.lcb_costs(0)
+        assert len(calls) == 2
+        assert np.array_equal(served, lower_bound(*gp.posterior(model.featurize(0)), gp.beta_t()))
+        assert not served.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            served[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "event, beta_mode",
+        [("flush", "constant"), ("gp.update", "constant"), ("flush", "theory")],
+    )
+    def test_learning_drops_served_bounds(self, small_world, event, beta_mode):
+        # Whatever makes the GP learn, by this model's flush or by a direct
+        # update, the next query sees the new posterior and beta_t.
+        inst, _ = small_world
+        model = gp_model_for(inst, update_mode="per-episode", beta_mode=beta_mode)
+        model.gp.update(model.featurize(1)[[4]], [float(inst.f_table[4, 1])])
+        gp, calls = model.gp, count_posteriors(model.gp)
+        before = model.lcb_costs(2)
+        beta_before = gp.beta_t()
+        if event == "flush":
+            model.observe(6, 2, float(inst.f_table[6, 2]))
+            assert model.lcb_costs(2) is before
+            model.end_episode()
+        else:
+            gp.update(model.featurize(3)[[6]], [float(inst.f_table[6, 3])])
+        after = model.lcb_costs(2)
+        assert len(calls) == 2
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, lower_bound(*gp.posterior(model.featurize(2)), gp.beta_t()))
+        assert (gp.beta_t() != beta_before) == (beta_mode == "theory")
+
+    def test_per_step_bounds_match_unmemoized(self, small_world):
+        # A per-step model learns after every query, so even a recurring
+        # context gets a fresh posterior at each step.
+        class Unmemoized(GpServiceModel):
+            def lcb_costs(self, context):
+                return self.to_cost(*self.gp.posterior(self.featurize(context)), self.gp.beta_t())
+
+        inst, tree = small_world
+        model = gp_model_for(inst)
+        ref = Unmemoized(gp_model_for(inst).gp, model.featurize, n_actions=inst.metric.n)
+        calls = count_posteriors(model.gp)
+        pol = make_policy("gp-md", tree=tree, cost_model=model, rng=np.random.default_rng(4))
+        pol_ref = make_policy("gp-md", tree=tree, cost_model=ref, rng=np.random.default_rng(4))
+        pol.begin_episode(0)
+        pol_ref.begin_episode(0)
+        contexts = (0, 1, 0, 0, 2, 1, 1, 3)
+        for c in contexts:
+            a, _ = pol.act(c)
+            assert pol_ref.act(c)[0] == a
+            assert np.array_equal(model.lcb_costs(c), ref.lcb_costs(c))
+            y = float(inst.f_table[a, c])
+            pol.observe(a, c, y)
+            pol_ref.observe(a, c, y)
+        assert len(calls) == len(contexts)
 
 
 class TestBeginEpisode:
@@ -252,7 +334,8 @@ class TestMirrorDescentPolicy:
         for c in (0, 2, 4, 1):
             pol_gp.act(c)
             pol_known.act(c)
-            assert np.abs(pol_gp.leaf_distribution() - pol_known.leaf_distribution()).max() <= 1e-6
+            gap = pol_gp.z_prev[tree.leaf_vertex] - pol_known.z_prev[tree.leaf_vertex]
+            assert np.abs(gap).max() <= 1e-6
 
     def test_scaling_invariance_of_md_known(self, small_world):
         # Scaling all costs and all tree weights by one constant leaves the
@@ -277,7 +360,8 @@ class TestMirrorDescentPolicy:
         for c in (0, 1, 2, 3):
             pol.act(c)
             pol_s.act(c)
-            assert np.abs(pol.leaf_distribution() - pol_s.leaf_distribution()).max() <= 1e-8
+            gap = pol.z_prev[tree.leaf_vertex] - pol_s.z_prev[scaled_tree.leaf_vertex]
+            assert np.abs(gap).max() <= 1e-8
 
     def test_step_marginal_matches_leaf_distribution(self, small_world):
         # Replays of one episode step must hit actions at the l(z) rates.
@@ -294,7 +378,7 @@ class TestMirrorDescentPolicy:
                 a, _ = pol.act(c)
             counts[a] += 1
             if target is None:
-                target = pol.leaf_distribution()
+                target = pol.z_prev[tree.leaf_vertex]
         freqs = counts / draws
         for j in range(inst.n_actions):
             se = np.sqrt(max(target[j] * (1 - target[j]), 1e-12) / draws)
@@ -312,13 +396,15 @@ class TestMirrorDescentPolicy:
             "coupling_fallback",
             "newton_iters",
         }
-        assert diag["tree_wasserstein_step"] >= 0.0
+        start = np.eye(inst.n_actions)[0]
+        moved = tree_wasserstein(tree, start, pol.z_prev[tree.leaf_vertex])
+        assert diag["tree_wasserstein_step"] == pytest.approx(moved, rel=1e-12, abs=1e-15)
         # one iteration count per depth layer of the tree's internal vertices
         assert len(diag["newton_iters"]) == int(tree.depth.max())
         for count in diag["newton_iters"]:
             assert type(count) is int and count >= 0
         # from a point mass the row is the whole next distribution
-        assert diag["row_pieces"] == int((pol.leaf_distribution() > 0.0).sum())
+        assert diag["row_pieces"] == int((pol.z_prev[tree.leaf_vertex] > 0.0).sum())
         assert diag["coupling_fallback"] is False
 
 

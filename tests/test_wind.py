@@ -17,8 +17,9 @@ from gpmd.wind import (
     service_matrix,
     synthetic_wind_table,
     trajectory_energy,
-    write_wind_csv,
 )
+
+from conftest import write_wind_csv
 
 P10 = EnergyParams(v_rated=10.0)
 
