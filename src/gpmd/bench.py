@@ -21,14 +21,12 @@ class EpisodeLog:
     actions: list = field(default_factory=list)
     service: list = field(default_factory=list)
     movement: list = field(default_factory=list)
-    observations: list = field(default_factory=list)
 
-    def append(self, context, action: int, service: float, movement: float, y: float):
+    def append(self, context, action: int, service: float, movement: float):
         self.contexts.append(context)
         self.actions.append(int(action))
         self.service.append(float(service))
         self.movement.append(float(movement))
-        self.observations.append(float(y))
 
     @property
     def service_total(self) -> float:
@@ -153,7 +151,7 @@ def _chol_with_jitter(K: np.ndarray, jitter: float = 1e-8):
 
 def synth_instance(
     seed: int,
-    metric: FiniteMetric | None = None,
+    metric: FiniteMetric,
     n_contexts: int = 40,
     lengthscale: float = 0.2,
 ) -> SyntheticInstance:
@@ -163,12 +161,6 @@ def synth_instance(
     blocks, so the exact joint sample is L_x @ G @ L_e^T with G standard
     normal; this equals a draw from the full joint factorization.
     """
-    from .metric import grid_metric
-
-    if metric is None:
-        metric = grid_metric(20, 20)
-    if metric.coords is None:
-        raise ValueError("synthetic instances need point coordinates")
     rng = np.random.default_rng(seed)
     contexts = np.sort(rng.uniform(0.0, 1.0, n_contexts))
 

@@ -390,13 +390,7 @@ def run_cell(cfg: RunConfig, env: Env, name: str, rho: float, seed: int, start):
                 policy.observe(action, key, y)
             except Exception as exc:
                 raise CellStepError(m + 1, h + 1) from exc
-            log.append(
-                env.labels[key],
-                action,
-                float(f_eff[action, key]),
-                float(env.dist[prev, action]),
-                y,
-            )
+            log.append(env.labels[key], action, float(f_eff[action, key]), float(env.dist[prev, action]))
             prev = action
         policy.end_episode()
         logs.append(log)

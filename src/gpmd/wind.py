@@ -17,6 +17,7 @@ piecewise monotone with interior critical points only at V_r and
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -59,23 +60,6 @@ def energy_service(params: EnergyParams, v) -> np.ndarray | float:
 def energy_move(params: EnergyParams, x: float, x_prev: float) -> float:
     """Energy lost changing altitude; a scalar multiple of |x - x_prev|."""
     return params.c3 * params.v_rated**2 * abs(float(x) - float(x_prev))
-
-
-def energy_service_interval(params: EnergyParams, lo: float, hi: float):
-    """(min, max) of E_S over a windspeed interval, via the critical points."""
-    if lo > hi:
-        raise ValueError("empty windspeed interval")
-    lo = max(0.0, float(lo))
-    hi = max(lo, float(hi))
-    c1, c2, v_r, dt = params.c1, params.c2, params.v_rated, params.dt_minutes
-    candidates = [lo, hi]
-    for crit in (params.stall_speed, v_r):
-        if lo < crit < hi:
-            candidates.append(crit)
-    # Scalar arithmetic in energy_service's order of operations, so the
-    # result matches it bit for bit (an array ``**3`` may differ in the last bit).
-    vals = [(c1 * min(v, v_r) ** 3 - c2 * (v * v)) * dt for v in candidates]
-    return min(vals), max(vals)
 
 
 @dataclass(frozen=True)
@@ -179,7 +163,7 @@ def _columns(body):
     """The columns of the data rows, each distinct timestamp and altitude
     string parsed once: (timestamp strings, their datetimes, altitude
     strings, their floats, windspeeds). ValueError on any blank or malformed
-    row."""
+    row, non-finite value or negative windspeed."""
     if set(map(len, body)) != {3}:
         raise ValueError("not three columns per row")
     ts_col = [r[0] for r in body]
@@ -187,6 +171,8 @@ def _columns(body):
     parsed = {s: datetime.fromisoformat(s.strip()) for s in set(ts_col)}
     alt_of = {s: float(s) for s in set(alt_col)}
     speed = np.fromiter(map(float, [r[2] for r in body]), float, len(body))
+    if not (np.isfinite(list(alt_of.values())).all() and np.isfinite(speed).all()):
+        raise ValueError("non-finite value")
     if (speed < 0).any():
         raise ValueError("negative windspeed")
     return ts_col, parsed, alt_col, alt_of, speed
@@ -198,7 +184,7 @@ def _codes(col, code_of) -> np.ndarray:
 
 def _data_rows(path, body):
     """Line numbers and rows of the non-blank rows; raises on the first
-    malformed row with its line number."""
+    malformed, non-finite or negative entry with its line number."""
     lines, rows = [], []
     for lineno, row in enumerate(body, start=2):
         if not row or all(not c.strip() for c in row):
@@ -210,10 +196,13 @@ def _data_rows(path, body):
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: bad timestamp {row[0]!r}") from None
         try:
-            float(row[1])
-            speed = float(row[2])
+            alt, speed = float(row[1]), float(row[2])
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
+        if not math.isfinite(alt):
+            raise ValueError(f"{path}: line {lineno}: non-finite altitude {alt}")
+        if not math.isfinite(speed):
+            raise ValueError(f"{path}: line {lineno}: non-finite windspeed {speed}")
         if speed < 0:
             raise ValueError(f"{path}: line {lineno}: negative windspeed {speed}")
         lines.append(lineno)
@@ -236,8 +225,11 @@ def cost_bounds(params: EnergyParams, mean: np.ndarray, std: np.ndarray, beta: f
     """
     lo = np.maximum(0.0, mean - beta * std)
     hi = np.maximum(lo, mean + beta * std)
-    bounds = [energy_service_interval(params, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
-    es_lo, es_hi = np.array(bounds).T
+    # E_S is monotone between its critical points, so its extremes over
+    # [lo, hi] are among the ends and the critical points clipped into it.
+    crit = [np.clip(c, lo, hi) for c in (params.stall_speed, params.v_rated)]
+    es = energy_service(params, np.stack([lo, hi, *crit]))
+    es_lo, es_hi = es.min(axis=0), es.max(axis=0)
     ceiling = es_hi.max()
     lcb_f = np.maximum(0.0, ceiling - es_hi)
     ucb_f = ceiling - es_lo
@@ -249,10 +241,9 @@ def default_altitudes(n: int = 25, low: float = 10.0, high: float = 1600.0) -> n
 
 
 def altitude_metric(params: EnergyParams, altitudes) -> FiniteMetric:
+    """Altitudes on a line, at the movement cost E_M = c3 * V_r^2 * |x - x'|."""
     alts = np.asarray(altitudes, dtype=float)
-    diff = np.abs(alts[:, None] - alts[None, :])
-    dist = params.c3 * params.v_rated**2 * diff
-    return FiniteMetric(dist=dist, coords=alts[:, None])
+    return FiniteMetric(alts[:, None], scale=params.c3 * params.v_rated**2)
 
 
 def make_wind_gp(

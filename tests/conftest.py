@@ -6,8 +6,11 @@ one row of, the all-pairs tree metric (``distance_matrix``), the entropic
 divergence (``bregman``) that mirror descent minimizes, brute-force
 enumeration for the offline DP (``brute_force_optimal``), state checks
 (``validate_state``, ``validate_conditionals``) and a dense LP for optimal
-transport (``lp_transport_cost``). ``write_wind_csv`` writes a wind table
-in the format ``gpmd.wind.ingest_wind_csv`` reads.
+transport (``lp_transport_cost``), a per-k scan of the metric axioms
+(``loop_triangle_error``) and the scalar interval bound of the wind energy
+(``energy_service_interval``) that ``gpmd.wind.cost_bounds`` computes over
+arrays. ``write_wind_csv`` writes a wind table in the format
+``gpmd.wind.ingest_wind_csv`` reads.
 """
 
 import csv
@@ -118,6 +121,29 @@ def distance_matrix(tree: HstTree) -> np.ndarray:
     out = np.zeros((n, n))
     out[i, j] = out[j, i] = total
     return out
+
+
+def loop_triangle_error(d: np.ndarray, tol: float = 1e-9):
+    """The first metric axiom ``d`` breaks, by a per-k scan, or None.
+
+    Returns "square", "finite", "diagonal", "non-negative", "symmetric" or
+    "triangle"; symmetry and d_ij <= d_ik + d_kj are checked within ``tol``.
+    """
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        return "square"
+    if not np.all(np.isfinite(d)):
+        return "finite"
+    if np.any(np.diag(d) != 0.0):
+        return "diagonal"
+    if np.any(d < 0.0):
+        return "non-negative"
+    if np.max(np.abs(d - d.T)) > tol:
+        return "symmetric"
+    for k in range(d.shape[0]):
+        if (d - (d[:, [k]] + d[[k], :])).max() > tol:
+            return "triangle"
+    return None
 
 
 def validate_state(tree: HstTree, z: np.ndarray, tol: float = STATE_TOL) -> None:
@@ -299,3 +325,20 @@ def write_wind_csv(path, table: WindTable) -> None:
         for k, ts in enumerate(table.timestamps):
             for i, alt in enumerate(table.altitudes):
                 writer.writerow([ts.isoformat(), repr(float(alt)), repr(float(table.speeds[i, k]))])
+
+
+def energy_service_interval(params, lo: float, hi: float):
+    """(min, max) of E_S over a windspeed interval, one candidate point at a time."""
+    if lo > hi:
+        raise ValueError("empty windspeed interval")
+    lo = max(0.0, float(lo))
+    hi = max(lo, float(hi))
+    c1, c2, v_r, dt = params.c1, params.c2, params.v_rated, params.dt_minutes
+    candidates = [lo, hi]
+    for crit in (params.stall_speed, v_r):
+        if lo < crit < hi:
+            candidates.append(crit)
+    # Scalar arithmetic in energy_service's order of operations, so the
+    # result matches it bit for bit (an array ``**3`` may differ in the last bit).
+    vals = [(c1 * min(v, v_r) ** 3 - c2 * (v * v)) * dt for v in candidates]
+    return min(vals), max(vals)

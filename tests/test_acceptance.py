@@ -245,7 +245,7 @@ def test_c06_offline_dp_equals_enumeration():
             if n**H <= 100_000:
                 break
         coords = rng.uniform(0.0, 1.0, size=(n, 2))
-        metric = FiniteMetric.from_coords(coords)
+        metric = FiniteMetric(coords)
         cost_matrix = rng.uniform(0.0, 2.0, size=(H, n))
         x0 = int(rng.integers(0, n))
         seq_dp, cost_dp = offline_optimal_matrix(cost_matrix, metric.dist, x0)
@@ -396,7 +396,7 @@ def _episodic_regret_series(seed: int, n_ep: int = 50, horizon: int = 10):
             a, _ = pol.act(c)
             y = float(inst.f_table[a, c] + noise[m, h])
             pol.observe(a, c, y)
-            log.append(c, a, float(inst.f_table[a, c]), float(metric.dist[prev, a]), y)
+            log.append(c, a, float(inst.f_table[a, c]), float(metric.dist[prev, a]))
             prev = a
         pol.end_episode()
         logs.append(log)

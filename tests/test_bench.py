@@ -16,7 +16,7 @@ from conftest import brute_force_optimal
 class TestOfflineOptimal:
     def test_single_step(self, rng):
         n = 5
-        metric = FiniteMetric.from_coords(rng.uniform(0, 1, (n, 2)))
+        metric = FiniteMetric(rng.uniform(0, 1, (n, 2)))
         f = rng.uniform(0, 2, (n, 3))
         seq, cost = offline_optimal_matrix(f[:, [1]].T, metric.dist, 2)
         direct = f[:, 1] + metric.dist[2]
@@ -27,7 +27,7 @@ class TestOfflineOptimal:
         for _ in range(25):
             n = int(rng.integers(2, 6))
             H = int(rng.integers(2, 5))
-            metric = FiniteMetric.from_coords(rng.uniform(0, 1, (n, 2)))
+            metric = FiniteMetric(rng.uniform(0, 1, (n, 2)))
             cost_matrix = rng.uniform(0, 1, (H, n))
             x0 = int(rng.integers(0, n))
             seq_dp, cost_dp = offline_optimal_matrix(cost_matrix, metric.dist, x0)
@@ -41,29 +41,25 @@ class TestOfflineOptimal:
 
     def test_zero_metric_decouples_steps(self, rng):
         n, H = 6, 4
-        metric = FiniteMetric(np.zeros((n, n)))
         cost_matrix = rng.uniform(0, 1, (H, n))
-        seq, cost = offline_optimal_matrix(cost_matrix, metric.dist, 0)
+        seq, cost = offline_optimal_matrix(cost_matrix, np.zeros((n, n)), 0)
         assert seq == [int(np.argmin(cost_matrix[h])) for h in range(H)]
         assert cost == pytest.approx(cost_matrix.min(axis=1).sum())
 
     def test_ties_break_low_index(self):
-        metric = FiniteMetric(np.zeros((3, 3)))
         cost_matrix = np.array([[0.5, 0.5, 0.5], [0.2, 0.2, 0.2]])
-        seq, _ = offline_optimal_matrix(cost_matrix, metric.dist, 1)
+        seq, _ = offline_optimal_matrix(cost_matrix, np.zeros((3, 3)), 1)
         assert seq == [0, 0]
 
     def test_missing_entries_rejected(self):
-        metric = FiniteMetric(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="finite"):
-            offline_optimal_matrix(np.array([[1.0, np.nan]]), metric.dist, 0)
+            offline_optimal_matrix(np.array([[1.0, np.nan]]), np.zeros((2, 2)), 0)
 
     def test_movement_matters(self):
         # cheap action far away vs slightly dearer action nearby
         dist = np.array([[0.0, 10.0, 1.0], [10.0, 0.0, 10.0], [1.0, 10.0, 0.0]])
-        metric = FiniteMetric(dist)
         cost_matrix = np.array([[5.0, 0.0, 1.0]] * 3)
-        seq, cost = offline_optimal_matrix(cost_matrix, metric.dist, 0)
+        seq, cost = offline_optimal_matrix(cost_matrix, dist, 0)
         assert seq == [2, 2, 2]
         assert cost == pytest.approx(1.0 + 3.0)
 
@@ -93,16 +89,16 @@ class TestRowLayoutDp:
             n = int(rng.integers(2, 30))
             H = int(rng.integers(1, 40))
             # L1 distances on an integer lattice tie often; a few entries get
-            # an asymmetric nudge that the metric's tolerance still accepts.
+            # an asymmetric nudge within 1e-9 of the triangle inequality.
             pts = rng.integers(0, 4, (n, 2))
             dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).astype(float)
             nudge = np.triu(rng.integers(0, 2, (n, n)) * 1e-10, k=1)
             nudge[0, n - 1] = 1e-10
-            metric = FiniteMetric(dist + nudge)
+            dist += nudge
             cost_matrix = rng.integers(0, 5, (H, n)).astype(float)
             x0 = int(rng.integers(0, n))
-            seq, cost = offline_optimal_matrix(cost_matrix, metric.dist, x0)
-            ref_seq, ref_cost = column_layout_dp(cost_matrix, metric.dist, x0)
+            seq, cost = offline_optimal_matrix(cost_matrix, dist, x0)
+            ref_seq, ref_cost = column_layout_dp(cost_matrix, dist, x0)
             assert seq == ref_seq, trial
             assert cost == ref_cost, trial
 
@@ -129,8 +125,8 @@ class TestRegret:
 
     def test_episode_log_totals(self):
         log = EpisodeLog(x0=0)
-        log.append(0.1, 1, service=2.0, movement=1.0, y=2.2)
-        log.append(0.2, 2, service=3.0, movement=0.5, y=3.1)
+        log.append(0.1, 1, service=2.0, movement=1.0)
+        log.append(0.2, 2, service=3.0, movement=0.5)
         assert log.service_total == pytest.approx(5.0)
         assert log.movement_total == pytest.approx(1.5)
         assert log.cost_total == pytest.approx(6.5)
@@ -176,8 +172,3 @@ class TestSynthInstance:
         assert cov[1, 1] == pytest.approx(1.0, rel=0.10)
         assert cov[0, 1] == pytest.approx(k01, rel=0.10)
         assert cov[1, 2] == pytest.approx(k01, rel=0.10)
-
-    def test_requires_coordinates(self):
-        metric = FiniteMetric(np.where(np.eye(3), 0.0, 1.0))
-        with pytest.raises(ValueError, match="coordinates"):
-            synth_instance(0, metric=metric)

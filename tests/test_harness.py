@@ -664,6 +664,23 @@ def test_large_costs_converge(tmp_path):
     assert not list(out.glob("*.failed.json"))
 
 
+def test_forty_by_forty_grid_runs(tmp_path):
+    # 1,600 actions: the metric, the FRT tree, the synthetic instance,
+    # 1,600-row GP queries and the offline DP at n >= 1600.
+    out = tmp_path / "o"
+    code = cli_main(
+        ["run", "--kind", "synthetic", "--policies", "md-known,gp-md", "--seeds", "0",
+         "--steps", "5", "--set", "grid=[40,40]", "--out", str(out)]
+    )
+    assert code == 0
+    assert not list(out.glob("*.failed.json"))
+    summaries = sorted(p.name for p in out.glob("*.summary.json"))
+    assert summaries == [
+        "gp-md_seed0_rho1_startauto.summary.json",
+        "md-known_seed0_rho1_startauto.summary.json",
+    ]
+
+
 def _check_cell_invariants(out, env, rho, start=None):
     """Every steps.csv row against the env's tables, and the summary's regret."""
     (steps_path,) = out.glob("*.steps.csv")

@@ -7,7 +7,7 @@ from gpmd.hst import HstTree, frt_embed
 from gpmd.metric import FiniteMetric, grid_metric
 from gpmd.wind import EnergyParams, altitude_metric, synthetic_wind_table
 
-from conftest import distance_matrix, random_hst
+from conftest import distance_matrix, loop_triangle_error, random_hst
 
 
 def star_tree(weights=(1.0, 1.0)) -> HstTree:
@@ -86,11 +86,12 @@ class TestTreeDistance:
 
     @pytest.mark.parametrize("chain, dup", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.4), (0.3, 0.4)])
     def test_random_trees_give_metrics(self, rng, chain, dup):
-        # Symmetric, zero on the diagonal and within the triangle tolerance,
-        # as FiniteMetric checks, also with single-child chains and
-        # zero-distance duplicates.
+        # Symmetric, zero on the diagonal and within 1e-9 of the triangle
+        # inequality, also with single-child chains and zero-distance
+        # duplicates.
         for n in (1, 2, 5, 13, 32):
-            FiniteMetric(distance_matrix(random_hst(rng, n, chain=chain, dup=dup)))
+            D = distance_matrix(random_hst(rng, n, chain=chain, dup=dup))
+            assert loop_triangle_error(D) is None
 
 
 class TestLeafCountRatios:
@@ -174,13 +175,13 @@ class TestTreeValidation:
 
 class TestFrtEmbed:
     def test_single_point(self):
-        m = FiniteMetric(np.zeros((1, 1)))
+        m = FiniteMetric(np.zeros((1, 2)))
         t = frt_embed(m, tau=5.0, rng_seed=0)
         assert t.n_vertices == 1 and t.n_leaves == 1
         assert distance_matrix(t)[0, 0] == 0.0
 
     def test_two_points_dominance_every_seed(self):
-        m = FiniteMetric(np.array([[0.0, 3.0], [3.0, 0.0]]))
+        m = FiniteMetric(np.array([[0.0], [3.0]]))
         for seed in range(40):
             t = frt_embed(m, tau=5.0, rng_seed=seed)
             assert distance_matrix(t)[0, 1] >= 3.0
@@ -188,7 +189,7 @@ class TestFrtEmbed:
     def test_dominance_random_metrics(self, rng):
         for trial in range(10):
             pts = rng.uniform(0.0, 1.0, size=(12, 2))
-            m = FiniteMetric.from_coords(pts)
+            m = FiniteMetric(pts)
             t = frt_embed(m, tau=5.0, rng_seed=trial)
             assert np.all(distance_matrix(t) >= m.dist - 1e-12)
 
@@ -206,7 +207,7 @@ class TestFrtEmbed:
 
     def test_duplicates_collapse_to_zero_weight_fanout(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        m = FiniteMetric.from_coords(pts)
+        m = FiniteMetric(pts)
         t = frt_embed(m, tau=5.0, rng_seed=2)
         assert t.n_leaves == 3
         D = distance_matrix(t)
@@ -214,7 +215,7 @@ class TestFrtEmbed:
         assert D[0, 2] >= 1.0
 
     def test_all_zero_metric(self):
-        m = FiniteMetric(np.zeros((3, 3)))
+        m = FiniteMetric(np.zeros((3, 2)))  # three copies of one point
         t = frt_embed(m, tau=5.0, rng_seed=0)
         assert t.n_leaves == 3
         assert distance_matrix(t).max() == 0.0
@@ -397,7 +398,7 @@ def loop_frt_structure(metric: FiniteMetric, tau: float, rng_seed: int):
 def _duplicate_points_metric() -> FiniteMetric:
     rng = np.random.default_rng(7)
     pts = rng.integers(0, 4, size=(30, 2)).astype(float)  # many repeated points
-    return FiniteMetric.from_coords(pts)
+    return FiniteMetric(pts)
 
 
 def _wind_metric() -> FiniteMetric:

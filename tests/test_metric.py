@@ -1,4 +1,3 @@
-import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpmd.metric import TRIANGLE_ROWS, TRIANGLE_TOL, FiniteMetric, grid_metric
+from gpmd.metric import FiniteMetric, grid_metric
+from gpmd.wind import EnergyParams, altitude_metric, default_altitudes
+
+from conftest import loop_triangle_error
+
+# The wind workload's altitudes: 25 from 10 m to 1600 m.
+BENCH_ALTITUDES = 10.0 + np.arange(25) * (1590.0 / 24)
 
 
 def test_grid_metric_shape_and_diameter():
@@ -16,31 +21,8 @@ def test_grid_metric_shape_and_diameter():
     assert m.dist[0, 0] == 0.0
 
 
-def test_symmetry_and_triangle_enforced():
-    bad = np.array([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(ValueError, match="symmetric"):
-        FiniteMetric(bad)
-    tri = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-    with pytest.raises(ValueError, match="triangle"):
-        FiniteMetric(tri)
-
-
-def test_triangle_tolerance_boundary():
-    eps = 5e-10  # inside the 1e-9 allowance
-    d = np.array([[0.0, 1.0, 2.0 + eps], [1.0, 0.0, 1.0], [2.0 + eps, 1.0, 0.0]])
-    m = FiniteMetric(d)
-    assert m.dist.max() == pytest.approx(2.0 + eps)
-
-
-def test_rejects_negative_and_nonzero_diagonal():
-    with pytest.raises(ValueError):
-        FiniteMetric(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        FiniteMetric(np.array([[1.0, 1.0], [1.0, 0.0]]))
-
-
 def test_single_point_space():
-    m = FiniteMetric(np.zeros((1, 1)))
+    m = FiniteMetric(np.zeros((1, 2)))
     assert m.n == 1
     assert m.dist.max() == 0.0
 
@@ -48,26 +30,69 @@ def test_single_point_space():
 def test_from_coords_norms():
     # Euclidean is the only norm.
     pts = np.array([[0.0, 0.0], [3.0, 4.0]])
-    assert FiniteMetric.from_coords(pts).dist[0, 1] == pytest.approx(5.0)
+    assert FiniteMetric(pts).dist[0, 1] == pytest.approx(5.0)
+    assert FiniteMetric(pts, scale=2.5).dist[0, 1] == pytest.approx(12.5)
 
 
 def test_mean_pairwise_distance():
-    m = FiniteMetric(np.array([[0.0, 2.0], [2.0, 0.0]]))
+    m = FiniteMetric(np.array([[0.0], [2.0]]))
     assert m.mean_pairwise_distance() == pytest.approx(2.0)
 
 
-def loop_triangle_error(d):
-    """The former per-k scan: the symmetry and triangle errors, or None."""
-    if not np.array_equal(d, d.T) and np.max(np.abs(d - d.T)) > TRIANGLE_TOL:
-        return "symmetric"
-    for k in range(d.shape[0]):
-        if (d - (d[:, [k]] + d[[k], :])).max() > TRIANGLE_TOL:
-            return "triangle"
-    return None
+@pytest.mark.parametrize(
+    "coords, scale, match",
+    [
+        (np.zeros((0, 2)), 1.0, "at least one"),
+        (np.zeros(3), 1.0, "one row per point"),
+        (np.array([[0.0], [np.nan]]), 1.0, "finite"),
+        (np.array([[0.0, np.inf]]), 1.0, "finite"),
+        (np.zeros((2, 1)), 0.0, "scale"),
+        (np.zeros((2, 1)), -1.0, "scale"),
+        (np.zeros((2, 1)), np.nan, "scale"),
+        (np.zeros((2, 1)), np.inf, "scale"),
+        (np.array([[0.0], [1e300]]), 1e10, "overflow"),
+    ],
+    ids=["no-points", "flat", "nan-coord", "inf-coord", "zero-scale", "negative-scale",
+         "nan-scale", "inf-scale", "overflow"],
+)
+def test_rejects_bad_input(coords, scale, match):
+    with pytest.raises(ValueError, match=match):
+        FiniteMetric(coords, scale=scale)
+
+
+@pytest.mark.parametrize(
+    "d, broken",
+    [
+        (np.array([[0.0, 1.0], [2.0, 0.0]]), "symmetric"),
+        (np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]), "triangle"),
+        (np.array([[0.0, 1.0, 2.0 + 2e-9], [1.0, 0.0, 1.0], [2.0 + 2e-9, 1.0, 0.0]]), "triangle"),
+        (np.array([[0.0, -1.0], [-1.0, 0.0]]), "non-negative"),
+        (np.array([[1.0, 1.0], [1.0, 0.0]]), "diagonal"),
+        (np.array([[0.0, np.inf], [np.inf, 0.0]]), "finite"),
+        (np.zeros((2, 3)), "square"),
+        (np.array([[0.0, 1.0, 2.0 + 5e-10], [1.0, 0.0, 1.0], [2.0 + 5e-10, 1.0, 0.0]]), None),
+    ],
+)
+def test_triangle_oracle_flags_each_broken_axiom(d, broken):
+    assert loop_triangle_error(d) == broken
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: grid_metric(20, 20),
+        lambda: grid_metric(24, 24),
+        lambda: altitude_metric(EnergyParams(), BENCH_ALTITUDES),
+        lambda: altitude_metric(EnergyParams(), default_altitudes()),
+    ],
+    ids=["grid20x20", "grid24x24", "bench-altitudes", "default-altitudes"],
+)
+def test_program_metrics_satisfy_the_metric_axioms(make):
+    assert loop_triangle_error(make().dist) is None
 
 
 def dense_coord_dist(coords, norm):
-    """The former n x n x dim expression of ``from_coords``."""
+    """The former n x n x dim expression of a coordinate-built metric."""
     diff = coords[:, None, :] - coords[None, :, :]
     if norm == "euclidean":
         dist = np.sqrt((diff**2).sum(axis=-1))
@@ -81,64 +106,33 @@ def dense_coord_dist(coords, norm):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n=st.integers(1, 140),
+    n=st.integers(1, 60),
     dim=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
-    asymmetric=st.booleans(),
-    plant=st.sampled_from([None, "above", "below"]),
-    ijk=st.tuples(st.integers(0, 139), st.integers(0, 139), st.integers(0, 139)),
+    dups=st.integers(0, 20),
+    scale=st.floats(1e-3, 1e3),
 )
-@example(n=TRIANGLE_ROWS + 1, dim=2, seed=1, asymmetric=True, plant="above", ijk=(64, 0, 30))
-@example(n=2 * TRIANGLE_ROWS + 12, dim=2, seed=2, asymmetric=False, plant="above", ijk=(5, 70, 139))
-@example(n=2 * TRIANGLE_ROWS + 12, dim=3, seed=3, asymmetric=True, plant="below", ijk=(130, 3, 64))
-@example(n=2 * TRIANGLE_ROWS + 12, dim=2, seed=4, asymmetric=False, plant="above", ijk=(100, 70, 0))
-def test_triangle_check_matches_per_k_scan(n, dim, seed, asymmetric, plant, ijk):
-    """Accepts and rejects exactly as the per-k scan, on exactly symmetric
-    matrices, matrices asymmetric within the tolerance, and violations
-    planted just above and just below it; a rejection names a real
-    violating triple and its slack."""
+@example(n=40, dim=1, seed=0, dups=10, scale=0.15 * 12.0**2)
+@example(n=30, dim=2, seed=1, dups=29, scale=1.0)
+def test_coordinate_metrics_satisfy_the_metric_axioms(n, dim, seed, dups, scale):
+    """Random points in 1-3 dimensions, some of them repeated, at any scale:
+    the distances are ``scale`` times the dense Euclidean expression, float
+    for float, and pass the per-k scan of the metric axioms."""
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, 1.0, (n, dim))
-    i, j, k = (v % n for v in ijk)
-    plant = plant if len({i, j, k}) == 3 else None
-    if plant:  # k, on the segment from i to j, witnesses the planted pair
-        pts[k] = 0.5 * (pts[i] + pts[j])
-    d = dense_coord_dist(pts, "euclidean")
-    if asymmetric:
-        d += np.triu(rng.uniform(0.0, 0.5 * TRIANGLE_TOL, (n, n)), 1)
-    if plant:
-        others = np.setdiff1d(np.arange(n), [i, j])
-        via = max((d[i, others] + d[others, j]).min(), (d[j, others] + d[others, i]).min())
-        d[i, j] = d[j, i] = via + TRIANGLE_TOL * (1.001 if plant == "above" else 0.999)
-        if asymmetric:  # only d(i,j) is near the tolerance; d(j,i) has room
-            d[j, i] -= 0.9 * TRIANGLE_TOL
-    expected = loop_triangle_error(d)
-    if plant == "above":
-        assert expected == "triangle"
-    if expected is None:
-        FiniteMetric(d)
-        return
-    with pytest.raises(ValueError, match=expected) as err:
-        FiniteMetric(d)
-    if expected == "triangle":
-        i, j, i2, k, k2, j2, slack = re.search(
-            r"d\((\d+),(\d+)\) > d\((\d+),(\d+)\) \+ d\((\d+),(\d+)\) by (\S+)$",
-            str(err.value),
-        ).groups()
-        assert (i, k, j) == (i2, k2, j2)
-        i, j, k = int(i), int(j), int(k)
-        named = d[i, j] - (d[i, k] + d[k, j])
-        assert named > TRIANGLE_TOL
-        assert f"{named:.3e}" == slack
+    pts = rng.uniform(-5.0, 5.0, (n, dim))
+    pts[rng.integers(0, n, dups)] = pts[rng.integers(0, n, dups)]
+    m = FiniteMetric(pts, scale=scale)
+    assert np.array_equal(m.dist, scale * dense_coord_dist(pts, "euclidean"))
+    assert loop_triangle_error(m.dist) is None
 
 
-@pytest.mark.parametrize("norm", ["euclidean"])  # the norm of from_coords
+@pytest.mark.parametrize("norm", ["euclidean"])  # the only norm of FiniteMetric
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_from_coords_bit_identical_to_dense_expression(norm, dim):
     rng = np.random.default_rng(dim)
     pts = rng.normal(0.0, 3.0, (90, dim))
     pts[10:15] = pts[:5]  # duplicate points
-    dist = FiniteMetric.from_coords(pts).dist
+    dist = FiniteMetric(pts).dist
     assert np.array_equal(dist, dense_coord_dist(pts, norm))
 
 
@@ -148,8 +142,8 @@ def test_grid_metric_bit_identical_to_dense_expression():
 
 
 def test_grid_metric_peak_memory():
-    # Two n x n arrays while distances accumulate; the triangle check adds
-    # O(TRIANGLE_ROWS * n). Per-k n x n temporaries would read about 6 n^2.
+    # Two n x n arrays while distances accumulate, scaled in place. Per-k or
+    # n x n x dim temporaries would read several times that.
     n = 24 * 24
     tracemalloc.start()
     try:

@@ -231,7 +231,7 @@ def test_row_matches_coupling_on_random_trees(rng):
 
 def test_row_matches_coupling_on_frt_tree_with_duplicates(rng):
     pts = rng.integers(0, 5, size=(40, 2)).astype(float)
-    tree = frt_embed(FiniteMetric.from_coords(pts), tau=5.0, rng_seed=3)
+    tree = frt_embed(FiniteMetric(pts), tau=5.0, rng_seed=3)
     assert (tree.weight[tree.leaf_vertex] == 0.0).any()  # zero-weight duplicate leaves
     dists = md_sequence(tree, rng, 8)
     for a, b in zip(dists[:-1], dists[1:]):

@@ -12,14 +12,13 @@ from gpmd.wind import (
     default_altitudes,
     energy_move,
     energy_service,
-    energy_service_interval,
     ingest_wind_csv,
     service_matrix,
     synthetic_wind_table,
     trajectory_energy,
 )
 
-from conftest import write_wind_csv
+from conftest import energy_service_interval, write_wind_csv
 
 P10 = EnergyParams(v_rated=10.0)
 
@@ -180,6 +179,29 @@ class TestPropagateBounds:
         assert np.all(lcb_f >= 0.0)
 
 
+    def test_cost_bounds_match_the_scalar_reference(self, rng):
+        # Posteriors whose intervals start below the stall speed, straddle
+        # the rated speed, collapse to a point or sit on either side.
+        for params in (P10, EnergyParams()):
+            for _ in range(200):
+                n = int(rng.integers(1, 30))
+                mean = rng.uniform(-2.0, 1.6 * params.v_rated, n)
+                std = rng.uniform(0.0, 4.0, n) * (rng.uniform(size=n) < 0.9)
+                beta = float(rng.uniform(0.0, 3.0))
+                lcb_f, ucb_f = cost_bounds(params, mean, std, beta)
+                lo = np.maximum(0.0, mean - beta * std)
+                hi = np.maximum(lo, mean + beta * std)
+                es_lo, es_hi = np.array(
+                    [energy_service_interval(params, a, b) for a, b in zip(lo, hi)]
+                ).T
+                ceiling = es_hi.max()
+                # Array and scalar cubes may differ in the last bit of E_S.
+                tol = 1e-13 * np.abs(np.concatenate([es_lo, es_hi])).max()
+                assert np.abs(lcb_f - np.maximum(0.0, ceiling - es_hi)).max() <= tol
+                assert np.abs(ucb_f - (ceiling - es_lo)).max() <= tol
+                assert np.all(lcb_f >= 0.0) and np.all(lcb_f <= ucb_f)
+
+
 class TestWindCsv:
     def test_roundtrip(self, tmp_path):
         table = synthetic_wind_table(3, hours=5, altitudes=default_altitudes(4))
@@ -236,6 +258,27 @@ class TestWindCsv:
         with pytest.raises(ValueError, match="unknown altitude"):
             ingest_wind_csv(path, altitudes=[50.0, 150.0])
 
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ("2016-07-01T00:00:00,200.0,nan", "line 3: non-finite windspeed"),
+            ("2016-07-01T00:00:00,200.0,inf", "line 3: non-finite windspeed"),
+            ("2016-07-01T00:00:00,inf,6.5", "line 3: non-finite altitude"),
+        ],
+        ids=["nan-windspeed", "inf-windspeed", "inf-altitude"],
+    )
+    def test_non_finite_value_names_row(self, tmp_path, row, match):
+        path = tmp_path / "w.csv"
+        path.write_text(
+            "timestamp,altitude_m,windspeed_ms\n"
+            "2016-07-01T00:00:00,100.0,5.5\n"
+            f"{row}\n"
+            "2016-07-01T01:00:00,100.0,5.0\n"
+            "2016-07-01T01:00:00,200.0,6.0\n"
+        )
+        with pytest.raises(ValueError, match=match):
+            ingest_wind_csv(path)
+
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text(
@@ -259,6 +302,22 @@ class TestGeneratorAndMetric:
         metric = altitude_metric(params, [10.0, 110.0, 210.0])
         assert metric.dist[0, 1] == pytest.approx(0.15 * 144.0 * 100.0)
         assert metric.dist[0, 2] == pytest.approx(metric.dist[0, 1] + metric.dist[1, 2])
+
+    @pytest.mark.parametrize(
+        "alts",
+        [
+            10.0 + np.arange(25) * (1590.0 / 24),  # the wind workload's altitudes
+            default_altitudes(),
+            np.sort(np.random.default_rng(5).uniform(0.0, 3000.0, 300)),
+        ],
+        ids=["bench", "default", "random"],
+    )
+    def test_altitude_metric_equals_scaled_absolute_difference(self, alts):
+        # sqrt(fl(x^2)) == |x| in binary64, so the coordinate metric is the
+        # movement cost c3 * V_r^2 * |x - x'| float for float.
+        params = EnergyParams()
+        expected = params.c3 * params.v_rated**2 * np.abs(alts[:, None] - alts[None, :])
+        assert np.array_equal(altitude_metric(params, alts).dist, expected)
 
     def test_trajectory_energy_identity(self):
         params = EnergyParams(v_rated=10.0)
