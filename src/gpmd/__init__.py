@@ -23,7 +23,6 @@ from .policies import (
     ExactCostModel,
     GpServiceModel,
     MirrorDescentPolicy,
-    make_policy,
 )
 from .transport import (
     coupling_row,

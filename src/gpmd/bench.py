@@ -47,8 +47,8 @@ class RegretReport:
     beta: float
     episode_costs: np.ndarray
     optimal_costs: np.ndarray
-    per_episode: np.ndarray = field(default=None)
-    cumulative: np.ndarray = field(default=None)
+    per_episode: np.ndarray = field(init=False)
+    cumulative: np.ndarray = field(init=False)
 
     def __post_init__(self):
         costs = np.asarray(self.episode_costs, dtype=float)

@@ -35,7 +35,15 @@ from .gp import GpModel, RbfKernel
 from .hst import HstTree, frt_embed
 from .metric import grid_metric
 from .mirror import MdEngine, PotentialParams, point_mass_state
-from .policies import POLICY_NAMES, ExactCostModel, GpServiceModel, lower_bound, make_policy
+from .policies import (
+    POLICY_NAMES,
+    ArgminPolicy,
+    ExactCostModel,
+    GpServiceModel,
+    MirrorDescentPolicy,
+    StationaryPolicy,
+    lower_bound,
+)
 from .wind import (
     EnergyParams,
     altitude_metric,
@@ -307,7 +315,7 @@ def build_wind_env(cfg: RunConfig, seed: int) -> Env:
 
     def energy(logs):
         (log,) = logs
-        return trajectory_energy(params, table, log.actions, range(len(log.actions)), log.x0)
+        return trajectory_energy(params, table, log.actions, log.x0)
 
     return Env(
         tree=tree,
@@ -342,27 +350,23 @@ class CellStepError(RuntimeError):
 
 
 def _cell_policy(cfg: RunConfig, env: Env, name: str, rho: float, seed: int):
-    """The named policy on the env: a GP service model for the learners,
-    the true table for the known-f baselines."""
-    n = env.f.shape[0]
-    cost_model = true_model = None
+    """The named policy on the env: the learners read a GP service model of
+    their own (only gp-md takes ``cfg.update_mode``; cgp-lcb learns every
+    step), the others the true table."""
     if name in ("gp-md", "cgp-lcb"):
         update_mode = cfg.update_mode if name == "gp-md" else "per-step"
-        cost_model = GpServiceModel(
-            env.make_gp(), env.featurize, n_actions=n, update_mode=update_mode, to_cost=env.to_cost
+        model = GpServiceModel(
+            env.make_gp(), env.featurize, env.f.shape[0], update_mode=update_mode, to_cost=env.to_cost
         )
     else:
-        true_model = ExactCostModel(lambda key: env.f[:, key], n_actions=n)
-    return make_policy(
-        name,
-        tree=env.tree,
-        cost_model=cost_model,
-        true_model=true_model,
-        rho=rho,
-        kappa=cfg.kappa,
-        rng=rng_stream(seed, "sampling"),
-        n_actions=n,
-    )
+        model = ExactCostModel(env.f)
+    if name in ("gp-md", "md-known"):
+        return MirrorDescentPolicy(
+            env.tree, model, rho=rho, kappa=cfg.kappa, rng=rng_stream(seed, "sampling")
+        )
+    if name in ("cgp-lcb", "minc-known"):
+        return ArgminPolicy(model)
+    return StationaryPolicy(model)
 
 
 def run_cell(cfg: RunConfig, env: Env, name: str, rho: float, seed: int, start):

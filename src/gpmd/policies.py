@@ -2,10 +2,12 @@
 
 All policies share one interface: ``begin_episode(x0)``, ``act(context)``
 returning (action index, diagnostics), ``observe(action, context, y)``, and
-``end_episode()``. Learning policies buffer observations and flush them into
-their own GP model, which grows in place, every step or at episode end.
+``end_episode()``. A policy reads its costs from a cost model and forwards
+each observation to it: the learners' ``GpServiceModel`` buffers them and
+flushes them into its own GP model, which grows in place, every step or at
+episode end; the ``ExactCostModel`` of the other policies never learns.
 
-Policies:
+Policies, as ``harness._cell_policy`` builds them by name:
 
 * ``gp-md``      - confidence-bound costs fed through tree mirror descent,
                    next action sampled from the minimal-movement coupling.
@@ -28,14 +30,15 @@ POLICY_NAMES = ("gp-md", "cgp-lcb", "md-known", "minc-known", "stationary")
 
 
 class ExactCostModel:
-    """True service costs; used by the known-f baselines. Never learns."""
+    """The true service table (one row per action, one column per context
+    key): the known-f baselines' costs. Never learns."""
 
-    def __init__(self, cost_fn, n_actions: int):
-        self.cost_fn = cost_fn
-        self.n_actions = n_actions
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=float)
+        self.n_actions = self.table.shape[0]
 
-    def lcb_costs(self, context) -> np.ndarray:
-        return np.asarray(self.cost_fn(context), dtype=float)
+    def lcb_costs(self, key) -> np.ndarray:
+        return self.table[:, key]
 
     def observe(self, action, context, y):
         pass
@@ -115,18 +118,17 @@ class GpServiceModel:
 
 
 class Policy:
-    name = "base"
+    """An action chooser over a cost model, which it forwards each observation to."""
 
-    def __init__(self, n_actions: int):
-        self.n_actions = n_actions
+    def __init__(self, cost_model):
+        self.cost_model = cost_model
+        self.n_actions = cost_model.n_actions
         self.x0: int | None = None
-        self.x_prev: int | None = None
 
     def begin_episode(self, x0: int):
         if not 0 <= x0 < self.n_actions:
             raise ValueError(f"unknown action index {x0}")
         self.x0 = int(x0)
-        self.x_prev = int(x0)
 
     def act(self, context):
         raise NotImplementedError
@@ -134,43 +136,28 @@ class Policy:
     def observe(self, action, context, y):
         if not np.isfinite(y):
             raise ValueError("observations must be finite")
+        self.cost_model.observe(action, context, y)
 
     def end_episode(self):
-        pass
-
-    def _record(self, action: int) -> int:
-        self.x_prev = int(action)
-        return int(action)
+        self.cost_model.end_episode()
 
 
 class StationaryPolicy(Policy):
-    name = "stationary"
+    """Never leaves the episode's start."""
 
     def act(self, context):
         if self.x0 is None:
             raise RuntimeError("begin_episode must be called first")
-        return self._record(self.x0), {}
+        return self.x0, {}
 
 
 class ArgminPolicy(Policy):
     """Movement-blind argmin of the model's cost estimate (ties: lowest index)."""
 
-    def __init__(self, cost_model, name: str):
-        super().__init__(cost_model.n_actions)
-        self.cost_model = cost_model
-        self.name = name
-
     def act(self, context):
         costs = self.cost_model.lcb_costs(context)
         action = int(np.argmin(costs))
-        return self._record(action), {"estimated_cost": float(costs[action])}
-
-    def observe(self, action, context, y):
-        super().observe(action, context, y)
-        self.cost_model.observe(action, context, y)
-
-    def end_episode(self):
-        self.cost_model.end_episode()
+        return action, {"estimated_cost": float(costs[action])}
 
 
 class MirrorDescentPolicy(Policy):
@@ -183,20 +170,19 @@ class MirrorDescentPolicy(Policy):
         rho: float = 1.0,
         kappa: float = 1.0,
         rng: np.random.Generator | None = None,
-        name: str = "gp-md",
     ):
-        super().__init__(tree.n_leaves)
+        super().__init__(cost_model)
         self.tree = tree
-        self.cost_model = cost_model
         self.rho = float(rho)
         self.engine = MdEngine(tree, PotentialParams(tree, kappa=kappa))
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.name = name
         self.q = None
         self.z_prev = None
+        self.x_prev: int | None = None
 
     def begin_episode(self, x0: int):
         super().begin_episode(x0)
+        self.x_prev = self.x0
         self.z_prev = point_mass_state(self.tree, self.x0)
         self.q = self.engine.delta_inverse(self.z_prev)
 
@@ -218,46 +204,5 @@ class MirrorDescentPolicy(Policy):
         )
         self.q = q_new
         self.z_prev = z_new
-        return self._record(action), diag
-
-    def observe(self, action, context, y):
-        super().observe(action, context, y)
-        self.cost_model.observe(action, context, y)
-
-    def end_episode(self):
-        self.cost_model.end_episode()
-
-
-def make_policy(
-    name: str,
-    tree: HstTree | None = None,
-    cost_model=None,
-    true_model=None,
-    rho: float = 1.0,
-    kappa: float = 1.0,
-    rng: np.random.Generator | None = None,
-    n_actions: int | None = None,
-) -> Policy:
-    """Policy factory. Learning policies take ``cost_model``; the known-f
-    baselines take ``true_model``; ``stationary`` takes ``n_actions``."""
-    if name == "stationary":
-        if n_actions is None:
-            raise ValueError("stationary needs the action count")
-        return StationaryPolicy(n_actions)
-    if name == "cgp-lcb":
-        if cost_model is None:
-            raise ValueError("cgp-lcb needs a learned cost model")
-        return ArgminPolicy(cost_model, name="cgp-lcb")
-    if name == "minc-known":
-        if true_model is None:
-            raise ValueError("minc-known needs the true cost model")
-        return ArgminPolicy(true_model, name="minc-known")
-    if name == "gp-md":
-        if tree is None or cost_model is None:
-            raise ValueError("gp-md needs a tree and a learned cost model")
-        return MirrorDescentPolicy(tree, cost_model, rho=rho, kappa=kappa, rng=rng, name="gp-md")
-    if name == "md-known":
-        if tree is None or true_model is None:
-            raise ValueError("md-known needs a tree and the true cost model")
-        return MirrorDescentPolicy(tree, true_model, rho=rho, kappa=kappa, rng=rng, name="md-known")
-    raise ValueError(f"unknown policy {name!r}; known: {', '.join(POLICY_NAMES)}")
+        self.x_prev = int(action)
+        return self.x_prev, diag

@@ -77,6 +77,11 @@ class WindTable:
         object.__setattr__(self, "speeds", speeds)
         if speeds.shape != (alts.shape[0], len(self.timestamps)):
             raise ValueError("speed matrix shape must be (altitudes, timestamps)")
+        for name, values in (("altitudes", alts), ("speeds", speeds)):
+            bad = np.argwhere(~np.isfinite(values))
+            if bad.size:
+                at = tuple(bad[0])
+                raise ValueError(f"{name}[{', '.join(map(str, at))}] = {values[at]} is not finite")
         if np.any(np.diff(alts) <= 0):
             raise ValueError("altitudes must be strictly increasing")
         if np.any(speeds < 0):
@@ -98,11 +103,12 @@ class WindTable:
         return np.array([t.hour for t in self.timestamps], dtype=float)
 
 
-def ingest_wind_csv(path, altitudes=None) -> WindTable:
+def ingest_wind_csv(path) -> WindTable:
     """Parse the bit-exact schema ``timestamp,altitude_m,windspeed_ms``.
 
     Rows are grouped by timestamp; every timestamp block must cover the full
-    altitude set. Malformed rows are rejected with their line number.
+    altitude set, which is every altitude the file names. Malformed rows are
+    rejected with their line number.
     """
     header_expect = ["timestamp", "altitude_m", "windspeed_ms"]
     with open(path, newline="") as fh:
@@ -122,35 +128,28 @@ def ingest_wind_csv(path, altitudes=None) -> WindTable:
         cols = _columns(body)
     ts_col, parsed, alt_col, alt_of, speed = cols
 
-    if altitudes is None:
-        altitudes = np.array(sorted(set(alt_of.values())))
-    else:
-        altitudes = np.asarray(altitudes, dtype=float)
+    altitudes = np.array(sorted(set(alt_of.values())))
     alt_index = {a: i for i, a in enumerate(altitudes)}
-    idx = _codes(alt_col, {s: alt_index.get(a, -1) for s, a in alt_of.items()})
+    idx = _codes(alt_col, {s: alt_index[a] for s, a in alt_of.items()})
     # Rank the distinct instants: a row's block starts where its rank
     # changes, and the blocks must come in increasing rank.
     rank = {ts: r for r, ts in enumerate(sorted(set(parsed.values())))}
     code = _codes(ts_col, {s: rank[ts] for s, ts in parsed.items()})
     new_block = np.diff(code, prepend=-1) != 0
     starts, block = np.flatnonzero(new_block), np.cumsum(new_block) - 1
-    known = idx >= 0
     speeds = np.full((altitudes.shape[0], starts.size), np.nan)
-    speeds[idx[known], block[known]] = speed[known]  # a repeated altitude keeps its last row
+    speeds[idx, block] = speed  # a repeated altitude keeps its last row
     missing = np.flatnonzero(np.isnan(speeds).any(axis=0))[:1]
 
-    # The first fault as a row-by-row pass meets them: at one row, an unknown
-    # altitude, then a timestamp below the one before, then a block that
-    # misses altitudes (met at the next block's first row, or at the end).
+    # The first fault as a row-by-row pass meets them: at one row, a
+    # timestamp below the one before, then a block that misses altitudes
+    # (met at the next block's first row, or at the end).
     ends = np.append(starts[1:], len(body))
-    faults = [(k, 0) for k in np.flatnonzero(~known)[:1]]
-    faults += [(k, 1) for k in starts[1:][np.diff(code[starts]) < 0][:1]]
-    faults += [(ends[b], 2) for b in missing]
+    faults = [(k, 0) for k in starts[1:][np.diff(code[starts]) < 0][:1]]
+    faults += [(ends[b], 1) for b in missing]
     if faults:
         k, kind = min(faults)
         if kind == 0:
-            raise ValueError(f"{path}: line {lines[k]}: unknown altitude {alt_of[alt_col[k]]}")
-        if kind == 1:
             raise ValueError(f"{path}: line {lines[k]}: timestamps not increasing")
         stamp = parsed[ts_col[starts[missing[0]]]]
         raise ValueError(f"{path}: timestamp {stamp} misses altitudes")
@@ -281,15 +280,14 @@ def synthetic_wind_table(seed: int, hours: int = 960, altitudes=None) -> WindTab
     return WindTable(altitudes=alts, timestamps=stamps, speeds=np.maximum(speeds, 0.0))
 
 
-def trajectory_energy(
-    params: EnergyParams, wind: WindTable, actions, time_indices, x0_idx: int
-) -> dict:
-    """Total generated energy of an altitude trajectory: sum of E_S minus sum of E_M."""
+def trajectory_energy(params: EnergyParams, wind: WindTable, actions, x0_idx: int) -> dict:
+    """Total generated energy of an altitude trajectory that takes ``actions[k]``
+    at the table's k-th timestamp: sum of E_S minus sum of E_M."""
     service = 0.0
     movement = 0.0
     prev = int(x0_idx)
-    for a, k in zip(actions, time_indices):
-        service += float(energy_service(params, wind.speeds[int(a), int(k)]))
+    for k, a in enumerate(actions):
+        service += float(energy_service(params, wind.speeds[int(a), k]))
         movement += energy_move(params, wind.altitudes[int(a)], wind.altitudes[prev])
         prev = int(a)
     return {

@@ -291,7 +291,7 @@ def test_c07_known_f_consistency():
     )
     known_side = MirrorDescentPolicy(
         tree,
-        ExactCostModel(lambda c: inst.f_table[:, int(c)], n_actions=metric.n),
+        ExactCostModel(inst.f_table),
         rho=rho,
         rng=np.random.default_rng(1),
     )
@@ -362,7 +362,6 @@ def _episodic_regret_series(seed: int, n_ep: int = 50, horizon: int = 10):
     learning trend."""
     from gpmd.bench import EpisodeLog, regret
     from gpmd.harness import rng_stream
-    from gpmd.policies import make_policy
 
     metric = grid_metric(4, 4)
     inst = synth_instance(
@@ -384,8 +383,7 @@ def _episodic_regret_series(seed: int, n_ep: int = 50, horizon: int = 10):
         beta_value=2.0,
     )
     model = GpServiceModel(gp, featurize, n_actions=16, update_mode="per-episode")
-    pol = make_policy("gp-md", tree=tree, cost_model=model, rho=1.0,
-                      rng=rng_stream(seed, "sampling"))
+    pol = MirrorDescentPolicy(tree, model, rho=1.0, rng=rng_stream(seed, "sampling"))
     logs = []
     for m in range(n_ep):
         pol.begin_episode(x0)

@@ -3,6 +3,7 @@ import pytest
 
 from gpmd.bench import (
     EpisodeLog,
+    RegretReport,
     log_alpha,
     offline_optimal_matrix,
     regret,
@@ -132,6 +133,12 @@ class TestRegret:
         assert log.cost_total == pytest.approx(6.5)
         report = regret([log], [6.5], alpha=1.0, beta=0.0)
         assert report.total == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("derived", ["per_episode", "cumulative"])
+    def test_derived_fields_are_not_arguments(self, derived):
+        with pytest.raises(TypeError, match=derived):
+            RegretReport(alpha=1.0, beta=0.0, episode_costs=[3.0], optimal_costs=[1.0],
+                         **{derived: [99.0]})
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):

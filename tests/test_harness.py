@@ -21,7 +21,14 @@ from gpmd.harness import (
     run,
     run_cell,
 )
-from gpmd.policies import POLICY_NAMES
+from gpmd.policies import (
+    POLICY_NAMES,
+    ArgminPolicy,
+    ExactCostModel,
+    GpServiceModel,
+    MirrorDescentPolicy,
+    StationaryPolicy,
+)
 
 from conftest import optimal_coupling, write_wind_csv
 
@@ -176,6 +183,50 @@ class TestConfig:
 
     def test_hash_stable(self, tmp_path):
         assert small_cfg(tmp_path).config_hash() == small_cfg(tmp_path).config_hash()
+
+
+class TestCellPolicy:
+    # name -> (policy class, cost model class); every name must be here.
+    BUILDS = {
+        "gp-md": (MirrorDescentPolicy, GpServiceModel),
+        "cgp-lcb": (ArgminPolicy, GpServiceModel),
+        "md-known": (MirrorDescentPolicy, ExactCostModel),
+        "minc-known": (ArgminPolicy, ExactCostModel),
+        "stationary": (StationaryPolicy, ExactCostModel),
+    }
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_each_name_builds_its_policy_on_its_cost_model(self, tmp_path, name):
+        cfg = small_cfg(tmp_path, kappa=2.0)
+        env = build_synthetic_env(cfg, 1)
+        pol = harness._cell_policy(cfg, env, name, 0.5, 1)
+        policy_cls, model_cls = self.BUILDS[name]
+        assert type(pol) is policy_cls and type(pol.cost_model) is model_cls
+        assert pol.n_actions == env.f.shape[0]
+        if model_cls is ExactCostModel:
+            assert pol.cost_model.table is env.f
+        else:
+            assert pol.cost_model.featurize is env.featurize
+            assert pol.cost_model.to_cost is env.to_cost
+        if policy_cls is MirrorDescentPolicy:
+            assert pol.tree is env.tree and pol.rho == 0.5 and pol.engine.params.kappa == 2.0
+            assert pol.rng.random() == rng_stream(1, "sampling").random()
+
+    def test_only_gp_md_takes_the_update_mode(self, tmp_path):
+        # cgp-lcb learns every step whatever the config says; each learner
+        # gets a GP of its own.
+        cfg = small_cfg(tmp_path, update_mode="per-episode")
+        env = build_synthetic_env(cfg, 1)
+        gp_md, cgp_lcb = (harness._cell_policy(cfg, env, n, 1.0, 1) for n in ("gp-md", "cgp-lcb"))
+        assert gp_md.cost_model.update_mode == "per-episode"
+        assert cgp_lcb.cost_model.update_mode == "per-step"
+        assert gp_md.cost_model.gp is not cgp_lcb.cost_model.gp
+
+    def test_unknown_policy_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli_main(["run", "--policies", "mystery", "--out", str(out)]) == 1
+        assert capsys.readouterr().out == "config error: policies: unknown policy 'mystery'\n"
+        assert not out.exists()
 
 
 class TestRngStreams:

@@ -16,7 +16,7 @@ from gpmd.mirror import (
     SolverConvergenceError,
     point_mass_state,
 )
-from gpmd.policies import ExactCostModel, make_policy
+from gpmd.policies import ExactCostModel, MirrorDescentPolicy
 
 from conftest import bregman, distance_matrix, random_hst, validate_conditionals, validate_state
 
@@ -543,9 +543,7 @@ class TestFlatLayout:
         env = build_synthetic_env(cfg, 0)
         runs = []
         for padded in (False, True):
-            true_model = ExactCostModel(lambda key: env.f[:, key], n_actions=env.f.shape[0])
-            pol = make_policy("md-known", tree=env.tree, true_model=true_model,
-                              rng=rng_stream(0, "sampling"))
+            pol = MirrorDescentPolicy(env.tree, ExactCostModel(env.f), rng=rng_stream(0, "sampling"))
             if padded:
                 pol.engine = PaddedEngine(env.tree, pol.engine.params)
             pol.begin_episode(int(env.x0[0]))

@@ -7,11 +7,12 @@ from gpmd.hst import frt_embed
 from gpmd.metric import grid_metric
 from gpmd.mirror import MdEngine
 from gpmd.policies import (
+    ArgminPolicy,
     ExactCostModel,
     GpServiceModel,
     MirrorDescentPolicy,
+    StationaryPolicy,
     lower_bound,
-    make_policy,
 )
 from gpmd.transport import tree_wasserstein
 
@@ -25,7 +26,7 @@ def small_world():
 
 
 def exact_model(inst) -> ExactCostModel:
-    return ExactCostModel(lambda c: inst.f_table[:, int(c)], n_actions=inst.n_actions)
+    return ExactCostModel(inst.f_table)
 
 
 def gp_model_for(inst, update_mode="per-step", beta_mode="constant") -> GpServiceModel:
@@ -58,7 +59,7 @@ def count_posteriors(gp) -> list:
 class TestStationary:
     def test_always_x0(self, small_world):
         inst, tree = small_world
-        pol = make_policy("stationary", n_actions=inst.n_actions)
+        pol = StationaryPolicy(exact_model(inst))
         pol.begin_episode(4)
         for c in range(5):
             action, _ = pol.act(c % 3)
@@ -66,7 +67,7 @@ class TestStationary:
 
     def test_needs_begin(self, small_world):
         inst, _ = small_world
-        pol = make_policy("stationary", n_actions=inst.n_actions)
+        pol = StationaryPolicy(exact_model(inst))
         with pytest.raises(RuntimeError):
             pol.act(0)
 
@@ -74,15 +75,14 @@ class TestStationary:
 class TestArgminPolicies:
     def test_minc_known_unique_minimizer(self, small_world):
         inst, _ = small_world
-        pol = make_policy("minc-known", true_model=exact_model(inst))
+        pol = ArgminPolicy(exact_model(inst))
         pol.begin_episode(0)
         for c in range(inst.n_contexts):
             action, _ = pol.act(c)
             assert action == int(np.argmin(inst.f_table[:, c]))
 
     def test_argmin_tie_breaks_low_index(self):
-        model = ExactCostModel(lambda c: np.array([1.0, 0.3, 0.3]), n_actions=3)
-        pol = make_policy("minc-known", true_model=model)
+        pol = ArgminPolicy(ExactCostModel([[1.0], [0.3], [0.3]]))
         pol.begin_episode(2)
         action, _ = pol.act(0)
         assert action == 1
@@ -95,7 +95,7 @@ class TestArgminPolicies:
         perm = rng.permutation(inst.n_actions)
 
         base = gp_model_for(inst)
-        pol = make_policy("cgp-lcb", cost_model=base)
+        pol = ArgminPolicy(base)
         pol.begin_episode(0)
 
         def featurize_perm(c):
@@ -109,7 +109,7 @@ class TestArgminPolicies:
         permuted = GpServiceModel(
             gp_model_for(inst).gp, featurize_perm, n_actions=inst.metric.n, update_mode="per-step"
         )
-        pol_p = make_policy("cgp-lcb", cost_model=permuted)
+        pol_p = ArgminPolicy(permuted)
         pol_p.begin_episode(0)
 
         # Warm both models on the same physical observations so the lcb has
@@ -160,7 +160,7 @@ class TestGpServiceModel:
         model = gp_model_for(inst, update_mode="per-episode")
         model.gp.update(model.featurize(1)[[4]], [float(inst.f_table[4, 1])])
         gp, calls = model.gp, count_posteriors(model.gp)
-        pol = make_policy("gp-md", tree=tree, cost_model=model, rng=np.random.default_rng(2))
+        pol = MirrorDescentPolicy(tree, model, rng=np.random.default_rng(2))
         pol.begin_episode(0)
         for c in (0, 1, 0, 0):
             a, _ = pol.act(c)  # mirror descent runs on the served read-only arrays
@@ -209,8 +209,8 @@ class TestGpServiceModel:
         model = gp_model_for(inst)
         ref = Unmemoized(gp_model_for(inst).gp, model.featurize, n_actions=inst.metric.n)
         calls = count_posteriors(model.gp)
-        pol = make_policy("gp-md", tree=tree, cost_model=model, rng=np.random.default_rng(4))
-        pol_ref = make_policy("gp-md", tree=tree, cost_model=ref, rng=np.random.default_rng(4))
+        pol = MirrorDescentPolicy(tree, model, rng=np.random.default_rng(4))
+        pol_ref = MirrorDescentPolicy(tree, ref, rng=np.random.default_rng(4))
         pol.begin_episode(0)
         pol_ref.begin_episode(0)
         contexts = (0, 1, 0, 0, 2, 1, 1, 3)
@@ -227,7 +227,7 @@ class TestGpServiceModel:
 class TestBeginEpisode:
     def test_point_mass_state(self, small_world):
         inst, tree = small_world
-        pol = make_policy("md-known", tree=tree, true_model=exact_model(inst))
+        pol = MirrorDescentPolicy(tree, exact_model(inst))
         pol.begin_episode(5)
         z = pol.z_prev
         leaf = tree.leaf_vertex[5]
@@ -240,14 +240,14 @@ class TestBeginEpisode:
 
     def test_q_and_z_consistent(self, small_world):
         inst, tree = small_world
-        pol = make_policy("md-known", tree=tree, true_model=exact_model(inst))
+        pol = MirrorDescentPolicy(tree, exact_model(inst))
         pol.begin_episode(2)
         z_round = pol.engine.delta_map(pol.q)
         assert np.abs(z_round - pol.z_prev).max() <= 1e-12
 
     def test_idempotent(self, small_world):
         inst, tree = small_world
-        pol = make_policy("md-known", tree=tree, true_model=exact_model(inst))
+        pol = MirrorDescentPolicy(tree, exact_model(inst))
         pol.begin_episode(3)
         q1, z1 = pol.q.copy(), pol.z_prev.copy()
         pol.begin_episode(3)
@@ -256,7 +256,7 @@ class TestBeginEpisode:
 
     def test_unknown_leaf(self, small_world):
         inst, tree = small_world
-        pol = make_policy("md-known", tree=tree, true_model=exact_model(inst))
+        pol = MirrorDescentPolicy(tree, exact_model(inst))
         with pytest.raises(ValueError, match="action"):
             pol.begin_episode(99)
 
@@ -265,7 +265,7 @@ class TestUpdateModes:
     def test_per_episode_keeps_lcb_fixed_within_episode(self, small_world):
         inst, tree = small_world
         model = gp_model_for(inst, update_mode="per-episode")
-        pol = make_policy("gp-md", tree=tree, cost_model=model, rng=np.random.default_rng(1))
+        pol = MirrorDescentPolicy(tree, model, rng=np.random.default_rng(1))
         pol.begin_episode(0)
         before = model.lcb_costs(2).copy()
         for c in (0, 1, 2):
@@ -278,7 +278,7 @@ class TestUpdateModes:
     def test_per_step_updates_immediately(self, small_world):
         inst, tree = small_world
         model = gp_model_for(inst, update_mode="per-step")
-        pol = make_policy("gp-md", tree=tree, cost_model=model, rng=np.random.default_rng(1))
+        pol = MirrorDescentPolicy(tree, model, rng=np.random.default_rng(1))
         pol.begin_episode(0)
         before = model.lcb_costs(2).copy()
         a, _ = pol.act(0)
@@ -288,8 +288,7 @@ class TestUpdateModes:
     def test_known_baselines_never_learn(self, small_world):
         inst, tree = small_world
         model = exact_model(inst)
-        for name in ("md-known", "minc-known"):
-            pol = make_policy(name, tree=tree, true_model=model)
+        for pol in (MirrorDescentPolicy(tree, model), ArgminPolicy(model), StationaryPolicy(model)):
             pol.begin_episode(0)
             a, _ = pol.act(0)
             pol.observe(a, 0, 123.456)
@@ -298,7 +297,7 @@ class TestUpdateModes:
 
     def test_rejects_nonfinite_observation(self, small_world):
         inst, tree = small_world
-        pol = make_policy("gp-md", tree=tree, cost_model=gp_model_for(inst))
+        pol = MirrorDescentPolicy(tree, gp_model_for(inst))
         pol.begin_episode(0)
         a, _ = pol.act(0)
         with pytest.raises(ValueError, match="finite"):
@@ -350,9 +349,7 @@ class TestMirrorDescentPolicy:
             leaf_vertex=tree.leaf_vertex,
             tau=tree.tau,
         )
-        scaled_model = ExactCostModel(
-            lambda c: inst.f_table[:, int(c)] * s, n_actions=inst.n_actions
-        )
+        scaled_model = ExactCostModel(inst.f_table * s)
         pol = MirrorDescentPolicy(tree, exact_model(inst), rho=1.0, rng=np.random.default_rng(5))
         pol_s = MirrorDescentPolicy(scaled_tree, scaled_model, rho=1.0, rng=np.random.default_rng(5))
         pol.begin_episode(0)
@@ -386,7 +383,7 @@ class TestMirrorDescentPolicy:
 
     def test_diagnostics_fields(self, small_world):
         inst, tree = small_world
-        pol = make_policy("md-known", tree=tree, true_model=exact_model(inst))
+        pol = MirrorDescentPolicy(tree, exact_model(inst))
         pol.begin_episode(0)
         _, diag = pol.act(0)
         assert set(diag) == {
@@ -407,18 +404,3 @@ class TestMirrorDescentPolicy:
         assert diag["row_pieces"] == int((pol.z_prev[tree.leaf_vertex] > 0.0).sum())
         assert diag["coupling_fallback"] is False
 
-
-class TestFactory:
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown policy"):
-            make_policy("mystery")
-
-    def test_missing_dependencies(self, small_world):
-        inst, tree = small_world
-        with pytest.raises(ValueError, match="tree"):
-            make_policy("gp-md", cost_model=gp_model_for(inst))
-        with pytest.raises(ValueError, match="true cost"):
-            make_policy("minc-known")
-        for kwargs in ({}, {"tree": tree}, {"true_model": exact_model(inst)}):
-            with pytest.raises(ValueError, match="stationary needs the action count"):
-                make_policy("stationary", **kwargs)

@@ -61,6 +61,22 @@ def toy_table(speeds, altitudes=(100.0, 200.0)) -> WindTable:
     return WindTable(altitudes=np.asarray(altitudes), timestamps=stamps, speeds=speeds)
 
 
+class TestWindTable:
+    @pytest.mark.parametrize(
+        "altitudes, speeds, match",
+        [
+            ([1.0, 2.0], [[np.nan], [np.inf]], r"speeds\[0, 0\] = nan is not finite"),
+            ([1.0, 2.0], [[5.0], [np.inf]], r"speeds\[1, 0\] = inf is not finite"),
+            ([1.0, np.nan], [[5.0], [6.0]], r"altitudes\[1\] = nan is not finite"),
+            ([1.0, np.inf], [[5.0], [6.0]], r"altitudes\[1\] = inf is not finite"),
+        ],
+        ids=["nan-speed", "inf-speed", "nan-altitude", "inf-altitude"],
+    )
+    def test_non_finite_entry_rejected(self, altitudes, speeds, match):
+        with pytest.raises(ValueError, match=match):
+            WindTable(altitudes=altitudes, timestamps=(datetime(2016, 7, 1),), speeds=speeds)
+
+
 class TestServiceObjective:
     def test_zero_at_argmax(self):
         table = toy_table([[5.0], [7.0]])
@@ -249,14 +265,18 @@ class TestWindCsv:
         with pytest.raises(ValueError, match="not increasing"):
             ingest_wind_csv(path)
 
-    def test_unknown_altitude(self, tmp_path):
+    def test_block_missing_an_altitude(self, tmp_path):
+        # The altitude set is every altitude the file names, so a block
+        # that lacks one of them is incomplete.
         path = tmp_path / "w.csv"
         path.write_text(
             "timestamp,altitude_m,windspeed_ms\n"
             "2016-07-01T00:00:00,100.0,5.5\n"
+            "2016-07-01T00:00:00,200.0,6.5\n"
+            "2016-07-01T01:00:00,200.0,6.0\n"
         )
-        with pytest.raises(ValueError, match="unknown altitude"):
-            ingest_wind_csv(path, altitudes=[50.0, 150.0])
+        with pytest.raises(ValueError, match="2016-07-01 01:00:00 misses altitudes"):
+            ingest_wind_csv(path)
 
     @pytest.mark.parametrize(
         "row, match",
@@ -322,7 +342,7 @@ class TestGeneratorAndMetric:
     def test_trajectory_energy_identity(self):
         params = EnergyParams(v_rated=10.0)
         table = toy_table([[5.0, 5.0], [15.0, 15.0]])
-        out = trajectory_energy(params, table, actions=[1, 0], time_indices=[0, 1], x0_idx=0)
+        out = trajectory_energy(params, table, actions=[1, 0], x0_idx=0)
         expected_service = 2259.0 + 299.25
         expected_move = 2 * energy_move(params, 100.0, 200.0)
         assert out["service_energy"] == pytest.approx(expected_service)
