@@ -1,13 +1,6 @@
 """Movement-penalized contextual Bayesian optimization on tree metrics."""
 
-from .bench import (
-    EpisodeLog,
-    RegretReport,
-    SyntheticInstance,
-    offline_optimal_matrix,
-    regret,
-    synth_instance,
-)
+from .bench import SyntheticInstance, offline_optimal_matrix, synth_instance
 from .gp import GpModel, Normalizer, RbfKernel
 from .harness import RunConfig, report, run, rng_stream
 from .hst import HstTree, frt_embed
@@ -33,7 +26,6 @@ from .wind import (
     EnergyParams,
     WindTable,
     altitude_metric,
-    energy_move,
     energy_service,
     ingest_wind_csv,
     synthetic_wind_table,

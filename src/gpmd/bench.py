@@ -1,83 +1,15 @@
-"""Offline optimum, regret accounting, and the synthetic objective generator."""
+"""Offline optimum, the regret factor, and the synthetic objective generator."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky as sp_cholesky
 from scipy.spatial.distance import cdist
 
 from .metric import FiniteMetric
-
-
-@dataclass
-class EpisodeLog:
-    """Per-episode record of what a policy did and what it cost."""
-
-    x0: int
-    contexts: list = field(default_factory=list)
-    actions: list = field(default_factory=list)
-    service: list = field(default_factory=list)
-    movement: list = field(default_factory=list)
-
-    def append(self, context, action: int, service: float, movement: float):
-        self.contexts.append(context)
-        self.actions.append(int(action))
-        self.service.append(float(service))
-        self.movement.append(float(movement))
-
-    @property
-    def service_total(self) -> float:
-        return float(sum(self.service))
-
-    @property
-    def movement_total(self) -> float:
-        return float(sum(self.movement))
-
-    @property
-    def cost_total(self) -> float:
-        return self.service_total + self.movement_total
-
-
-@dataclass
-class RegretReport:
-    alpha: float
-    beta: float
-    episode_costs: np.ndarray
-    optimal_costs: np.ndarray
-    per_episode: np.ndarray = field(init=False)
-    cumulative: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        costs = np.asarray(self.episode_costs, dtype=float)
-        opts = np.asarray(self.optimal_costs, dtype=float)
-        if costs.shape != opts.shape:
-            raise ValueError("episode and optimal cost lists must have equal length")
-        self.episode_costs = costs
-        self.optimal_costs = opts
-        self.per_episode = costs - self.alpha * opts - self.beta
-        self.cumulative = np.cumsum(self.per_episode)
-
-    @property
-    def total(self) -> float:
-        return float(self.cumulative[-1]) if self.cumulative.size else 0.0
-
-    def average_series(self) -> np.ndarray:
-        """R/m for m = 1..N, the sublinearity diagnostic."""
-        m = np.arange(1, self.cumulative.size + 1)
-        return self.cumulative / m
-
-
-def regret(logs, opt_costs, alpha: float, beta: float) -> RegretReport:
-    costs = [log.cost_total if isinstance(log, EpisodeLog) else float(log) for log in logs]
-    return RegretReport(
-        alpha=alpha,
-        beta=beta,
-        episode_costs=np.asarray(costs),
-        optimal_costs=np.asarray(opt_costs, dtype=float),
-    )
 
 
 def offline_optimal_matrix(cost_matrix: np.ndarray, dist: np.ndarray, x0: int):
@@ -129,7 +61,6 @@ class SyntheticInstance:
     scale: float
     noise_sigma: float
     lengthscale: float
-    seed: int
 
     @property
     def n_actions(self) -> int:
@@ -186,7 +117,6 @@ def synth_instance(
         scale=scale,
         noise_sigma=noise_sigma,
         lengthscale=lengthscale,
-        seed=seed,
     )
 
 

@@ -4,8 +4,11 @@ A run is a grid of cells (policy, seed, rho, start). The seed is the unit of
 work: its environment is built once and every cell of the seed runs on it,
 so policies are compared on the same realized contexts and observation
 noise, and the offline optimum is solved once per rho (and start) rather
-than once per policy. Each cell emits a per-step CSV and a summary JSON; a
-manifest records the config hash and seeds for exact replay.
+than once per policy. A cell's step loop records only the chosen actions;
+its per-step service and movement, and from them its totals, regret and
+(on wind runs) energy, are read off the env's tables afterwards. Each cell
+emits a per-step CSV and a summary JSON from that one record; a manifest
+records the config hash and seeds for exact replay.
 """
 
 from __future__ import annotations
@@ -24,13 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import (
-    EpisodeLog,
-    log_alpha,
-    offline_optimal_matrix,
-    regret,
-    synth_instance,
-)
+from .bench import log_alpha, offline_optimal_matrix, synth_instance
 from .gp import GpModel, RbfKernel
 from .hst import HstTree, frt_embed
 from .metric import grid_metric
@@ -48,11 +45,11 @@ from .wind import (
     EnergyParams,
     altitude_metric,
     cost_bounds,
+    energy_service,
     ingest_wind_csv,
     make_wind_gp,
     service_matrix,
     synthetic_wind_table,
-    trajectory_energy,
 )
 
 WORKERS_ENV = "GPMD_WORKERS"
@@ -227,7 +224,8 @@ class Env:
     from ``x0[m]``. The learner observes ``obs[action, key] + noise[m, h]``,
     floored at ``obs_floor``: the service itself on synthetic runs, the
     windspeed on wind runs, whose GP bounds reach the cost through
-    ``to_cost``.
+    ``to_cost``. On wind runs ``energy`` maps the windspeed to the energy
+    generated.
     """
 
     tree: HstTree
@@ -243,7 +241,7 @@ class Env:
     noise: np.ndarray  # (episodes, steps)
     obs_floor: float = -math.inf
     to_cost: Callable = lower_bound  # (mean, std, beta) -> cost bounds
-    energy: Callable | None = None  # episode logs -> energy report
+    energy: Callable | None = None  # observed quantity -> energy generated
     optima: dict = field(default_factory=dict, repr=False)
 
     def offline_optimum(self, rho: float, episode: int, x0: int) -> float:
@@ -278,7 +276,7 @@ def build_synthetic_env(cfg: RunConfig, seed: int) -> Env:
         contexts=ctx,
         x0=starts,
         start=None,
-        labels=inst.contexts,
+        labels=[repr(float(c)) for c in inst.contexts],
         featurize=featurize,
         make_gp=partial(
             GpModel,
@@ -313,10 +311,6 @@ def build_wind_env(cfg: RunConfig, seed: int) -> Env:
     def featurize(key):
         return np.column_stack([alts, np.full(alts.shape[0], hours[int(key)])])
 
-    def energy(logs):
-        (log,) = logs
-        return trajectory_energy(params, table, log.actions, log.x0)
-
     return Env(
         tree=tree,
         dist=metric.dist,
@@ -332,7 +326,7 @@ def build_wind_env(cfg: RunConfig, seed: int) -> Env:
         noise=noise[None, :],
         obs_floor=0.0,
         to_cost=lambda mean, std, beta: cost_bounds(params, mean, std, beta)[0],
-        energy=energy,
+        energy=partial(energy_service, params),
     )
 
 
@@ -340,11 +334,13 @@ def build_wind_env(cfg: RunConfig, seed: int) -> Env:
 # Cell execution.
 
 
-class CellStepError(RuntimeError):
-    """A cell failed inside a step; ``episode`` and ``step`` are 1-based as in steps.csv."""
+class CellEpisodeError(RuntimeError):
+    """A cell failed inside an episode; ``episode`` and ``step`` are 1-based as
+    in steps.csv, and ``step`` is None at the episode's start or end."""
 
-    def __init__(self, episode: int, step: int):
-        super().__init__(f"cell failed at episode {episode}, step {step}")
+    def __init__(self, episode: int, step: int | None):
+        at = "" if step is None else f", step {step}"
+        super().__init__(f"cell failed at episode {episode}{at}")
         self.episode = episode
         self.step = step
 
@@ -369,39 +365,89 @@ def _cell_policy(cfg: RunConfig, env: Env, name: str, rho: float, seed: int):
     return StationaryPolicy(model)
 
 
+def _total(values) -> float:
+    """The left-to-right sum of ``values``, the same on every Python version."""
+    return float(np.cumsum(values)[-1])
+
+
 def run_cell(cfg: RunConfig, env: Env, name: str, rho: float, seed: int, start):
     """Run one policy through every episode of the env and score it.
 
     ``start`` fixes every episode's start; None takes the env's ``x0``.
-    Returns (episode logs, regret report, energy report).
+    Returns ``(steps, summary)``. ``steps`` holds each step's context
+    ``key``, ``action``, ``service`` and ``movement`` cost as (episodes,
+    steps) arrays, which steps.csv is written from. ``summary`` is the
+    cell's record, built from those arrays: the service, movement and cost
+    totals, each episode's cost, the regret against the offline optimum
+    and, on wind runs, the energy generated. The service, movement, cost and
+    energy totals are left-to-right sums.
     """
     n_keys = env.contexts.shape[1]
     if cfg.steps > n_keys:
         raise ValueError(f"cell asks for {cfg.steps} steps but the context table has {n_keys} rows")
-    f_eff = rho * env.f
+    keys = env.contexts[:, : cfg.steps]
     starts = env.x0 if start is None else np.full(env.x0.shape, start)
     policy = _cell_policy(cfg, env, name, rho, seed)
-    logs = []
+    actions = np.empty(keys.shape, dtype=np.int64)
     for m, x0 in enumerate(starts.tolist()):
-        policy.begin_episode(x0)
-        log = EpisodeLog(x0=x0)
-        prev = x0
-        for h in range(cfg.steps):
-            try:
-                key = int(env.contexts[m, h])
+        step = None
+        try:
+            policy.begin_episode(x0)
+            for step, key in enumerate(keys[m].tolist(), 1):
                 action, _ = policy.act(key)
-                y = max(env.obs_floor, float(env.obs[action, key] + env.noise[m, h]))
+                y = max(env.obs_floor, float(env.obs[action, key] + env.noise[m, step - 1]))
                 policy.observe(action, key, y)
-            except Exception as exc:
-                raise CellStepError(m + 1, h + 1) from exc
-            log.append(env.labels[key], action, float(f_eff[action, key]), float(env.dist[prev, action]))
-            prev = action
-        policy.end_episode()
-        logs.append(log)
-    optima = [env.offline_optimum(rho, m, log.x0) for m, log in enumerate(logs)]
+                actions[m, step - 1] = action
+            step = None
+            policy.end_episode()
+        except Exception as exc:
+            raise CellEpisodeError(m + 1, step) from exc
+
+    prev = np.column_stack([starts, actions[:, :-1]])
+    steps = {
+        "key": keys,
+        "action": actions,
+        "service": rho * env.f[actions, keys],
+        "movement": env.dist[prev, actions],
+    }
+    ep_service = np.cumsum(steps["service"], axis=1)[:, -1]
+    ep_movement = np.cumsum(steps["movement"], axis=1)[:, -1]
+    costs = ep_service + ep_movement
+    optima = np.array([env.offline_optimum(rho, m, x0) for m, x0 in enumerate(starts.tolist())])
     alpha = cfg.regret_alpha if cfg.regret_alpha is not None else log_alpha(env.f.shape[0])
-    report = regret(logs, optima, alpha=alpha, beta=cfg.regret_beta)
-    return logs, report, env.energy(logs) if env.energy else {}
+    regret = costs - alpha * optima - cfg.regret_beta
+    cumulative = np.cumsum(regret)
+    summary = {
+        "kind": cfg.kind,
+        "policy": name,
+        "seed": seed,
+        "rho": rho,
+        "start": start,
+        "episodes": actions.shape[0],
+        "steps_per_episode": actions.shape[1],
+        "service_total": _total(ep_service),
+        "movement_total": _total(ep_movement),
+        "cost_total": _total(costs),
+        "episode_costs": costs.tolist(),
+        "offline_optimal_costs": optima.tolist(),
+        "offline_optimal_total": float(optima.sum()),
+        "regret": {
+            "alpha": alpha,
+            "beta": cfg.regret_beta,
+            "per_episode": regret.tolist(),
+            "total": float(cumulative[-1]),
+            "average_series": (cumulative / np.arange(1, cumulative.size + 1)).tolist(),
+        },
+    }
+    if env.energy is not None:
+        generated = _total(env.energy(env.obs[actions, keys]))
+        moved = summary["movement_total"]
+        summary["energy"] = {
+            "service_energy": generated,
+            "movement_energy": moved,
+            "total_energy": generated - moved,
+        }
+    return steps, summary
 
 
 # ---------------------------------------------------------------------------
@@ -413,53 +459,16 @@ def cell_name(policy: str, seed: int, rho: float, start) -> str:
     return f"{policy}_seed{seed}_rho{rho:g}_start{start_part}"
 
 
-def write_steps_csv(path: Path, logs: list[EpisodeLog]) -> None:
+def write_steps_csv(path: Path, steps: dict, labels: Sequence) -> None:
+    """One row per step of ``run_cell``'s arrays; ``labels`` names the context keys."""
+    cum = np.cumsum(steps["service"] + steps["movement"], axis=1)
+    columns = [steps[k].tolist() for k in ("key", "action", "service", "movement")] + [cum.tolist()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "episode", "context", "action", "service", "movement", "cum_total"])
-        for m, log in enumerate(logs):
-            cum = 0.0
-            for h in range(len(log.actions)):
-                cum += log.service[h] + log.movement[h]
-                writer.writerow(
-                    [
-                        h + 1,
-                        m + 1,
-                        log.contexts[h] if isinstance(log.contexts[h], str) else repr(float(log.contexts[h])),
-                        log.actions[h],
-                        repr(log.service[h]),
-                        repr(log.movement[h]),
-                        repr(cum),
-                    ]
-                )
-
-
-def summarize_cell(kind, policy, seed, rho, start, logs, report, energy) -> dict:
-    summary = {
-        "kind": kind,
-        "policy": policy,
-        "seed": seed,
-        "rho": rho,
-        "start": start,
-        "episodes": len(logs),
-        "steps_per_episode": len(logs[0].actions) if logs else 0,
-        "service_total": sum(l.service_total for l in logs),
-        "movement_total": sum(l.movement_total for l in logs),
-        "cost_total": sum(l.cost_total for l in logs),
-        "episode_costs": [l.cost_total for l in logs],
-        "offline_optimal_costs": report.optimal_costs.tolist(),
-        "offline_optimal_total": float(report.optimal_costs.sum()),
-        "regret": {
-            "alpha": report.alpha,
-            "beta": report.beta,
-            "per_episode": report.per_episode.tolist(),
-            "total": report.total,
-            "average_series": report.average_series().tolist(),
-        },
-    }
-    if energy:
-        summary["energy"] = energy
-    return summary
+        for m, episode in enumerate(zip(*columns), 1):
+            for h, (key, action, service, movement, total) in enumerate(zip(*episode), 1):
+                writer.writerow([h, m, labels[key], action, service, movement, total])
 
 
 def _write_failure(
@@ -502,19 +511,16 @@ def _execute_seed(args):
         start_used = start if start is not None else env.start
         phase = "cell"
         try:
-            logs, report, energy = run_cell(cfg, env, policy, rho, seed, start_used)
+            steps, summary = run_cell(cfg, env, policy, rho, seed, start_used)
             phase = "write"
-            write_steps_csv(out / f"{name}.steps.csv", logs)
-            summary = summarize_cell(cfg.kind, policy, seed, rho, start_used, logs, report, energy)
+            write_steps_csv(out / f"{name}.steps.csv", steps, env.labels)
             with open(out / f"{name}.summary.json", "w") as fh:
                 json.dump(summary, fh, indent=1, sort_keys=True)
             results.append((name, None))
         except Exception as exc:
             err = traceback.format_exc()
-            if isinstance(exc, CellStepError):
-                _write_failure(cfg, name, seed, phase, err, exc.episode, exc.step)
-            else:
-                _write_failure(cfg, name, seed, phase, err)
+            at = (exc.episode, exc.step) if isinstance(exc, CellEpisodeError) else ()
+            _write_failure(cfg, name, seed, phase, err, *at)
             results.append((name, err))
     return results
 

@@ -57,11 +57,6 @@ def energy_service(params: EnergyParams, v) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def energy_move(params: EnergyParams, x: float, x_prev: float) -> float:
-    """Energy lost changing altitude; a scalar multiple of |x - x_prev|."""
-    return params.c3 * params.v_rated**2 * abs(float(x) - float(x_prev))
-
-
 @dataclass(frozen=True)
 class WindTable:
     """Windspeed series: one row per altitude, one column per timestamp."""
@@ -279,19 +274,3 @@ def synthetic_wind_table(seed: int, hours: int = 960, altitudes=None) -> WindTab
     speeds = profile[:, None] + diurnal[None, :] + rng.normal(0.0, 0.6, (alts.size, hours))
     return WindTable(altitudes=alts, timestamps=stamps, speeds=np.maximum(speeds, 0.0))
 
-
-def trajectory_energy(params: EnergyParams, wind: WindTable, actions, x0_idx: int) -> dict:
-    """Total generated energy of an altitude trajectory that takes ``actions[k]``
-    at the table's k-th timestamp: sum of E_S minus sum of E_M."""
-    service = 0.0
-    movement = 0.0
-    prev = int(x0_idx)
-    for k, a in enumerate(actions):
-        service += float(energy_service(params, wind.speeds[int(a), k]))
-        movement += energy_move(params, wind.altitudes[int(a)], wind.altitudes[prev])
-        prev = int(a)
-    return {
-        "service_energy": service,
-        "movement_energy": movement,
-        "total_energy": service - movement,
-    }

@@ -10,19 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from gpmd.bench import (
-    log_alpha,
-    offline_optimal_matrix,
-    synth_instance,
-)
+from gpmd.bench import offline_optimal_matrix, synth_instance
 from gpmd.gp import GpModel, RbfKernel
-from gpmd.harness import RunConfig, build_synthetic_env, build_wind_env, run_cell
+from gpmd.harness import Env, RunConfig, build_synthetic_env, build_wind_env, rng_stream, run_cell
 from gpmd.hst import frt_embed
 from gpmd.metric import FiniteMetric, grid_metric
 from gpmd.mirror import MdEngine, PotentialParams, point_mass_state
 from gpmd.policies import ExactCostModel, GpServiceModel, MirrorDescentPolicy
 from gpmd.transport import sample_next, tree_wasserstein
-from gpmd.wind import EnergyParams, energy_move, energy_service
+from gpmd.wind import EnergyParams, altitude_metric, energy_service
 
 from conftest import (
     bregman,
@@ -332,9 +328,9 @@ def synthetic_sweep():
     for seed in cfg.seeds:
         env = build_synthetic_env(cfg, seed)
         for name in cfg.policies:
-            logs, _, _ = run_cell(cfg, env, name, 0.5, seed, None)
-            totals[name].append(sum(l.cost_total for l in logs))
-            movements[name].append(sum(l.movement_total for l in logs))
+            _, summary = run_cell(cfg, env, name, 0.5, seed, None)
+            totals[name].append(summary["cost_total"])
+            movements[name].append(summary["movement_total"])
     return totals, movements, time.time() - started
 
 
@@ -360,9 +356,6 @@ def _episodic_regret_series(seed: int, n_ep: int = 50, horizon: int = 10):
     """Fixed episodic protocol: every episode resets to the same start and
     replays one context sequence, so the average-regret series isolates the
     learning trend."""
-    from gpmd.bench import EpisodeLog, regret
-    from gpmd.harness import rng_stream
-
     metric = grid_metric(4, 4)
     inst = synth_instance(
         int(rng_stream(seed, "instance").integers(2**31)), metric=metric, n_contexts=8
@@ -370,37 +363,34 @@ def _episodic_regret_series(seed: int, n_ep: int = 50, horizon: int = 10):
     tree = frt_embed(metric, tau=5.0, rng_seed=int(rng_stream(seed, "frt").integers(2**31)))
     ctx_seq = rng_stream(seed, "contexts").integers(0, 8, size=horizon)
     noise = rng_stream(seed, "noise").normal(0.0, inst.noise_sigma, size=(n_ep, horizon))
-    x0 = 5
 
     def featurize(c):
         e = inst.contexts[int(c)]
         return np.column_stack([metric.coords, np.full(metric.n, e)])
 
-    gp = GpModel(
-        kernel=RbfKernel(lengthscale=inst.lengthscale, outputscale=inst.scale**2),
-        lam=max(inst.noise_sigma**2, 1e-8),
-        beta_mode="constant",
-        beta_value=2.0,
+    env = Env(
+        tree=tree,
+        dist=metric.dist,
+        f=inst.f_table,
+        contexts=np.tile(ctx_seq, (n_ep, 1)),
+        x0=np.full(n_ep, 5),
+        start=None,
+        labels=[repr(float(c)) for c in inst.contexts],
+        featurize=featurize,
+        make_gp=lambda: GpModel(
+            kernel=RbfKernel(lengthscale=inst.lengthscale, outputscale=inst.scale**2),
+            lam=max(inst.noise_sigma**2, 1e-8),
+            beta_mode="constant",
+            beta_value=2.0,
+        ),
+        obs=inst.f_table,
+        noise=noise,
     )
-    model = GpServiceModel(gp, featurize, n_actions=16, update_mode="per-episode")
-    pol = MirrorDescentPolicy(tree, model, rho=1.0, rng=rng_stream(seed, "sampling"))
-    logs = []
-    for m in range(n_ep):
-        pol.begin_episode(x0)
-        log = EpisodeLog(x0=x0)
-        prev = x0
-        for h in range(horizon):
-            c = int(ctx_seq[h])
-            a, _ = pol.act(c)
-            y = float(inst.f_table[a, c] + noise[m, h])
-            pol.observe(a, c, y)
-            log.append(c, a, float(inst.f_table[a, c]), float(metric.dist[prev, a]))
-            prev = a
-        pol.end_episode()
-        logs.append(log)
-    opt = offline_optimal_matrix(inst.f_table[:, ctx_seq].T, metric.dist, x0)[1]
-    rep = regret(logs, [opt] * n_ep, alpha=log_alpha(16), beta=10.0)
-    return rep.average_series()
+    cfg = RunConfig(
+        policies=["gp-md"], steps=horizon, episodes=n_ep, update_mode="per-episode", regret_beta=10.0
+    )
+    _, summary = run_cell(cfg, env, "gp-md", 1.0, seed, None)
+    return np.asarray(summary["regret"]["average_series"])
 
 
 def test_c09_regret_trend_sublinear():
@@ -446,8 +436,8 @@ def test_c10_wind_energy_ordering():
         for rho in (1.0, 2.0):
             energies = {}
             for name in ("gp-md", "cgp-lcb", "stationary"):
-                _, _, energy = run_cell(cfg, env, name, rho, seed, start)
-                energies[name] = energy["total_energy"]
+                _, summary = run_cell(cfg, env, name, rho, seed, start)
+                energies[name] = summary["energy"]["total_energy"]
             wins_vs_cgp[rho] += energies["gp-md"] >= energies["cgp-lcb"]
             wins_vs_stat[rho] += energies["gp-md"] >= energies["stationary"]
     for rho in (1.0, 2.0):
@@ -501,10 +491,11 @@ def test_c12_energy_formula_spot_checks():
     # bitwise equality with the literal arithmetic, plus the decimal values
     assert float(energy_service(params, 5.0)) == (0.0579 * 5.0**3 - 0.09 * 5.0**2) * 60.0
     assert float(energy_service(params, 15.0)) == (0.0579 * 10.0**3 - 0.09 * 15.0**2) * 60.0
-    assert energy_move(params, 200.0, 100.0) == 0.15 * 10.0**2 * 100.0
+    move = altitude_metric(params, [100.0, 200.0]).dist[1, 0]
+    assert move == 0.15 * 10.0**2 * 100.0
     assert float(energy_service(params, 5.0)) == pytest.approx(299.25, abs=1e-12)
     assert float(energy_service(params, 15.0)) == pytest.approx(2259.0, abs=1e-12)
-    assert energy_move(params, 200.0, 100.0) == pytest.approx(1500.0, abs=1e-12)
+    assert move == pytest.approx(1500.0, abs=1e-12)
     # the induced service objective at the slower of two altitudes
     assert (
         float(energy_service(params, 15.0)) - float(energy_service(params, 5.0))

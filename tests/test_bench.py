@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from gpmd.bench import (
-    EpisodeLog,
-    RegretReport,
-    log_alpha,
-    offline_optimal_matrix,
-    regret,
-    synth_instance,
-)
+from gpmd.bench import offline_optimal_matrix, synth_instance
 from gpmd.metric import FiniteMetric, grid_metric
 
 from conftest import brute_force_optimal
@@ -102,47 +95,6 @@ class TestRowLayoutDp:
             ref_seq, ref_cost = column_layout_dp(cost_matrix, dist, x0)
             assert seq == ref_seq, trial
             assert cost == ref_cost, trial
-
-
-class TestRegret:
-    def test_exact_compensation_gives_zero(self):
-        alpha, beta = 2.0, 5.0
-        opts = np.array([1.0, 2.0, 3.0])
-        costs = alpha * opts + beta
-        report = regret(list(costs), opts, alpha=alpha, beta=beta)
-        assert report.total == pytest.approx(0.0)
-        assert np.allclose(report.per_episode, 0.0)
-
-    def test_identity_costs(self):
-        opts = np.array([1.5, 2.5])
-        report = regret(list(opts), opts, alpha=1.0, beta=0.0)
-        assert np.allclose(report.per_episode, 0.0)
-
-    def test_hand_arithmetic(self):
-        alpha = log_alpha(16)
-        report = regret([10.0], [1.0], alpha=alpha, beta=0.0)
-        assert report.per_episode[0] == pytest.approx(10.0 - alpha)
-        assert report.average_series()[0] == pytest.approx(10.0 - alpha)
-
-    def test_episode_log_totals(self):
-        log = EpisodeLog(x0=0)
-        log.append(0.1, 1, service=2.0, movement=1.0)
-        log.append(0.2, 2, service=3.0, movement=0.5)
-        assert log.service_total == pytest.approx(5.0)
-        assert log.movement_total == pytest.approx(1.5)
-        assert log.cost_total == pytest.approx(6.5)
-        report = regret([log], [6.5], alpha=1.0, beta=0.0)
-        assert report.total == pytest.approx(0.0)
-
-    @pytest.mark.parametrize("derived", ["per_episode", "cumulative"])
-    def test_derived_fields_are_not_arguments(self, derived):
-        with pytest.raises(TypeError, match=derived):
-            RegretReport(alpha=1.0, beta=0.0, episode_costs=[3.0], optimal_costs=[1.0],
-                         **{derived: [99.0]})
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            regret([1.0], [1.0, 2.0], alpha=1.0, beta=0.0)
 
 
 class TestSynthInstance:

@@ -312,6 +312,42 @@ class TestSyntheticRun:
         assert len(summary["regret"]["average_series"]) == 3
         assert summary["episodes"] == 3
 
+    def test_regret_and_totals_from_the_steps(self, tmp_path):
+        alpha, beta = 2.5, 0.75
+        cfg = small_cfg(
+            tmp_path, policies=["md-known"], steps=20, episodes=3, regret_alpha=alpha,
+            regret_beta=beta,
+        )
+        assert run(cfg) == 0
+        out = tmp_path / "out"
+        summary = json.load(open(next(out.glob("md-known*.summary.json"))))
+        rows = list(csv.DictReader(open(next(out.glob("md-known*.steps.csv")))))
+
+        def left_to_right(values):
+            total = 0.0
+            for v in values:
+                total += v
+            return total
+
+        service = [left_to_right(float(r["service"]) for r in rows if r["episode"] == str(m))
+                   for m in (1, 2, 3)]
+        movement = [left_to_right(float(r["movement"]) for r in rows if r["episode"] == str(m))
+                    for m in (1, 2, 3)]
+        assert summary["service_total"] == left_to_right(service)
+        assert summary["movement_total"] == left_to_right(movement)
+        assert summary["movement_total"] > 0.0
+        costs = np.array(summary["episode_costs"])
+        assert costs.tolist() == [s + m for s, m in zip(service, movement)]
+        assert summary["cost_total"] == left_to_right(costs.tolist())
+
+        regret = summary["regret"]
+        optima = np.array(summary["offline_optimal_costs"])
+        assert (regret["alpha"], regret["beta"]) == (alpha, beta)
+        assert regret["per_episode"] == (costs - alpha * optima - beta).tolist()
+        cumulative = np.cumsum(regret["per_episode"])
+        assert regret["average_series"] == (cumulative / np.arange(1, 4)).tolist()
+        assert regret["total"] == cumulative[-1]
+
 
 class TestWindRun:
     def test_wind_cell_with_energy(self, tmp_path):
@@ -647,9 +683,9 @@ class TestSeedSharing:
         cfg = small_cfg(tmp_path, episodes=2)
         shared = build_synthetic_env(cfg, 1)
         for rho, policy in ((0.5, "md-known"), (1.0, "stationary"), (0.5, "stationary")):
-            _, reused, _ = run_cell(cfg, shared, policy, rho, 1, None)
-            _, fresh, _ = run_cell(cfg, build_synthetic_env(cfg, 1), policy, rho, 1, None)
-            assert reused.optimal_costs.tolist() == fresh.optimal_costs.tolist()
+            _, reused = run_cell(cfg, shared, policy, rho, 1, None)
+            _, fresh = run_cell(cfg, build_synthetic_env(cfg, 1), policy, rho, 1, None)
+            assert reused["offline_optimal_costs"] == fresh["offline_optimal_costs"]
 
 
 def test_env_failure_fails_only_its_seed(tmp_path, monkeypatch):
@@ -701,6 +737,30 @@ def test_cell_failure_spares_the_other_policies(tmp_path, monkeypatch):
     assert (record["episode"], record["step"]) == (2, 3)
     assert "Traceback" in record["error"] and "policy broke" in record["error"]
     assert {p.name.split("_")[0] for p in out.glob("*.summary.json")} == {"stationary", "md-known"}
+
+
+def test_episode_end_failure_names_its_episode(tmp_path, monkeypatch):
+    # A per-episode learner flushes its GP at each episode's end, outside
+    # every step: the failure names the episode and no step.
+    from gpmd.gp import GpModel
+
+    original = GpModel.update
+    calls = []
+
+    def faulty(self, X, y):
+        calls.append(len(y))
+        if len(calls) == 2:
+            raise RuntimeError("flush broke")
+        return original(self, X, y)
+
+    monkeypatch.setattr(GpModel, "update", faulty)
+    cfg = small_cfg(tmp_path, policies=["gp-md"], episodes=3, update_mode="per-episode")
+    assert run(cfg) == 2
+    (failed,) = (tmp_path / "out").glob("*.failed.json")
+    record = json.loads(failed.read_text())
+    assert record["phase"] == "cell"
+    assert (record["episode"], record["step"]) == (2, None)
+    assert calls == [6, 6] and "flush broke" in record["error"]
 
 
 def test_large_costs_converge(tmp_path):

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from gpmd.gp import GpModel, RbfKernel
+from gpmd.harness import RunConfig, build_wind_env, run_cell
 from gpmd.wind import (
     EnergyParams,
     WindTable,
     altitude_metric,
     cost_bounds,
     default_altitudes,
-    energy_move,
     energy_service,
     ingest_wind_csv,
     service_matrix,
     synthetic_wind_table,
-    trajectory_energy,
 )
 
 from conftest import energy_service_interval, write_wind_csv
@@ -36,15 +35,14 @@ class TestEnergyFormulas:
         assert energy_service(P10, 15.0) == pytest.approx(2259.0)
 
     def test_move_formula(self):
-        assert energy_move(P10, 200.0, 100.0) == pytest.approx(1500.0)
-        assert energy_move(P10, 100.0, 200.0) == pytest.approx(1500.0)
-        assert energy_move(P10, 50.0, 50.0) == 0.0
+        move = altitude_metric(P10, [50.0, 100.0, 200.0]).dist
+        assert move[2, 1] == pytest.approx(1500.0)
+        assert move[1, 2] == pytest.approx(1500.0)
+        assert move[0, 0] == 0.0
 
     def test_move_triangle_equality_on_line(self):
-        a, b, c = 10.0, 400.0, 900.0
-        assert energy_move(P10, a, c) == pytest.approx(
-            energy_move(P10, a, b) + energy_move(P10, b, c)
-        )
+        move = altitude_metric(P10, [10.0, 400.0, 900.0]).dist
+        assert move[0, 2] == pytest.approx(move[0, 1] + move[1, 2])
 
     def test_negative_windspeed_rejected(self):
         with pytest.raises(ValueError):
@@ -339,12 +337,20 @@ class TestGeneratorAndMetric:
         expected = params.c3 * params.v_rated**2 * np.abs(alts[:, None] - alts[None, :])
         assert np.array_equal(altitude_metric(params, alts).dist, expected)
 
-    def test_trajectory_energy_identity(self):
-        params = EnergyParams(v_rated=10.0)
-        table = toy_table([[5.0, 5.0], [15.0, 15.0]])
-        out = trajectory_energy(params, table, actions=[1, 0], x0_idx=0)
-        expected_service = 2259.0 + 299.25
-        expected_move = 2 * energy_move(params, 100.0, 200.0)
-        assert out["service_energy"] == pytest.approx(expected_service)
-        assert out["movement_energy"] == pytest.approx(expected_move)
-        assert out["total_energy"] == pytest.approx(expected_service - expected_move)
+    def test_trajectory_energy_identity(self, tmp_path):
+        # A wind cell's energy comes from the actions it chose: the argmin
+        # policy climbs to the faster altitude, then comes back down.
+        path = tmp_path / "wind.csv"
+        write_wind_csv(path, toy_table([[5.0, 15.0], [15.0, 5.0]]))
+        cfg = RunConfig(
+            kind="wind", policies=["minc-known"], steps=2, dataset=str(path), starts=[0],
+            energy={"v_rated": 10.0},
+        )
+        steps, summary = run_cell(cfg, build_wind_env(cfg, 0), "minc-known", 1.0, 0, 0)
+        assert steps["action"].tolist() == [[1, 0]]
+        expected_service = 2259.0 + 2259.0
+        expected_move = 2 * 1500.0
+        energy = summary["energy"]
+        assert energy["service_energy"] == pytest.approx(expected_service)
+        assert energy["movement_energy"] == pytest.approx(expected_move)
+        assert energy["total_energy"] == pytest.approx(expected_service - expected_move)
