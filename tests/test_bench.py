@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from gpmd.bench import offline_optimal_matrix, synth_instance
+from gpmd.bench import log_alpha, offline_optimal_matrix, synth_instance
+from gpmd.harness import Env, RunConfig, run_cell
+from gpmd.hst import frt_embed
 from gpmd.metric import FiniteMetric, grid_metric
 
 from conftest import brute_force_optimal
@@ -95,6 +97,81 @@ class TestRowLayoutDp:
             ref_seq, ref_cost = column_layout_dp(cost_matrix, dist, x0)
             assert seq == ref_seq, trial
             assert cost == ref_cost, trial
+
+
+class TestRegret:
+    """The regret record ``run_cell`` builds, on hand-built envs whose
+    offline optimum is known: every policy here is deterministic."""
+
+    @staticmethod
+    def _cell(points, f, contexts, x0, policy, **cfg):
+        metric = FiniteMetric(np.asarray(points, dtype=float)[:, None])
+        contexts = np.asarray(contexts)
+        env = Env(
+            tree=frt_embed(metric, tau=5.0, rng_seed=0),
+            dist=metric.dist,
+            f=np.asarray(f, dtype=float),
+            contexts=contexts,
+            x0=np.full(contexts.shape[0], x0),
+            start=None,
+            labels=[str(k) for k in range(len(f[0]))],
+            featurize=None,
+            make_gp=None,
+            obs=np.asarray(f, dtype=float),
+            noise=np.zeros(contexts.shape),
+        )
+        cfg = RunConfig(
+            policies=[policy], steps=contexts.shape[1], episodes=contexts.shape[0], **cfg
+        )
+        return run_cell(cfg, env, policy, 1.0, 1, None)
+
+    def test_exact_compensation_gives_zero(self):
+        # staying at 0 costs 7 an episode; the optimum moves to 1 for 1
+        alpha, beta = 2.0, 5.0
+        _, summary = self._cell(
+            [0.0, 1.0], [[3.5], [0.0]], np.zeros((3, 2), dtype=int), 0, "stationary",
+            regret_alpha=alpha, regret_beta=beta,
+        )
+        assert summary["episode_costs"] == pytest.approx([7.0, 7.0, 7.0])
+        assert summary["offline_optimal_costs"] == pytest.approx([1.0, 1.0, 1.0])
+        assert summary["regret"]["total"] == pytest.approx(0.0)
+        assert np.allclose(summary["regret"]["per_episode"], 0.0)
+
+    def test_identity_costs(self):
+        # staying at 0 is optimal in both episodes
+        _, summary = self._cell(
+            [0.0, 1.0], [[0.25, 0.375], [2.0, 2.0]], [[0, 0], [1, 1]], 0, "stationary",
+            regret_alpha=1.0, regret_beta=0.0,
+        )
+        assert summary["episode_costs"] == pytest.approx([0.5, 0.75])
+        assert np.allclose(summary["regret"]["per_episode"], 0.0)
+
+    def test_hand_arithmetic(self):
+        # 16 actions, so the default alpha is log_alpha(16); staying costs 10,
+        # the optimum moves to 1 for 1
+        f = np.zeros((16, 1))
+        f[0] = 5.0
+        _, summary = self._cell(np.arange(16.0), f, [[0, 0]], 0, "stationary")
+        alpha = log_alpha(16)
+        assert summary["regret"]["alpha"] == alpha
+        assert summary["regret"]["per_episode"][0] == pytest.approx(10.0 - alpha)
+        assert summary["regret"]["average_series"][0] == pytest.approx(10.0 - alpha)
+
+    def test_episode_log_totals(self):
+        # the argmin walks 0 -> 1 (service 2, movement 1) -> 2 (service 3,
+        # movement 0.5), which is also the offline optimum
+        f = [[9.0, 9.0], [2.0, 9.0], [9.0, 3.0]]
+        steps, summary = self._cell(
+            [0.0, 1.0, 1.5], f, [[0, 1]], 0, "minc-known", regret_alpha=1.0, regret_beta=0.0
+        )
+        assert steps["action"].tolist() == [[1, 2]]
+        assert steps["service"].tolist() == [[2.0, 3.0]]
+        assert steps["movement"] == pytest.approx(np.array([[1.0, 0.5]]))
+        assert summary["service_total"] == pytest.approx(5.0)
+        assert summary["movement_total"] == pytest.approx(1.5)
+        assert summary["cost_total"] == pytest.approx(6.5)
+        assert summary["offline_optimal_costs"] == pytest.approx([6.5])
+        assert summary["regret"]["total"] == pytest.approx(0.0)
 
 
 class TestSynthInstance:
