@@ -12,37 +12,54 @@ from scipy.spatial.distance import cdist
 from .metric import FiniteMetric
 
 
+NEIGHBOURS = 9  # each predecessor is tested for domination by its 9 nearest points
+
+
 def offline_optimal_matrix(cost_matrix: np.ndarray, dist: np.ndarray, x0: int):
     """Exact minimizer of total service-plus-movement cost by dynamic programming.
 
     ``cost_matrix`` is (H, n): the realized per-step service cost of each
-    action. Transitions pay ``dist``; the first step moves from ``x0``.
-    Ties are broken toward the lowest action index. O(H * n^2).
+    action. Transitions pay ``dist``, which must satisfy the triangle
+    inequality up to rounding (every ``FiniteMetric`` does); the first step
+    moves from ``x0``. Ties are broken toward the lowest action index.
+
+    The forward pass keeps each step's values. It skips a predecessor j that
+    one of its nearest points k reaches for less, v[k] + dist[k, j] < v[j] - tol,
+    as by the triangle inequality k then reaches every point for less than j
+    does. The backtrack takes each argmin over all predecessors.
     """
     cost_matrix = np.asarray(cost_matrix, dtype=float)
+    dist = np.asarray(dist, dtype=float)
+    if cost_matrix.ndim != 2 or cost_matrix.shape[0] == 0:
+        raise ValueError(f"service cost table must be (H, n) with H >= 1, got {cost_matrix.shape}")
     if not np.all(np.isfinite(cost_matrix)):
         raise ValueError("service cost table must be finite and complete")
     H, n = cost_matrix.shape
+    if dist.shape != (n, n):
+        raise ValueError(f"dist must be ({n}, {n}) for {n} actions, got {dist.shape}")
     if not 0 <= x0 < n:
         raise ValueError(f"unknown start {x0}")
-    value = cost_matrix[0] + dist[x0]
-    back = np.zeros((H, n), dtype=np.int64)
-    # Each row of reach is one target's costs over every predecessor, so the
-    # minimum over predecessors runs along contiguous memory.
-    dist_t = np.ascontiguousarray(np.asarray(dist, dtype=float).T)
-    reach = np.empty((n, n))
-    rows = np.arange(n)
+    values = np.empty((H, n))
+    values[0] = cost_matrix[0] + dist[x0]
+    if H > 1:
+        k = min(NEIGHBOURS, n)
+        near = np.argpartition(dist, k - 1, axis=0)[:k]  # near[:, j]: the k closest into j
+        near_dist = np.take_along_axis(dist, near, axis=0)  # dist[near[i, j], j]
+        scale = float(np.abs(dist).max())
     for h in range(1, H):
-        np.add(dist_t, value, out=reach)  # reach[to, from] = dist[from, to] + value[from]
-        back[h] = np.argmin(reach, axis=1)
-        value = cost_matrix[h] + reach[rows, back[h]]
-    last = int(np.argmin(value))
+        v = values[h - 1]
+        tol = 1e-9 * (scale + float(np.abs(v).max()))
+        kept = np.flatnonzero((v[near] + near_dist).min(axis=0) >= v - tol)
+        block = dist[kept]
+        block += v[kept, None]  # block[i, to] = dist[kept[i], to] + v[kept[i]]
+        values[h] = cost_matrix[h] + block.min(axis=0)
+    last = int(np.argmin(values[-1]))
     seq = [last]
     for h in range(H - 1, 0, -1):
-        last = int(back[h, last])
+        last = int(np.argmin(values[h - 1] + dist[:, last]))
         seq.append(last)
     seq.reverse()
-    return seq, float(value.min())
+    return seq, float(values[-1].min())
 
 
 @dataclass(frozen=True)

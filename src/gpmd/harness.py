@@ -3,12 +3,12 @@
 A run is a grid of cells (policy, seed, rho, start). The seed is the unit of
 work: its environment is built once and every cell of the seed runs on it,
 so policies are compared on the same realized contexts and observation
-noise, and the offline optimum is solved once per rho (and start) rather
-than once per policy. A cell's step loop records only the chosen actions;
-its per-step service and movement, and from them its totals, regret and
-(on wind runs) energy, are read off the env's tables afterwards. Each cell
-emits a per-step CSV and a summary JSON from that one record; a manifest
-records the config hash and seeds for exact replay.
+noise, and the offline optimum is solved once per (rho, episode, start)
+rather than once per policy. A cell's step loop records only the chosen
+actions; its per-step service and movement, and from them its totals,
+regret and (on wind runs) energy, are read off the env's tables afterwards.
+Each cell emits a per-step CSV and a summary JSON from that one record; a
+manifest records the config hash and seeds for exact replay.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from gpmd.bench import log_alpha, offline_optimal_matrix, synth_instance
+from gpmd.bench import NEIGHBOURS, log_alpha, offline_optimal_matrix, synth_instance
 from gpmd.harness import Env, RunConfig, run_cell
 from gpmd.hst import frt_embed
 from gpmd.metric import FiniteMetric, grid_metric
 
-from conftest import brute_force_optimal
+from conftest import brute_force_optimal, distance_matrix
 
 
 class TestOfflineOptimal:
@@ -59,10 +59,18 @@ class TestOfflineOptimal:
         assert seq == [2, 2, 2]
         assert cost == pytest.approx(1.0 + 3.0)
 
+    def test_dist_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"dist must be \(3, 3\) for 3 actions, got \(3, 2\)"):
+            offline_optimal_matrix(np.zeros((2, 3)), np.zeros((3, 2)), 0)
+
+    def test_empty_horizon_rejected(self):
+        with pytest.raises(ValueError, match=r"must be \(H, n\) with H >= 1, got \(0, 3\)"):
+            offline_optimal_matrix(np.zeros((0, 3)), np.zeros((3, 3)), 0)
+
 
 def column_layout_dp(cost_matrix, dist, x0):
     """The DP as first written: a strided minimum down each column of
-    reach[from, to]. Reference for the row-layout sweep."""
+    reach[from, to] over every predecessor. Reference for the pruned sweep."""
     H, n = cost_matrix.shape
     value = cost_matrix[0] + dist[x0]
     back = np.zeros((H, n), dtype=np.int64)
@@ -97,6 +105,51 @@ class TestRowLayoutDp:
             ref_seq, ref_cost = column_layout_dp(cost_matrix, dist, x0)
             assert seq == ref_seq, trial
             assert cost == ref_cost, trial
+
+
+class TestPrunedDp:
+    """The sweep that skips dominated predecessors gives the unpruned
+    reference's sequence and value exactly."""
+
+    @staticmethod
+    def assert_exact(cost_matrix, dist, x0=0):
+        seq, cost = offline_optimal_matrix(cost_matrix, dist, x0)
+        ref_seq, ref_cost = column_layout_dp(cost_matrix, dist, x0)
+        assert seq == ref_seq
+        assert cost == ref_cost
+
+    @pytest.mark.parametrize("cost_scale", [1e-3, 1.0, 1e9])
+    def test_grids_and_lines_across_cost_scales(self, rng, cost_scale):
+        # Small costs leave almost every predecessor in, large ones almost none.
+        metrics = [grid_metric(6, 5), grid_metric(3, 9), FiniteMetric(rng.uniform(0, 1, (20, 1)))]
+        metrics.append(FiniteMetric(np.linspace(0.0, 1.0, 15)[:, None], scale=3.0))
+        for metric in metrics:
+            cost_matrix = cost_scale * rng.uniform(0, 1, (25, metric.n))
+            self.assert_exact(cost_matrix, metric.dist, int(rng.integers(metric.n)))
+
+    def test_duplicate_coordinates(self, rng):
+        for _ in range(10):
+            metric = FiniteMetric(rng.integers(0, 3, (14, 2)).astype(float))
+            cost_matrix = rng.integers(0, 3, (20, 14)).astype(float)
+            self.assert_exact(cost_matrix, metric.dist, int(rng.integers(14)))
+
+    def test_tree_metric(self, rng):
+        metric = FiniteMetric(rng.uniform(0, 1, (30, 2)))
+        dist = distance_matrix(frt_embed(metric, tau=5.0, rng_seed=3))
+        for cost_scale in (0.01, 1.0, 100.0):
+            self.assert_exact(cost_scale * rng.uniform(0, 1, (30, 30)), dist, 7)
+
+    def test_tiny_instances(self, rng):
+        self.assert_exact(np.array([[2.5]]), np.zeros((1, 1)))
+        self.assert_exact(rng.uniform(0, 1, (6, 1)), np.zeros((1, 1)))
+        for n in range(2, NEIGHBOURS + 2):
+            metric = FiniteMetric(rng.uniform(0, 1, (n, 2)))
+            self.assert_exact(rng.uniform(0, 1, (1, n)), metric.dist, n - 1)
+            self.assert_exact(rng.uniform(0, 1, (12, n)), metric.dist, n - 1)
+
+    def test_forty_by_forty_grid(self, rng):
+        metric = grid_metric(40, 40)
+        self.assert_exact(rng.uniform(0, 1, (30, metric.n)), metric.dist, 820)
 
 
 class TestRegret:
