@@ -9,8 +9,19 @@ import sys
 from . import harness
 
 
-def _parse_list(text: str, cast):
-    return [cast(part) for part in text.split(",") if part.strip()]
+# The run flags, each a shorthand for ``--set`` of one config field: flag ->
+# (field, cast of each comma-separated entry or None for one value, argparse options).
+FLAGS = {
+    "--kind": ("kind", None, dict(choices=["synthetic", "wind"])),
+    "--policies": ("policies", str, dict(help="comma-separated policy names")),
+    "--seeds": ("seeds", int, dict(help="comma-separated integer seeds")),
+    "--rho": ("rhos", float, dict(help="comma-separated rho values")),
+    "--steps": ("steps", None, dict(type=int, help="horizon per episode")),
+    "--episodes": ("episodes", None, dict(type=int)),
+    "--starts": ("starts", int, dict(help="comma-separated starting action indices")),
+    "--dataset": ("dataset", None, dict(help="wind CSV path (timestamp,altitude_m,windspeed_ms)")),
+    "--out": ("out_dir", None, dict(help="output directory")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -22,22 +33,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a policy/seed/rho sweep")
     run_p.add_argument("--config", help="JSON config file; flags override its values")
-    run_p.add_argument("--kind", choices=["synthetic", "wind"])
-    run_p.add_argument("--policies", help="comma-separated policy names")
-    run_p.add_argument("--seeds", help="comma-separated integer seeds")
-    run_p.add_argument("--rho", help="comma-separated rho values")
-    run_p.add_argument("--steps", type=int, help="horizon per episode")
-    run_p.add_argument("--episodes", type=int)
-    run_p.add_argument("--starts", help="comma-separated starting action indices")
-    run_p.add_argument("--dataset", help="wind CSV path (timestamp,altitude_m,windspeed_ms)")
-    run_p.add_argument("--out", help="output directory")
+    for flag, (name, _, options) in FLAGS.items():
+        run_p.add_argument(flag, dest=name, **options)
     run_p.add_argument(
         "--set",
         dest="overrides",
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="override any config key (dotted keys reach nested dicts)",
+        help="override any config key (dotted keys reach nested dicts); applied after the flags",
     )
 
     rep_p = sub.add_parser("report", help="aggregate a finished run directory")
@@ -54,28 +58,17 @@ def _config_from_args(args) -> harness.RunConfig:
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
-    cfg = harness.RunConfig.from_dict(data)
-    if args.kind:
-        cfg.kind = args.kind
-    if args.policies:
-        cfg.policies = _parse_list(args.policies, str)
-    if args.seeds:
-        cfg.seeds = _parse_list(args.seeds, int)
-    if args.rho:
-        cfg.rhos = _parse_list(args.rho, float)
-    if args.steps is not None:
-        cfg.steps = args.steps
-    if args.episodes is not None:
-        cfg.episodes = args.episodes
-    if args.starts:
-        cfg.starts = _parse_list(args.starts, int)
-    if args.dataset:
-        cfg.dataset = args.dataset
-    if args.out:
-        cfg.out_dir = args.out
-    if args.overrides:
-        cfg = harness.apply_overrides(cfg, args.overrides)
-    return cfg
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config}: the top level must be a JSON object")
+    for name, cast, _ in FLAGS.values():
+        value = getattr(args, name)
+        if value is None:
+            continue
+        try:
+            data[name] = value if cast is None else [cast(v) for v in value.split(",") if v.strip()]
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return harness.apply_overrides(harness.RunConfig.from_dict(data), args.overrides)
 
 
 def main(argv=None) -> int:
@@ -83,19 +76,16 @@ def main(argv=None) -> int:
     if args.command == "run":
         try:
             cfg = _config_from_args(args)
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
+        except (ValueError, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
         return harness.run(cfg)
     if args.command == "report":
-        rows = harness.report(args.dir, out_path=args.out)
-        for row in rows:
+        for row in harness.report(args.dir, out_path=args.out):
             print(json.dumps(row, sort_keys=True))
         return 0
-    if args.command == "mts-demo":
-        print(harness.mts_demo(costs_seed=args.seed))
-        return 0
-    return 1
+    print(harness.mts_demo(costs_seed=args.seed))
+    return 0
 
 
 if __name__ == "__main__":

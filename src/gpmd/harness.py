@@ -75,6 +75,27 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def _as_real(v):
+    """``v`` with each plain int in it, or in its list or mapping, as a float."""
+    if isinstance(v, list):
+        return [_as_real(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _as_real(x) for k, x in v.items()}
+    return float(v) if _is_int(v) else v
+
+
+# Real scalar fields, each with validate's range check and message, in its order.
+# RunConfig stores a plain int here, in regret_alpha, rhos, energy and wind_gp as a float.
+REAL_FIELDS = (
+    ("tau", lambda v: v > 1, "must exceed 1"),
+    ("kappa", lambda v: v >= 1, "must be at least 1"),
+    ("beta_value", lambda v: v >= 0, "must be non-negative"),
+    ("lengthscale", lambda v: v > 0, "must be positive"),
+    ("wind_obs_noise", lambda v: v >= 0, "must be non-negative"),
+    ("regret_beta", lambda v: True, "must be a finite number"),
+)
+
+
 def rng_stream(seed: int, name: str) -> np.random.Generator:
     """A named, reproducible generator derived from the run seed."""
     return np.random.default_rng(np.random.SeedSequence((int(seed), _STREAMS[name])))
@@ -106,6 +127,11 @@ class RunConfig:
     energy: dict = field(default_factory=dict)
     wind_gp: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # One config, one stored form and hash: 1 and 1.0 are the same rho.
+        for name in [f for f, _, _ in REAL_FIELDS] + ["regret_alpha", "rhos", "energy", "wind_gp"]:
+            setattr(self, name, _as_real(getattr(self, name)))
+
     def validate(self) -> list[str]:
         errors = []
         if self.kind not in ("synthetic", "wind"):
@@ -129,14 +155,7 @@ class RunConfig:
         for name in ("steps", "episodes", "n_contexts", "wind_hours"):
             if not (_is_int(getattr(self, name)) and getattr(self, name) >= 1):
                 errors.append(f"{name}: must be an integer of at least 1")
-        for name, ok, message in (
-            ("tau", lambda v: v > 1, "must exceed 1"),
-            ("kappa", lambda v: v >= 1, "must be at least 1"),
-            ("beta_value", lambda v: v >= 0, "must be non-negative"),
-            ("lengthscale", lambda v: v > 0, "must be positive"),
-            ("wind_obs_noise", lambda v: v >= 0, "must be non-negative"),
-            ("regret_beta", lambda v: True, "must be a finite number"),
-        ):
+        for name, ok, message in REAL_FIELDS:
             if not (_is_real(getattr(self, name)) and ok(getattr(self, name))):
                 errors.append(f"{name}: {message}")
         alpha = self.regret_alpha
@@ -171,27 +190,27 @@ class RunConfig:
                     errors.append(f"{name}: unknown key {key!r}")
                 elif not (_is_real(value) and value > 0):
                     errors.append(f"{name}.{key}: must be positive")
+        if not (self.dataset is None or isinstance(self.dataset, str) and self.dataset):
+            errors.append("dataset: must be null or a non-empty string")
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            errors.append("out_dir: must be a non-empty string")
         return errors
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
     """Apply ``key=value`` overrides (dotted keys reach into dict fields)."""
-    data = cfg.to_dict()
+    data = asdict(cfg)
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"override {pair!r} is not key=value")
@@ -489,20 +508,17 @@ def _execute_seed(args):
     policy order. A failure is confined to its phase: an env failure fails
     every cell of the seed, a cell or write failure only that cell.
     """
-    cfg_data, seed = args
-    cfg = RunConfig.from_dict(cfg_data)
+    cfg, seed = args
     starts = cfg.starts if cfg.starts else [None]
     grid = [(rho, start, policy) for rho in cfg.rhos for start in starts for policy in cfg.policies]
     try:
         env = (build_synthetic_env if cfg.kind == "synthetic" else build_wind_env)(cfg, seed)
     except Exception:
         err = traceback.format_exc()
-        results = []
-        for rho, start, policy in grid:
-            name = cell_name(policy, seed, rho, start)
+        names = [cell_name(policy, seed, rho, start) for rho, start, policy in grid]
+        for name in names:
             _write_failure(cfg, name, seed, "env", err)
-            results.append((name, err))
-        return results
+        return [(name, err) for name in names]
 
     out = Path(cfg.out_dir)
     results = []
@@ -540,7 +556,7 @@ def run(cfg: RunConfig) -> int:
         return 1
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(cfg.to_dict(), seed) for seed in cfg.seeds]
+    tasks = [(cfg, seed) for seed in cfg.seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(_execute_seed, tasks))
@@ -548,7 +564,7 @@ def run(cfg: RunConfig) -> int:
         per_seed = [_execute_seed(t) for t in tasks]
     results = [cell for cells in per_seed for cell in cells]
     manifest = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "config_hash": cfg.config_hash(),
         "cells": [name for name, _ in results],
         "failed": [name for name, err in results if err],
@@ -564,12 +580,8 @@ def run(cfg: RunConfig) -> int:
 def report(run_dir, out_path=None) -> list[dict]:
     """Aggregate summaries: mean and std per (policy, rho) across seeds/starts."""
     run_dir = Path(run_dir)
-    summaries = []
-    for path in sorted(run_dir.glob("*.summary.json")):
-        with open(path) as fh:
-            summaries.append(json.load(fh))
-    failed = sorted(p.name for p in run_dir.glob("*.failed.json"))
-    for name in failed:
+    summaries = [json.loads(path.read_text()) for path in sorted(run_dir.glob("*.summary.json"))]
+    for name in sorted(p.name for p in run_dir.glob("*.failed.json")):
         print(f"missing cell (failed): {name}")
     groups: dict = {}
     for s in summaries:
@@ -582,19 +594,16 @@ def report(run_dir, out_path=None) -> list[dict]:
             return float(np.mean(vals)), float(np.std(vals))
         row = {"policy": policy, "rho": rho, "cells": len(cells)}
         for key in ("cost_total", "service_total", "movement_total"):
-            mean, std = stats(key)
-            row[f"{key}_mean"], row[f"{key}_std"] = mean, std
+            row[f"{key}_mean"], row[f"{key}_std"] = stats(key)
         if any("energy" in c for c in cells):
-            mean, std = stats("energy", "total_energy")
-            row["total_energy_mean"], row["total_energy_std"] = mean, std
+            row["total_energy_mean"], row["total_energy_std"] = stats("energy", "total_energy")
         rows.append(row)
     if out_path is not None and rows:
         keys = sorted({k for r in rows for k in r}, key=lambda k: (k != "policy", k != "rho", k))
         with open(out_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=keys)
             writer.writeheader()
-            for r in rows:
-                writer.writerow(r)
+            writer.writerows(rows)
     return rows
 
 

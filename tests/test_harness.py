@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import runpy
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpmd import harness
+from gpmd.cli import _config_from_args, build_parser
 from gpmd.cli import main as cli_main
 from gpmd.harness import (
     RunConfig,
@@ -535,6 +537,124 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli_main(["run", "--kind", "mts-demo", "--out", str(tmp_path / "o")])
         assert "kind: unknown experiment kind 'mts-demo'" in small_cfg(tmp_path, kind="mts-demo").validate()
+
+
+# Each shorthand flag of ``gpmd run`` spelled as the ``--set`` it stands for.
+AS_SET = {
+    "--kind": lambda v: f"kind={v}",
+    "--policies": lambda v: "policies=" + json.dumps(v.split(",")),
+    "--seeds": lambda v: f"seeds=[{v}]",
+    "--rho": lambda v: f"rhos=[{v}]",
+    "--steps": lambda v: f"steps={v}",
+    "--episodes": lambda v: f"episodes={v}",
+    "--starts": lambda v: f"starts=[{v}]",
+    "--dataset": lambda v: f"dataset={v}",
+    "--out": lambda v: f"out_dir={v}",
+}
+
+# The benchmark's workloads, read from their file without importing perfbench.
+BENCH_WORKLOADS = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))
+
+
+def config_of(argv) -> RunConfig:
+    """The config ``gpmd run`` builds from ``argv``, without running it."""
+    return _config_from_args(build_parser().parse_args(argv))
+
+
+class TestOneConfigSurface:
+    """Every spelling of one config gives one stored config and one hash."""
+
+    RUN = ["run", "--policies", "stationary", "--steps", "3", "--set", "grid=[3,3]",
+           "--set", "n_contexts=4"]
+
+    @pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS["WORKLOADS"]))
+    def test_benchmark_flags_equal_their_set_spelling(self, tmp_path, name):
+        w = BENCH_WORKLOADS["WORKLOADS"][name]
+        argv = BENCH_WORKLOADS["gpmd_argv"](w, 3, tmp_path / "out", w.steps, tmp_path / "wind.csv")
+        spelled = []
+        args = iter(argv)
+        for arg in args:
+            spelled += ["--set", AS_SET[arg](next(args))] if arg in AS_SET else [arg]
+        assert not set(AS_SET) & set(spelled)
+        cfg, cfg_set = config_of(argv), config_of(spelled)
+        assert cfg == cfg_set
+        assert cfg.config_hash() == cfg_set.config_hash()
+        assert cfg.validate() == []
+
+    def test_every_spelling_of_rho_writes_one_hash_and_summary(self, tmp_path):
+        out = tmp_path / "o"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"rhos": [1]}))
+        written = set()
+        for spelling in (["--rho", "1"], ["--set", "rhos=[1]"], ["--set", "rhos=[1.0]"],
+                         ["--config", str(cfg_path)]):
+            assert cli_main(self.RUN + ["--out", str(out)] + spelling) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            summary = (out / "stationary_seed0_rho1_startauto.summary.json").read_bytes()
+            written.add((manifest["config_hash"], summary))
+        assert len(written) == 1
+
+    def test_real_fields_store_ints_as_floats(self):
+        ints = RunConfig.from_dict(
+            {"rhos": [1, 2.5], "tau": 5, "kappa": 2, "regret_alpha": 3,
+             "energy": {"c1": 1}, "wind_gp": {"lam": 2}}
+        )
+        floats = RunConfig.from_dict(
+            {"rhos": [1.0, 2.5], "tau": 5.0, "kappa": 2.0, "regret_alpha": 3.0,
+             "energy": {"c1": 1.0}, "wind_gp": {"lam": 2.0}}
+        )
+        assert ints == floats and ints.config_hash() == floats.config_hash()
+        assert all(type(v) is float for v in [ints.tau, ints.kappa, ints.regret_alpha, *ints.rhos])
+        assert apply_overrides(RunConfig(), ["tau=5"]).config_hash() == RunConfig().config_hash()
+        # integer fields, bools and text are left as they are
+        assert type(apply_overrides(RunConfig(), ["steps=5"]).steps) is int
+        assert apply_overrides(RunConfig(), ["kappa=true"]).validate() == ["kappa: must be at least 1"]
+
+    @pytest.mark.parametrize("value", ["3", "[1]", '""'])
+    def test_dataset_is_null_or_a_path(self, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        code = cli_main(self.RUN + ["--kind", "wind", "--set", "wind_hours=3", "--out", str(out),
+                                    "--set", f"dataset={value}"])
+        assert code == 1
+        assert capsys.readouterr().out == "config error: dataset: must be null or a non-empty string\n"
+        assert not out.exists()
+
+    def test_out_dir_is_a_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(self.RUN + ["--set", "out_dir=5"]) == 1
+        assert capsys.readouterr().out == "config error: out_dir: must be a non-empty string\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, field", [("--seeds", "seeds"), ("--rho", "rhos"),
+                                             ("--starts", "starts")])
+    def test_bad_list_flag_entry_names_its_field(self, tmp_path, capsys, flag, field):
+        out = tmp_path / "o"
+        assert cli_main(self.RUN + ["--out", str(out), flag, "1,x"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+        assert "'x'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--policies", "policies: at least one policy is required"),
+        ("--seeds", "seeds: at least one seed is required, each an integer"),
+        ("--rho", "rhos: at least one rho is required, each positive"),
+    ])
+    def test_empty_list_flag_is_an_empty_list(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "o"
+        assert cli_main(self.RUN + ["--out", str(out), flag, ""]) == 1
+        assert capsys.readouterr().out == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("top", ["null", "[1, 2]", "3", '"cfg"'])
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys, top):
+        out = tmp_path / "o"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(top)
+        assert cli_main(self.RUN + ["--out", str(out), "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {cfg_path}: the top level must be a JSON object\n"
+        assert not out.exists()
 
 
 MTS_DEMO_SEED_7 = """\
