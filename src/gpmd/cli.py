@@ -57,7 +57,10 @@ def _config_from_args(args) -> harness.RunConfig:
     data = {}
     if args.config:
         with open(args.config) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{args.config}: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"{args.config}: the top level must be a JSON object")
     for name, cast, _ in FLAGS.values():

@@ -75,13 +75,20 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _as_real(v):
-    """``v`` with each plain int in it, or in its list or mapping, as a float."""
+def _as_real(v, name: str):
+    """``v`` with each plain int in it, or in its list or mapping, as a float.
+    A ValueError names the field (``name.key`` in a mapping) of an int too
+    large for a float."""
     if isinstance(v, list):
-        return [_as_real(x) for x in v]
+        return [_as_real(x, name) for x in v]
     if isinstance(v, dict):
-        return {k: _as_real(x) for k, x in v.items()}
-    return float(v) if _is_int(v) else v
+        return {k: _as_real(x, f"{name}.{k}") for k, x in v.items()}
+    if not _is_int(v):
+        return v
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{name}: integer too large for a float") from None
 
 
 # Real scalar fields, each with validate's range check and message, in its order.
@@ -130,7 +137,7 @@ class RunConfig:
     def __post_init__(self):
         # One config, one stored form and hash: 1 and 1.0 are the same rho.
         for name in [f for f, _, _ in REAL_FIELDS] + ["regret_alpha", "rhos", "energy", "wind_gp"]:
-            setattr(self, name, _as_real(getattr(self, name)))
+            setattr(self, name, _as_real(getattr(self, name), name))
 
     def validate(self) -> list[str]:
         errors = []

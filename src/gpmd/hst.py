@@ -38,6 +38,7 @@ class HstTree:
     depth: np.ndarray = field(default=None, repr=False)
     depth_layers: tuple = field(default=None, repr=False)
     point_index: np.ndarray = field(default=None, repr=False)
+    root: int = field(default=None, repr=False)
 
     def __post_init__(self):
         parent = _as_indices("parent", self.parent)
@@ -63,6 +64,7 @@ class HstTree:
         if len(roots) != 1:
             raise ValueError(f"tree must have exactly one root, found {len(roots)}")
         object.__setattr__(self, "children", tuple(np.asarray(c, dtype=np.int64) for c in kids))
+        object.__setattr__(self, "root", roots[0])
 
         depth = np.full(nv, -1, dtype=np.int64)
         depth[roots[0]] = 0
@@ -91,10 +93,6 @@ class HstTree:
             point_index[v] = i
         object.__setattr__(self, "point_index", point_index)
         self._validate()
-
-    @property
-    def root(self) -> int:
-        return int(np.where(self.parent < 0)[0][0])
 
     @property
     def n_vertices(self) -> int:

@@ -391,3 +391,41 @@ def test_engine_long_repeat_trace():
     assert model.n == 3000
     assert model._L.shape[0] <= 64
     _check_against_dense(model, X, y, GRID_POINTS)
+
+
+def test_inverse_and_solve_paths_match_dense(rng):
+    """A query block of at least u rows reads the posterior through the kept
+    inverse W = L^-1, a smaller one through the triangular solve. Both are
+    checked against the dense solve across a storage doubling (which copies
+    W), a repeat of stored row 0 (which refreshes W from row 0), and a batch
+    update after which one block is read on the inverse path and then, once
+    u has passed its row count, on the solve path."""
+    model = GpModel(kernel=RbfKernel(lengthscale=0.6), lam=0.05)
+    big, small = rng.uniform(-1, 1, size=(12, 2)), rng.uniform(-1, 1, size=(3, 2))
+    X, y = rng.uniform(-1, 1, size=(8, 2)), rng.normal(size=8)
+    for i in range(8):
+        model.update(X[i : i + 1], y[i : i + 1])
+    _check_against_dense(model, X, y, small)
+    assert model._W is None  # no block has taken the inverse path yet
+    _check_against_dense(model, X, y, big)
+    assert model._W.shape == model._L.shape == (8, 8) and model._w == 8
+
+    def learn(Xn):
+        nonlocal X, y
+        yn = rng.normal(size=len(Xn))
+        model.update(Xn, yn)
+        X, y = np.concatenate([X, Xn]), np.concatenate([y, yn])
+
+    learn(rng.uniform(-1, 1, size=(1, 2)))  # u 8 -> 9 doubles the storage
+    assert model._L.shape == (16, 16) and model._w == 8
+    _check_against_dense(model, X, y, big)
+    learn(X[:1])  # a repeat of stored row 0
+    assert model._w == 0
+    _check_against_dense(model, X, y, big)
+    _check_against_dense(model, X, y, small)
+    learn(np.concatenate([rng.uniform(-1, 1, size=(3, 2)), X[4:5]]))  # u 9 -> 12
+    assert model._u == 12 and model._w == 4
+    _check_against_dense(model, X, y, big)  # 12 rows: the inverse path
+    learn(rng.uniform(-1, 1, size=(2, 2)))  # u 12 -> 14
+    _check_against_dense(model, X, y, big)  # 12 rows: the solve path
+    assert model._w == 12

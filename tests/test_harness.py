@@ -656,6 +656,27 @@ class TestOneConfigSurface:
         assert err == f"config error: {cfg_path}: the top level must be a JSON object\n"
         assert not out.exists()
 
+    def test_config_file_that_is_not_json_is_named(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text("{bad")
+        assert cli_main(self.RUN + ["--out", str(out), "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg_path}: Expecting property name")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override, field", [
+        ("tau=1" + "0" * 400, "tau"),
+        ("rhos=[1, 1" + "0" * 400 + "]", "rhos"),
+        ("energy.v_rated=1" + "0" * 400, "energy.v_rated"),
+    ], ids=["scalar", "list-entry", "nested"])
+    def test_int_too_large_for_a_float_is_a_config_error(self, tmp_path, capsys, override, field):
+        out = tmp_path / "o"
+        assert cli_main(self.RUN + ["--out", str(out), "--set", override]) == 1
+        assert capsys.readouterr().err == f"config error: {field}: integer too large for a float\n"
+        assert not out.exists()
+
 
 MTS_DEMO_SEED_7 = """\
 depth-3 binary tree, 8 leaves; leaf costs: 1.25, 1.794, 1.551, 0.45, 0.6, 1.747, 0.011, 1.642

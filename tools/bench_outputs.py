@@ -1,12 +1,17 @@
-"""Write the benchmark workloads' step CSVs and summaries at program seeds 0-5.
+"""Write the benchmark workloads' step CSVs and summaries at program seeds 0-5,
+and one long-horizon GP cell.
 
     python3 tools/bench_outputs.py OUT_DIR
 
 Each workload of ``perfbench/workloads.py`` runs at full size through
 ``gpmd run``, with the arguments ``gpmd_argv`` builds and, for wind, the
-benchmark's own wind CSV at bench seed 0. One worker and one BLAS thread;
-the manifests are dropped. Run it in two checkouts and ``diff -r`` the two
-output trees to check that a change leaves every cell's output unchanged.
+benchmark's own wind CSV at bench seed 0. The long-horizon cell
+(``OUT_DIR/long-gp-md``) is per-step gp-md on the 20x20 grid for 1,000
+steps at program seed 0: its distinct-input count passes the 400 query
+rows, so it reads the posterior both by the inverse multiply and by the
+triangular solve. One worker and one BLAS thread; the manifests are
+dropped. Run it in two checkouts and ``diff -r`` the two output trees to
+check that a change leaves every cell's output unchanged.
 """
 
 import os
@@ -22,7 +27,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import inputs  # noqa: E402
 from gpmd import cli  # noqa: E402
-from workloads import WORKLOADS, gpmd_argv  # noqa: E402
+from workloads import WORKLOADS, Workload, gpmd_argv  # noqa: E402
 
 
 def main(out_dir) -> int:
@@ -38,6 +43,10 @@ def main(out_dir) -> int:
             for seed in range(6):
                 rc = max(rc, cli.main(gpmd_argv(w, seed, out, w.steps, dataset)))
                 (out / "manifest.json").unlink()
+    w = Workload("long-gp-md", "synthetic", ("gp-md",), lead="gp-md", episodes=1, steps=1000)
+    out = Path(out_dir) / w.name
+    rc = max(rc, cli.main(gpmd_argv(w, 0, out, w.steps)))
+    (out / "manifest.json").unlink()
     return rc
 
 
