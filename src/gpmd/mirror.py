@@ -21,29 +21,34 @@ delta = theta/eta. The minimizer has the closed KKT form
     p_v = max(0, (q_v + delta_v) * exp(a_v * (beta - c_v)) - delta_v),
     a_v = kappa * eta_v / w_v,
 
-with a scalar multiplier beta chosen so the entries sum to one; the sum is
-convex and increasing in beta, so beta is found by a safeguarded Newton
-iteration inside an analytic bracket. Entries where the non-negativity
-multiplier is active come out exactly zero, so complementary slackness
-holds by construction. Costs are first shifted by each child set's minimum,
-which moves only beta, so one Newton pass serves every cost scale.
+with a scalar multiplier beta chosen so the entries sum to one. Newton
+steps in y = exp(a_min * beta), a_min the smallest a of the child set: an
+active entry is x_v * y^(a_v / a_min), a power of at least one, so the sum
+is convex and increasing in y, and Newton from the top of an analytic
+bracket descends to the root without passing it. A child set whose active
+entries share one a is linear in y and takes one step. Entries where the
+non-negativity multiplier is active come out exactly zero, so complementary
+slackness holds by construction. Costs are first shifted by each child
+set's minimum, which moves only beta, so one Newton pass serves every cost
+scale.
 
 ``MdEngine`` solves one depth layer of internal vertices at a time, deepest
 first. A layer keeps the real children of its vertices in flat arrays, one
 contiguous segment per parent (CSR-style): the child ids, the segment
-starts, each child's segment, and the constants a, delta, log(delta) and
-log1p(delta), all built once with array ops. A Newton iteration touches
-only these entries: beta is broadcast by segment, ``np.add.reduceat`` gives
-the segment sums and slopes, and ``np.minimum.reduceat`` the bracket. A
-segment's sum is its first entry plus numpy's pairwise sum of the rest, so
+starts, each child's segment, and the constants a, 1/a, delta, log(delta),
+the bracket width (log1p(delta) - log(delta)) / a, a / a_min and the
+segment's 1 / a_min, all built once with array ops. A Newton iteration
+touches only these entries: beta is broadcast by segment, ``np.add.reduceat``
+gives the segment sums and slopes, and ``np.minimum.reduceat`` the bracket.
+A segment's sum is its first entry plus numpy's pairwise sum of the rest, so
 it can differ in the last bits from a sum that groups the same numbers
 differently, such as ``sum(axis=1)`` over a zero-padded row. A layer whose
 vertices all have one child is a direct assignment (q = 1, and the vertex
 takes its child's cost). A single vertex's update is a step on a star tree.
 
 The reference implementations that tests compare against, the divergence
-``bregman`` and the state check ``validate_state``, live in
-``tests/conftest.py``.
+``bregman``, the per-vertex bisection ``bisection_step`` and the state check
+``validate_state``, live in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -92,69 +97,6 @@ class PotentialParams:
             self.delta = delta
 
 
-def _newton(q, delta, logd, log1pd, a, cost, starts, rid):
-    """Segmented KKT iteration: (unnormalized minimizers, segment sums, iterations).
-
-    All entry arrays are flat; segment r holds entries ``starts[r]`` up to
-    the next start, and ``rid`` maps each entry to its segment.
-    """
-    logqd = np.log(q + delta)
-    # Bracket: at beta_lo every entry is clamped to zero, at beta_hi one
-    # entry alone reaches mass one.
-    lo = np.minimum.reduceat(cost + (logd - logqd) / a, starts)
-    beta = np.minimum.reduceat(cost + (log1pd - logqd) / a, starts)
-    base = logqd - a * cost
-
-    it = 0
-    while True:
-        # p = max(0, (q + delta) * exp(a * (beta - c)) - delta), in place,
-        # as exp(a * beta + base). Newton from beta_hi only lowers beta, so
-        # the exponent stays below log(1+delta); the cap is an overflow
-        # guard, should rounding ever push an iterate above the bracket.
-        p = beta[rid]
-        p *= a
-        p += base
-        np.minimum(p, 700.0, out=p)
-        np.exp(p, out=p)
-        p -= delta
-        np.maximum(p, 0.0, out=p)
-        s = np.add.reduceat(p, starts)
-        resid = s - 1.0
-        if np.abs(resid).max() <= 1e-13 or it >= MAX_NEWTON_ITERS:
-            return p, s, it
-        # s is convex and increasing in beta, so Newton from above stays
-        # bracketed; fall back to bisection if rounding pushes it out.
-        # Clamped entries add no slope. A NaN entry makes its segment's
-        # residual and step NaN either way.
-        dp = p + delta
-        dp *= a
-        dp *= p > 0.0
-        slope = np.add.reduceat(dp, starts)
-        slope[slope <= 0.0] = 1.0
-        nxt = beta - resid / slope
-        bad = (nxt <= lo) | ~np.isfinite(nxt)
-        if bad.any():
-            nxt = np.where(bad, 0.5 * (lo + beta), nxt)
-        beta = nxt
-        it += 1
-
-
-def _solve(q, delta, logd, log1pd, a, cost, starts, rid):
-    """Segmented KKT solve: one simplex problem per segment of the flat arrays.
-
-    Returns (minimizers, Newton iterations); every segment iterates until
-    all of them converge. Each segment's costs are first shifted by their
-    minimum, which leaves the minimizer unchanged and keeps a * (beta - cost)
-    from losing the digits that set the sum at large costs.
-    """
-    cost = cost - np.minimum.reduceat(cost, starts)[rid]
-    p, s, it = _newton(q, delta, logd, log1pd, a, cost, starts, rid)
-    worst = float(np.max(np.abs(s - 1.0)))
-    if worst > STATE_TOL:
-        raise SolverConvergenceError(worst, it)
-    return p / s[rid], it
-
-
 @dataclass(frozen=True)
 class _Layer:
     """The children of one depth's internal vertices, flat and grouped by parent.
@@ -174,10 +116,79 @@ class _Layer:
     uniform: np.ndarray  # 1 / sibling count, per entry
     delta: np.ndarray
     logd: np.ndarray
-    log1pd: np.ndarray
     a: np.ndarray
+    inva: np.ndarray  # 1 / a
+    hi_off: np.ndarray  # beta_hi - beta_lo per entry: (log1p(delta) - log(delta)) / a
+    k: np.ndarray  # a / a_min, per entry
+    inv_amin: np.ndarray  # 1 / a_min, a_min the smallest a per segment
     zero_rows: tuple
     direct: bool
+
+
+def _solve(q, c, lay: _Layer):
+    """Segmented KKT solve: one simplex problem per segment of the layer.
+
+    Returns (minimizers, Newton iterations); every segment iterates until
+    all of them converge. Each segment's costs are first shifted by their
+    minimum, which leaves the minimizer unchanged and keeps a * (beta - cost)
+    from losing the digits that set the sum at large costs.
+    """
+    starts, rid, a, delta = lay.starts, lay.rid, lay.a, lay.delta
+    cost = c - np.minimum.reduceat(c, starts)[rid]
+    base = np.log(q + delta)
+    base -= a * cost
+    # Bracket: at beta_lo every entry is clamped to zero, at beta_hi one
+    # entry alone reaches mass one.
+    edge = lay.logd - base
+    edge *= lay.inva
+    lo = np.minimum.reduceat(edge, starts)
+    edge += lay.hi_off
+    beta = np.minimum.reduceat(edge, starts)
+
+    it = 0
+    while True:
+        # p = max(0, (q + delta) * exp(a * (beta - c)) - delta) as
+        # exp(a * beta + base) - delta. Newton from beta_hi only lowers
+        # beta, so the exponent stays below log(1+delta); the cap is an
+        # overflow guard, should rounding ever push an iterate above the
+        # bracket.
+        e = beta[rid]
+        e *= a
+        e += base
+        np.minimum(e, 700.0, out=e)
+        np.exp(e, out=e)
+        p = e - delta
+        np.maximum(p, 0.0, out=p)
+        s = np.add.reduceat(p, starts)
+        gap = 1.0 - s
+        if -1e-13 <= gap.min() and gap.max() <= 1e-13:
+            break
+        if it == MAX_NEWTON_ITERS:
+            worst = float(np.abs(gap).max())
+            if not worst <= STATE_TOL:  # NaN fails too
+                raise SolverConvergenceError(worst, it)
+            break
+        # Newton in y = exp(a_min * beta), where s(y) is convex: with
+        # k = a / a_min, y * s'(y) sums k * (p + delta) over the active
+        # entries (clamped ones add no slope), and y *= 1 + (1 - s) /
+        # (y * s'(y)) is a step of log1p(...) / a_min in beta. Bisect if
+        # rounding pushes an iterate out of the bracket; a log1p argument
+        # <= -1 (-inf or NaN) and a NaN entry land there too.
+        e *= lay.k
+        e *= p > 0.0
+        slope = np.add.reduceat(e, starts)
+        slope[slope <= 0.0] = 1.0
+        gap /= slope
+        nxt = np.log1p(gap, out=gap)
+        nxt *= lay.inv_amin
+        nxt += beta
+        ok = nxt > lo
+        ok &= np.isfinite(nxt)
+        if not ok.all():
+            nxt = np.where(ok, nxt, 0.5 * (lo + beta))
+        beta = nxt
+        it += 1
+    return p / s[rid], it
 
 
 class MdEngine:
@@ -215,6 +226,10 @@ class MdEngine:
                     f"vertex {par[starts[mixed[0]]]} mixes zero and positive child weights"
                 )
             delta = params.delta[kids]
+            logd = np.log(delta)
+            # zero-weight rows are solved with w = 1, then replaced
+            a = params.kappa * params.eta[kids] / np.where(w > 0.0, w, 1.0)
+            amin = np.minimum.reduceat(a, starts)
             zero = np.flatnonzero(n_zero == counts)
             layers.append(
                 _Layer(
@@ -225,10 +240,12 @@ class MdEngine:
                     par=par,
                     uniform=1.0 / counts[rid],
                     delta=delta,
-                    logd=np.log(delta),
-                    log1pd=np.log1p(delta),
-                    # zero-weight rows are solved with w = 1, then replaced
-                    a=params.kappa * params.eta[kids] / np.where(w > 0.0, w, 1.0),
+                    logd=logd,
+                    a=a,
+                    inva=1.0 / a,
+                    hi_off=(np.log1p(delta) - logd) / a,
+                    k=a / amin[rid],
+                    inv_amin=1.0 / amin,
                     zero_rows=tuple(
                         (int(starts[r]), int(starts[r] + counts[r])) for r in zero
                     ),
@@ -256,10 +273,7 @@ class MdEngine:
                 cost[lay.verts] = c
                 iters.append(0)
             else:
-                p, it = _solve(
-                    q_prev[lay.kids], lay.delta, lay.logd, lay.log1pd, lay.a, c,
-                    lay.starts, lay.rid,
-                )
+                p, it = _solve(q_prev[lay.kids], c, lay)
                 for lo, hi in lay.zero_rows:
                     j = lo + int(np.argmin(c[lo:hi]))
                     p[lo:hi] = 0.0

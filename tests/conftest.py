@@ -4,7 +4,8 @@ The oracles are reference implementations that no run calls: the full FIFO
 coupling (``optimal_coupling``) that ``gpmd.transport.coupling_row`` walks
 one row of, the all-pairs tree metric (``distance_matrix``), the entropic
 divergence (``bregman``) that mirror descent minimizes, brute-force
-enumeration for the offline DP (``brute_force_optimal``), state checks
+enumeration for the offline DP (``brute_force_optimal``), a per-vertex
+bisection on the mirror-descent KKT form (``bisection_step``), state checks
 (``validate_state``, ``validate_conditionals``) and a dense LP for optimal
 transport (``lp_transport_cost``), a per-k scan of the metric axioms
 (``loop_triangle_error``) and the scalar interval bound of the wind energy
@@ -208,6 +209,58 @@ def bregman(params: PotentialParams, u: int, p, q) -> float:
     delta = params.delta[kids]
     terms = (w / eta) * ((p + delta) * np.log((p + delta) / (q + delta)) + q - p)
     return float(terms.sum() / params.kappa)
+
+
+def bisection_step(params: PotentialParams, q_prev: np.ndarray, leaf_costs) -> tuple:
+    """One mirror-descent sweep solved vertex by vertex: (q_new, vertex costs).
+
+    Each internal vertex, children first, takes the KKT form
+    p_v = max(0, (q_v + delta_v) * exp(a_v * (beta - c_v)) - delta_v) with
+    a_v = kappa * eta_v / w_v, and beta is bisected over the bracket until
+    the midpoint stops moving. Costs are shifted by the child set's minimum,
+    which moves only beta. A single child takes q = 1 and a child set of
+    zero-weight edges the argmin (lowest index on ties).
+    """
+    tree = params.tree
+    cost = np.zeros(tree.n_vertices)
+    cost[tree.leaf_vertex] = leaf_costs
+    q = np.ones(tree.n_vertices)
+    for layer in tree.depth_layers[::-1]:
+        for u in layer:
+            kids = tree.children[u]
+            if not len(kids):
+                continue
+            c = cost[kids]
+            w = params.w[kids]
+            if len(kids) == 1 or not w.any():
+                p = np.zeros(len(kids))
+                p[np.argmin(c)] = 1.0
+            else:
+                shifted = c - c.min()
+                a = params.kappa * params.eta[kids] / w
+                delta = params.delta[kids]
+                x = q_prev[kids] + delta
+
+                def mass(beta):
+                    return np.maximum(0.0, x * np.exp(a * (beta - shifted)) - delta)
+
+                lo = float(np.min(shifted + np.log(delta / x) / a))
+                hi = float(np.min(shifted + np.log((1.0 + delta) / x) / a))
+                while mass(hi).sum() < 1.0:
+                    hi += hi - lo
+                while True:
+                    mid = 0.5 * (lo + hi)
+                    if not lo < mid < hi:
+                        break
+                    if mass(mid).sum() < 1.0:
+                        lo = mid
+                    else:
+                        hi = mid
+                p = mass(hi)
+                p /= p.sum()
+            q[kids] = p
+            cost[u] = float(p @ c)
+    return q, cost
 
 
 def brute_force_optimal(cost_matrix: np.ndarray, dist: np.ndarray, x0: int):

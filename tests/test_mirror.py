@@ -18,7 +18,14 @@ from gpmd.mirror import (
 )
 from gpmd.policies import ExactCostModel, MirrorDescentPolicy
 
-from conftest import bregman, distance_matrix, random_hst, validate_conditionals, validate_state
+from conftest import (
+    bisection_step,
+    bregman,
+    distance_matrix,
+    random_hst,
+    validate_conditionals,
+    validate_state,
+)
 
 
 def two_child_params(w=(1.0, 1.0), eta=(1.0, 1.0), delta=(0.5, 0.5), kappa=1.0):
@@ -348,6 +355,19 @@ def test_solver_error_carries_residual():
     assert "0.5" in str(err) or "5.000e-01" in str(err)
 
 
+def test_nan_state_is_a_solver_error():
+    # A NaN residual never meets the stop test; once the iterations run out
+    # it must raise rather than hand NaN conditionals on.
+    tree = random_hst(np.random.default_rng(3), 8)
+    engine = MdEngine(tree)
+    q = engine.delta_inverse(point_mass_state(tree, 0))
+    q[tree.leaf_vertex[5]] = np.nan
+    with pytest.raises(SolverConvergenceError) as info:
+        engine.step(q, np.ones(8))
+    assert info.value.iterations == MAX_NEWTON_ITERS
+    assert math.isnan(info.value.residual)
+
+
 @pytest.mark.parametrize("kappa, scale", [(1.0, 1e3), (1.0, 1e9), (50.0, 1e6)])
 def test_large_costs_converge(kappa, scale):
     # Unshifted, a * (beta - cost) loses the digits that set the sum at these
@@ -368,6 +388,70 @@ def test_large_costs_converge(kappa, scale):
         validate_conditionals(tree, q)
         z = engine.delta_map(q)
         assert costs[tree.root] == pytest.approx(float(z[tree.leaf_vertex] @ leaf_costs), rel=1e-9)
+
+
+@pytest.mark.parametrize("kappa, scale", [(1.0, 1e-9), (1.0, 1e9), (1e5, 1e-9), (1e5, 1e9)])
+def test_wide_tree_converges_at_extreme_scales(kappa, scale):
+    # 1,600 actions, half of each step's costs exactly zero: many child sets
+    # hold several cheapest children at 0, and the rest sit up to scale above.
+    metric = grid_metric(40, 40)
+    tree = frt_embed(metric, tau=5.0, rng_seed=0)
+    engine = MdEngine(tree, PotentialParams(tree, kappa=kappa))
+    q = engine.delta_inverse(point_mass_state(tree, 0))
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        leaf_costs = scale * rng.uniform(0.0, 1.0, metric.n)
+        leaf_costs[rng.permutation(metric.n)[: metric.n // 2]] = 0.0
+        q, costs = engine.step(q, leaf_costs)
+        assert all(it < 20 for it in engine.newton_iters), engine.newton_iters
+        validate_conditionals(tree, q)
+        z = engine.delta_map(q)
+        assert costs[tree.root] == pytest.approx(float(z[tree.leaf_vertex] @ leaf_costs), rel=1e-9)
+
+
+def test_newton_iterations_per_step():
+    # The deepest layer of an FRT tree holds only leaves, which share one a
+    # per child set, so Newton in exp(a_min * beta) solves it once its active
+    # set is right. Newton in beta itself needs about 16 per step here.
+    metric = grid_metric(24, 24)
+    tree = frt_embed(metric, tau=5.0, rng_seed=0)
+    engine = MdEngine(tree)
+    q = engine.delta_inverse(point_mass_state(tree, 0))
+    rng = np.random.default_rng(0)
+    total = 0
+    for _ in range(200):
+        q, _ = engine.step(q, rng.uniform(0.0, 1.0, metric.n))
+        total += sum(engine.newton_iters)
+    assert total / 200 <= 11.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    chain=st.sampled_from([0.0, 0.3]),
+    dup=st.sampled_from([0.0, 0.3]),
+    log_kappa=st.floats(0.0, 5.0),
+    log_scale=st.floats(-9.0, 9.0),
+)
+def test_step_matches_bisection_oracle(seed, n, chain, dup, log_kappa, log_scale):
+    # The oracle bisects each vertex's multiplier on its own; the engine runs
+    # Newton from the top of the bracket on whole layers at once.
+    rng = np.random.default_rng(seed)
+    tree = random_hst(rng, n, chain=chain, dup=dup)
+    params = PotentialParams(tree, kappa=10.0**log_kappa)
+    engine = MdEngine(tree, params)
+    # start with exact zeros: emptied leaves, and the uniform split below them
+    probs = rng.dirichlet(np.ones(n))
+    probs[rng.permutation(n)[: int(rng.integers(0, n))]] = 0.0
+    q = engine.delta_inverse(tree.subtree_sums(probs / probs.sum()))
+    for _ in range(3):
+        leaf_costs = 10.0**log_scale * rng.uniform(0.0, 1.0, n)
+        q_new, _ = engine.step(q, leaf_costs)
+        assert all(it < 20 for it in engine.newton_iters), engine.newton_iters
+        ref_q, _ = bisection_step(params, q, leaf_costs)
+        assert np.abs(q_new - ref_q).max() <= 1e-12
+        q = q_new
 
 
 # -- The padded reference: the engine before the flat per-layer layout. -----
