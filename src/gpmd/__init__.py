@@ -17,11 +17,7 @@ from .policies import (
     GpServiceModel,
     MirrorDescentPolicy,
 )
-from .transport import (
-    coupling_row,
-    sample_next,
-    tree_wasserstein,
-)
+from .transport import coupling_row, sample_next
 from .wind import (
     EnergyParams,
     WindTable,

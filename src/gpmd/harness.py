@@ -420,7 +420,7 @@ def run_cell(cfg: RunConfig, env: Env, name: str, rho: float, seed: int, start):
         try:
             policy.begin_episode(x0)
             for step, key in enumerate(keys[m].tolist(), 1):
-                action, _ = policy.act(key)
+                action = policy.act(key)
                 y = max(env.obs_floor, float(env.obs[action, key] + env.noise[m, step - 1]))
                 policy.observe(action, key, y)
                 actions[m, step - 1] = action

@@ -1,7 +1,7 @@
 """The movement-aware controller and the baselines it is compared against.
 
 All policies share one interface: ``begin_episode(x0)``, ``act(context)``
-returning (action index, diagnostics), ``observe(action, context, y)``, and
+returning the action index, ``observe(action, context, y)``, and
 ``end_episode()``. A policy reads its costs from a cost model and forwards
 each observation to it: the learners' ``GpServiceModel`` buffers them and
 flushes them into its own GP model, which grows in place, every step or at
@@ -24,7 +24,7 @@ import numpy as np
 from .gp import GpModel
 from .hst import HstTree
 from .mirror import MdEngine, PotentialParams, point_mass_state
-from .transport import lifted_w1, sample_next
+from .transport import sample_next
 
 POLICY_NAMES = ("gp-md", "cgp-lcb", "md-known", "minc-known", "stationary")
 
@@ -148,16 +148,14 @@ class StationaryPolicy(Policy):
     def act(self, context):
         if self.x0 is None:
             raise RuntimeError("begin_episode must be called first")
-        return self.x0, {}
+        return self.x0
 
 
 class ArgminPolicy(Policy):
     """Movement-blind argmin of the model's cost estimate (ties: lowest index)."""
 
     def act(self, context):
-        costs = self.cost_model.lcb_costs(context)
-        action = int(np.argmin(costs))
-        return action, {"estimated_cost": float(costs[action])}
+        return int(np.argmin(self.cost_model.lcb_costs(context)))
 
 
 class MirrorDescentPolicy(Policy):
@@ -191,18 +189,12 @@ class MirrorDescentPolicy(Policy):
             raise RuntimeError("begin_episode must be called first")
         lcb = self.cost_model.lcb_costs(context)
         costs = np.maximum(self.rho * np.asarray(lcb, dtype=float), 0.0)
-        q_new, vertex_costs = self.engine.step(self.q, costs)
+        q_new, _ = self.engine.step(self.q, costs)
         z_new = self.engine.delta_map(q_new)
-        diag = {
-            "hallucinated_root_cost": float(vertex_costs[self.tree.root]),
-            "tree_wasserstein_step": lifted_w1(self.tree, z_new, self.z_prev),
-            "newton_iters": list(self.engine.newton_iters),
-        }
         leaves = self.tree.leaf_vertex
-        action = sample_next(
-            self.tree, self.z_prev[leaves], z_new[leaves], self.x_prev, self.rng, diag=diag
+        self.x_prev = sample_next(
+            self.tree, self.z_prev[leaves], z_new[leaves], self.x_prev, self.rng
         )
         self.q = q_new
         self.z_prev = z_new
-        self.x_prev = int(action)
-        return self.x_prev, diag
+        return self.x_prev

@@ -1,10 +1,11 @@
 """Optimal transport between leaf distributions under the tree metric.
 
-On a weighted tree the Wasserstein-1 distance has the closed form
-sum_v w_v * |z_v - z'_v| over the lifted subtree masses, and an optimal
-coupling is built greedily: mass that can stay put stays put, and per
-subtree the remaining surplus is matched against the deficit before the
-imbalance is routed through the parent edge.
+On a weighted tree an optimal coupling is built greedily: mass that can
+stay put stays put, and per subtree the remaining surplus is matched
+against the deficit before the imbalance is routed through the parent
+edge. Its cost is the closed-form Wasserstein-1 distance
+sum_v w_v * |z_v - z'_v| over the lifted subtree masses. The program never
+needs that number: the closed form is a test oracle in ``tests/conftest.py``.
 
 The reference, ``optimal_coupling`` in ``tests/conftest.py``, builds that
 whole FIFO coupling. The controller only ever needs one row of it, the row
@@ -44,22 +45,6 @@ def _as_probs(dist) -> np.ndarray:
     if abs(p.sum() - 1.0) > DIST_SUM_TOL:
         raise ValueError(f"leaf probabilities sum to {p.sum()!r}, not 1")
     return p
-
-
-def tree_wasserstein(tree: HstTree, a, b) -> float:
-    """Closed-form W1 between two leaf distributions on the same tree."""
-    pa, pb = _as_probs(a), _as_probs(b)
-    if pa.shape != (tree.n_leaves,) or pb.shape != (tree.n_leaves,):
-        raise ValueError("distributions must cover the tree's leaves")
-    return lifted_w1(tree, tree.subtree_sums(pa), tree.subtree_sums(pb))
-
-
-def lifted_w1(tree: HstTree, za: np.ndarray, zb: np.ndarray) -> float:
-    """W1 between two distributions given as lifted vertex masses:
-    sum_v w_v * |za_v - zb_v| over the non-root vertices."""
-    diff = np.abs(za - zb)
-    diff[tree.root] = 0.0  # root mass is 1 on both sides; its weight is unused
-    return float((tree.weight * diff).sum())
 
 
 class _RowWalk:
@@ -158,23 +143,15 @@ def coupling_row(tree: HstTree, a, b, prev: int) -> tuple[np.ndarray, np.ndarray
     return np.array(js, dtype=np.int64), np.array(ms, dtype=float)
 
 
-def sample_next(
-    tree: HstTree, a, b, prev: int, rng: np.random.Generator, diag: dict | None = None
-) -> int:
+def sample_next(tree: HstTree, a, b, prev: int, rng: np.random.Generator) -> int:
     """Draw the next leaf from row ``prev`` of the coupling of ``a`` and ``b``.
 
     A zero row (``prev`` carries no mass under ``a``, possible only through
-    float underflow) falls back to sampling ``b`` directly. If ``diag`` is
-    given, the row length and whether the fallback fired are recorded in
-    it as ``row_pieces`` and ``coupling_fallback``.
+    float underflow) falls back to sampling ``b`` directly.
     """
     js, ms = coupling_row(tree, a, b, prev)
     total = ms.sum()
-    fallback = bool(total <= 0.0)
-    if diag is not None:
-        diag["row_pieces"] = int(js.size)
-        diag["coupling_fallback"] = fallback
-    if fallback:
+    if total <= 0.0:
         probs = _as_probs(b)
         return int(rng.choice(probs.shape[0], p=probs / probs.sum()))
     return int(rng.choice(js, p=ms / total))

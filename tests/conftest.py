@@ -2,8 +2,9 @@
 
 The oracles are reference implementations that no run calls: the full FIFO
 coupling (``optimal_coupling``) that ``gpmd.transport.coupling_row`` walks
-one row of, the all-pairs tree metric (``distance_matrix``), the entropic
-divergence (``bregman``) that mirror descent minimizes, brute-force
+one row of, the closed-form tree W1 that coupling costs
+(``tree_wasserstein``), the all-pairs tree metric (``distance_matrix``), the
+entropic divergence (``bregman``) that mirror descent minimizes, brute-force
 enumeration for the offline DP (``brute_force_optimal``), a per-vertex
 bisection on the mirror-descent KKT form (``bisection_step``), state checks
 (``validate_state``, ``validate_conditionals``) and a dense LP for optimal
@@ -368,6 +369,17 @@ def optimal_coupling(tree: HstTree, a, b) -> Coupling:
     if leftover > MARGINAL_TOL:
         raise AssertionError(f"unmatched transport mass {leftover:.3e}")
     return Coupling(tree=tree, pairs=tuple(pairs))
+
+
+def tree_wasserstein(tree: HstTree, a, b) -> float:
+    """Closed-form W1 between two leaf distributions on the same tree:
+    sum_v w_v * |za_v - zb_v| over the lifted masses of the non-root vertices."""
+    pa, pb = _as_probs(a), _as_probs(b)
+    if pa.shape != (tree.n_leaves,) or pb.shape != (tree.n_leaves,):
+        raise ValueError("distributions must cover the tree's leaves")
+    diff = np.abs(tree.subtree_sums(pa) - tree.subtree_sums(pb))
+    diff[tree.root] = 0.0  # root mass is 1 on both sides; its weight is unused
+    return float((tree.weight * diff).sum())
 
 
 def write_wind_csv(path, table: WindTable) -> None:

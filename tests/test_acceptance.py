@@ -17,7 +17,7 @@ from gpmd.hst import frt_embed
 from gpmd.metric import FiniteMetric, grid_metric
 from gpmd.mirror import MdEngine, PotentialParams, point_mass_state
 from gpmd.policies import ExactCostModel, GpServiceModel, MirrorDescentPolicy
-from gpmd.transport import sample_next, tree_wasserstein
+from gpmd.transport import sample_next
 from gpmd.wind import EnergyParams, altitude_metric, energy_service
 
 from conftest import (
@@ -27,6 +27,7 @@ from conftest import (
     lp_transport_cost,
     optimal_coupling,
     random_hst,
+    tree_wasserstein,
 )
 
 

@@ -753,7 +753,7 @@ def test_walked_row_sampler_matches_the_full_coupling(tmp_path, monkeypatch):
     # byte-identical step CSVs.
     from gpmd import policies
 
-    def coupling_sampler(tree, a, b, prev, rng, diag=None):
+    def coupling_sampler(tree, a, b, prev, rng):
         js, ms = optimal_coupling(tree, a, b).conditional_row(prev)
         assert ms.sum() > 0.0
         return int(rng.choice(js, p=ms / ms.sum()))

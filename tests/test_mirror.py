@@ -421,6 +421,8 @@ def test_newton_iterations_per_step():
     total = 0
     for _ in range(200):
         q, _ = engine.step(q, rng.uniform(0.0, 1.0, metric.n))
+        # one count per depth layer of the tree's internal vertices
+        assert [type(it) for it in engine.newton_iters] == [int] * int(tree.depth.max())
         total += sum(engine.newton_iters)
     assert total / 200 <= 11.0
 
@@ -504,9 +506,6 @@ def _padded_solve_rows(q, delta, a, cost, mask):
 
 class PaddedEngine:
     """``MdEngine`` as it was: padded layers, masks and per-vertex loops."""
-
-    # diagnostics MirrorDescentPolicy reads from its engine
-    newton_iters = ()
 
     def __init__(self, tree, params):
         self.tree = tree
@@ -633,7 +632,7 @@ class TestFlatLayout:
             pol.begin_episode(int(env.x0[0]))
             actions, qs = [], []
             for key in env.contexts[0]:
-                action, _ = pol.act(int(key))
+                action = pol.act(int(key))
                 actions.append(action)
                 qs.append(pol.q)
             runs.append((actions, np.array(qs)))

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from gpmd import harness
 from gpmd.bench import synth_instance
 from gpmd.gp import GpModel, RbfKernel
+from gpmd.harness import RunConfig, build_synthetic_env
 from gpmd.hst import frt_embed
 from gpmd.metric import grid_metric
 from gpmd.mirror import MdEngine
 from gpmd.policies import (
+    POLICY_NAMES,
     ArgminPolicy,
     ExactCostModel,
     GpServiceModel,
@@ -14,7 +17,6 @@ from gpmd.policies import (
     StationaryPolicy,
     lower_bound,
 )
-from gpmd.transport import tree_wasserstein
 
 
 @pytest.fixture
@@ -62,7 +64,7 @@ class TestStationary:
         pol = StationaryPolicy(exact_model(inst))
         pol.begin_episode(4)
         for c in range(5):
-            action, _ = pol.act(c % 3)
+            action = pol.act(c % 3)
             assert action == 4
 
     def test_needs_begin(self, small_world):
@@ -78,13 +80,13 @@ class TestArgminPolicies:
         pol = ArgminPolicy(exact_model(inst))
         pol.begin_episode(0)
         for c in range(inst.n_contexts):
-            action, _ = pol.act(c)
+            action = pol.act(c)
             assert action == int(np.argmin(inst.f_table[:, c]))
 
     def test_argmin_tie_breaks_low_index(self):
         pol = ArgminPolicy(ExactCostModel([[1.0], [0.3], [0.3]]))
         pol.begin_episode(2)
-        action, _ = pol.act(0)
+        action = pol.act(0)
         assert action == 1
 
     def test_cgp_lcb_permutation_equivariance(self, small_world):
@@ -124,8 +126,8 @@ class TestArgminPolicies:
 
         contexts = [0, 3, 1, 5, 2]
         for c in contexts:
-            a, _ = pol.act(c)
-            ap, _ = pol_p.act(c)
+            a = pol.act(c)
+            ap = pol_p.act(c)
             assert perm[ap] == a
             y = float(inst.f_table[a, c])
             pol.observe(a, c, y)
@@ -163,7 +165,7 @@ class TestGpServiceModel:
         pol = MirrorDescentPolicy(tree, model, rng=np.random.default_rng(2))
         pol.begin_episode(0)
         for c in (0, 1, 0, 0):
-            a, _ = pol.act(c)  # mirror descent runs on the served read-only arrays
+            a = pol.act(c)  # mirror descent runs on the served read-only arrays
             pol.observe(a, c, float(inst.f_table[a, c]))
         assert len(calls) == 2
         served = model.lcb_costs(0)
@@ -215,8 +217,8 @@ class TestGpServiceModel:
         pol_ref.begin_episode(0)
         contexts = (0, 1, 0, 0, 2, 1, 1, 3)
         for c in contexts:
-            a, _ = pol.act(c)
-            assert pol_ref.act(c)[0] == a
+            a = pol.act(c)
+            assert pol_ref.act(c) == a
             assert np.array_equal(model.lcb_costs(c), ref.lcb_costs(c))
             y = float(inst.f_table[a, c])
             pol.observe(a, c, y)
@@ -269,7 +271,7 @@ class TestUpdateModes:
         pol.begin_episode(0)
         before = model.lcb_costs(2).copy()
         for c in (0, 1, 2):
-            a, _ = pol.act(c)
+            a = pol.act(c)
             pol.observe(a, c, float(inst.f_table[a, c]))
         assert np.array_equal(model.lcb_costs(2), before)
         pol.end_episode()
@@ -281,7 +283,7 @@ class TestUpdateModes:
         pol = MirrorDescentPolicy(tree, model, rng=np.random.default_rng(1))
         pol.begin_episode(0)
         before = model.lcb_costs(2).copy()
-        a, _ = pol.act(0)
+        a = pol.act(0)
         pol.observe(a, 0, float(inst.f_table[a, 0]))
         assert not np.array_equal(model.lcb_costs(2), before)
 
@@ -290,7 +292,7 @@ class TestUpdateModes:
         model = exact_model(inst)
         for pol in (MirrorDescentPolicy(tree, model), ArgminPolicy(model), StationaryPolicy(model)):
             pol.begin_episode(0)
-            a, _ = pol.act(0)
+            a = pol.act(0)
             pol.observe(a, 0, 123.456)
             pol.end_episode()
             assert np.array_equal(model.lcb_costs(1), inst.f_table[:, 1])
@@ -299,7 +301,7 @@ class TestUpdateModes:
         inst, tree = small_world
         pol = MirrorDescentPolicy(tree, gp_model_for(inst))
         pol.begin_episode(0)
-        a, _ = pol.act(0)
+        a = pol.act(0)
         with pytest.raises(ValueError, match="finite"):
             pol.observe(a, 0, np.inf)
 
@@ -372,7 +374,7 @@ class TestMirrorDescentPolicy:
             pol = MirrorDescentPolicy(tree, model, rho=1.0, rng=np.random.default_rng(1000 + k))
             pol.begin_episode(2)
             for c in contexts:
-                a, _ = pol.act(c)
+                a = pol.act(c)
             counts[a] += 1
             if target is None:
                 target = pol.z_prev[tree.leaf_vertex]
@@ -381,26 +383,15 @@ class TestMirrorDescentPolicy:
             se = np.sqrt(max(target[j] * (1 - target[j]), 1e-12) / draws)
             assert abs(freqs[j] - target[j]) <= 4 * se + 1e-3
 
-    def test_diagnostics_fields(self, small_world):
-        inst, tree = small_world
-        pol = MirrorDescentPolicy(tree, exact_model(inst))
-        pol.begin_episode(0)
-        _, diag = pol.act(0)
-        assert set(diag) == {
-            "hallucinated_root_cost",
-            "tree_wasserstein_step",
-            "row_pieces",
-            "coupling_fallback",
-            "newton_iters",
-        }
-        start = np.eye(inst.n_actions)[0]
-        moved = tree_wasserstein(tree, start, pol.z_prev[tree.leaf_vertex])
-        assert diag["tree_wasserstein_step"] == pytest.approx(moved, rel=1e-12, abs=1e-15)
-        # one iteration count per depth layer of the tree's internal vertices
-        assert len(diag["newton_iters"]) == int(tree.depth.max())
-        for count in diag["newton_iters"]:
-            assert type(count) is int and count >= 0
-        # from a point mass the row is the whole next distribution
-        assert diag["row_pieces"] == int((pol.z_prev[tree.leaf_vertex] > 0.0).sum())
-        assert diag["coupling_fallback"] is False
 
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_act_returns_an_action_index(name):
+    # Each policy's step returns a plain int index into the action set.
+    cfg = RunConfig(grid=[3, 3], n_contexts=5, steps=6)
+    env = build_synthetic_env(cfg, 1)
+    pol = harness._cell_policy(cfg, env, name, 1.0, 1)
+    pol.begin_episode(int(env.x0[0]))
+    for key in env.contexts[0, : cfg.steps].tolist():
+        a = pol.act(key)
+        assert type(a) is int and 0 <= a < env.f.shape[0]
+        pol.observe(a, key, float(env.obs[a, key]))

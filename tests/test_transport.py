@@ -6,18 +6,15 @@ from hypothesis import strategies as st
 from gpmd.hst import frt_embed
 from gpmd.metric import FiniteMetric, grid_metric
 from gpmd.mirror import MdEngine, PotentialParams, point_mass_state
-from gpmd.transport import coupling_row, sample_next, tree_wasserstein
+from gpmd.transport import coupling_row, sample_next
 
-from conftest import distance_matrix, lp_transport_cost, optimal_coupling, random_hst
-
-
-def test_distribution_must_sum_to_one(rng):
-    tree = random_hst(rng, 2)
-    ok = np.array([0.5, 0.5])
-    with pytest.raises(ValueError, match="sum"):
-        tree_wasserstein(tree, np.array([0.5, 0.4]), ok)
-    with pytest.raises(ValueError, match="non-negative"):
-        tree_wasserstein(tree, ok, np.array([1.5, -0.5]))
+from conftest import (
+    distance_matrix,
+    lp_transport_cost,
+    optimal_coupling,
+    random_hst,
+    tree_wasserstein,
+)
 
 
 def test_identical_distributions(rng):
@@ -130,12 +127,6 @@ def test_first_step_conditional_equals_target(rng):
     dense = np.zeros(6)
     dense[js] = ms
     assert np.abs(dense - b).max() <= 1e-12
-
-
-def test_mismatched_tree_rejected(rng):
-    tree = random_hst(rng, 4)
-    with pytest.raises(ValueError, match="leaves"):
-        tree_wasserstein(tree, np.ones(5) / 5, np.ones(5) / 5)
 
 
 def test_realized_movement_tracks_wasserstein_sum(rng):
@@ -284,10 +275,8 @@ def test_zero_previous_mass_falls_back_to_next_distribution(rng):
     js, ms = coupling_row(tree, a, b, 3)
     assert js.size == 0 and ms.size == 0
     assert_row_matches_coupling(tree, a, b, 3)
-    diag = {}
-    draw = sample_next(tree, a, b, 3, np.random.default_rng(9), diag=diag)
+    draw = sample_next(tree, a, b, 3, np.random.default_rng(9))
     assert draw == np.random.default_rng(9).choice(6, p=b / b.sum())
-    assert diag == {"row_pieces": 0, "coupling_fallback": True}
 
 
 def test_draws_match_the_full_coupling_sampler(rng):
@@ -300,10 +289,8 @@ def test_draws_match_the_full_coupling_sampler(rng):
     for a, b in zip(dists[:-1], dists[1:]):
         js, ms = optimal_coupling(tree, a, b).conditional_row(ref_x)
         ref_x = int(ref_rng.choice(js, p=ms / ms.sum()))
-        diag = {}
-        x = sample_next(tree, a, b, x, rng_b, diag=diag)
+        x = sample_next(tree, a, b, x, rng_b)
         assert x == ref_x
-        assert diag["row_pieces"] >= 1 and not diag["coupling_fallback"]
 
 
 def test_sampler_validates_its_inputs(rng):
