@@ -1,7 +1,7 @@
 """Movement-penalized contextual Bayesian optimization on tree metrics."""
 
 from .bench import SyntheticInstance, offline_optimal_matrix, synth_instance
-from .gp import GpModel, Normalizer, RbfKernel
+from .gp import GpModel, rbf_table
 from .harness import RunConfig, report, run, rng_stream
 from .hst import HstTree, frt_embed
 from .metric import FiniteMetric, grid_metric

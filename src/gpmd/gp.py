@@ -1,15 +1,24 @@
-"""Exact Gaussian-process regression over action-context feature vectors.
+"""Exact Gaussian-process regression on a finite (action, context) domain.
+
+The kernel is the product K((a, c), (a', c')) = ka[a, a'] * kc[c, c'] of an
+n x n action table ka (with the output scale) and a C x C context table kc,
+the product kernel of contextual GP bandits (Krause & Ong, NeurIPS 2011).
+The model learns from (action id, context id) pairs, and a query block is
+every action at one context.
 
 The model stores one row per distinct input. With one noise variance lam,
 c observations of input x with mean ybar give the same posterior as the
 single row (x, ybar) with noise lam / c (the replicate trick of Binois,
 Gramacy & Ludkovski, JCGS 2018). So for the u distinct inputs U with
 counts c, the model keeps the lower Cholesky factor L of
-K_U + lam*diag(1/c) and z = L^-1 ybar. With V = L^-1 K(U, Xq), the
-posterior at query rows Xq has mean V^T z and variance k(x, x) - colsum(V^2).
+K_U + lam*diag(1/c) and z = L^-1 ybar. With V = L^-1 K(U, Q) for the query
+block Q, the posterior has mean V^T z and variance k(x, x) - colsum(V^2).
+Each stored input also keeps its ka row and its kc row, u x (n + C)
+doubles, so K(U, every action at c) is one scaling KA * KC[:, c], and the
+update's kernel blocks are gathers from the same rows.
 
-A query block of at least u rows reads V as one triangular multiply
-V = W K(U, Xq) against the kept inverse W = L^-1, whose rows [:w] are valid.
+A block of at least u rows (n >= u) reads V as one triangular multiply
+V = W K(U, Q) against the kept inverse W = L^-1, whose rows [:w] are valid.
 An update lowers w to its earliest touched row, and the next such query
 brings W up to date from row w: W[w:, w:] = L[w:, w:]^-1 and
 W[w:, :w] = -W[w:, w:] L[w:, :w] W[:w, :w]. With one BLAS thread the
@@ -32,79 +41,64 @@ block is not numerically positive definite. Storage grows by doubling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
-from scipy.spatial.distance import cdist
 
 VAR_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class Normalizer:
-    """Affine map applied to inputs before kernel evaluation: (x - offset) / scale."""
-
-    offset: np.ndarray
-    scale: np.ndarray
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.offset) / self.scale
-
-    @classmethod
-    def from_data(cls, X: np.ndarray) -> "Normalizer":
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        scale = X.std(axis=0)
-        scale = np.where(scale > 0, scale, 1.0)
-        return cls(offset=X.mean(axis=0), scale=scale)
+def rbf_table(points, lengthscale: float, outputscale: float = 1.0) -> np.ndarray:
+    """outputscale * exp(-|x - x'|^2 / (2 lengthscale^2)) between every pair of
+    ``points`` (one per row, or scalars)."""
+    P = np.asarray(points, dtype=float).reshape(len(points), -1) / lengthscale
+    k = np.zeros((P.shape[0], P.shape[0]))
+    for col in P.T:  # the squared distance, summed over dimensions in order
+        d = col[:, None] - col[None, :]
+        k += np.square(d, out=d)
+    k *= -0.5
+    np.exp(k, out=k)
+    k *= outputscale
+    return k
 
 
-@dataclass(frozen=True)
-class RbfKernel:
-    """Squared-exponential kernel with optional per-dimension lengthscales."""
+def _ids(name: str, ids, size: int) -> np.ndarray:
+    """``ids`` as a 1-d integer array; a ValueError names the first id that
+    is not an integer in [0, size)."""
+    ids = np.asarray(ids).ravel()
+    bad = np.flatnonzero((ids < 0) | (ids >= size)) if ids.dtype.kind in "iu" else range(ids.size)
+    if len(bad):
+        raise _id_error(name, ids[bad[0]], size)
+    return ids
 
-    lengthscale: float | tuple = 1.0
-    outputscale: float = 1.0
-    normalizer: Normalizer | None = None
 
-    def _prep(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.normalizer is not None:
-            X = self.normalizer(X)
-        return X / np.asarray(self.lengthscale, dtype=float)
-
-    def __call__(self, A, B) -> np.ndarray:
-        k = cdist(self._prep(A), self._prep(B), "sqeuclidean")
-        k *= -0.5
-        np.exp(k, out=k)
-        k *= self.outputscale
-        return k
-
-    def diag(self, A) -> np.ndarray:
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        return np.full(A.shape[0], float(self.outputscale))
+def _id_error(name: str, value, size: int) -> ValueError:
+    value = np.asarray(value).tolist()  # a numpy scalar as the Python value it holds
+    return ValueError(f"{name} id {value!r} is not an integer in [0, {size})")
 
 
 class GpModel:
     """GP posterior state with its confidence width.
 
-    ``lam`` is the regularization added to the kernel matrix (by default the
-    observation noise variance; the theory-faithful alternative sets it to
-    the episode length). ``beta_mode`` selects between the analytic
-    confidence width ("theory") and a fixed exploration constant
-    ("constant").
+    ``ka`` (n x n, with the output scale) and ``kc`` (C x C) are the kernel
+    tables over the action and context ids, which the model never writes.
+    ``lam`` is the regularization added to the kernel matrix (by default
+    the observation noise variance; the theory-faithful alternative sets it
+    to the episode length). ``beta_mode`` selects between the analytic
+    confidence width ("theory") and a fixed exploration constant ("constant").
 
-    ``n`` counts observations. Storage row i holds the i-th distinct input
-    ``_X[i]``, its observation count ``_c[i]`` and sum ``_s[i]``; only rows
+    ``n`` counts observations. Storage row i holds the i-th distinct input,
+    action ``_A[i]`` at context ``_C[i]``, its table rows ``_KA[i]`` and
+    ``_KC[i]``, its observation count ``_c[i]`` and sum ``_s[i]``; only rows
     ``[:_u]`` are valid, and only the lower triangle of ``_L``. ``_W`` holds
-    L^-1 in rows ``[:_w]``, with zeros above the diagonal. Inputs match by
-    exact content.
+    L^-1 in rows ``[:_w]``, with zeros above the diagonal.
     """
 
     def __init__(
         self,
-        kernel,
+        ka,
+        kc,
         lam: float,
         noise_sigma: float | None = None,
         rkhs_bound: float = 1.0,
@@ -112,6 +106,9 @@ class GpModel:
         beta_mode: str = "constant",
         beta_value: float = 2.0,
     ):
+        ka, kc = np.asarray(ka, dtype=float), np.asarray(kc, dtype=float)
+        if not all(t.ndim == 2 and t.shape[0] == t.shape[1] > 0 for t in (ka, kc)):
+            raise ValueError(f"ka and kc must be square tables, got {ka.shape} and {kc.shape}")
         if lam <= 0:
             raise ValueError(f"lam must be positive, got {lam}")
         if beta_mode not in ("constant", "theory"):
@@ -120,7 +117,8 @@ class GpModel:
             raise ValueError("delta must lie in (0, 1)")
         if beta_value < 0:
             raise ValueError(f"beta_value must be non-negative, got {beta_value}")
-        self.kernel = kernel
+        self.ka, self.kc = ka, kc
+        self.n_actions, self.n_contexts = ka.shape[0], kc.shape[0]
         self.lam = float(lam)
         self.noise_sigma = float(noise_sigma) if noise_sigma is not None else math.sqrt(lam)
         self.rkhs_bound = float(rkhs_bound)
@@ -128,69 +126,77 @@ class GpModel:
         self.beta_mode = beta_mode
         self.beta_value = float(beta_value)
         self.n = self._u = self._w = 0
-        self._rows: dict[bytes, int] = {}  # input content -> storage row
-        self._X = self._L = self._z = self._W = None
-        self._c = self._s = np.zeros(0)
+        self._rows: dict[int, int] = {}  # action * C + context -> storage row
+        self._A = self._C = np.zeros(0, dtype=np.intp)
+        self._KA, self._KC = np.zeros((0, self.n_actions)), np.zeros((0, self.n_contexts))
+        self._L, self._W = np.zeros((0, 0)), None
+        self._z = self._c = self._s = np.zeros(0)
 
     # -- updates ---------------------------------------------------------
 
-    def update(self, X_new, y_new) -> "GpModel":
-        """Learn the new rows in place and return the model.
+    def update(self, actions, contexts, y_new) -> "GpModel":
+        """Learn y_new[i] at (actions[i], contexts[i]) in place and return the model.
 
         A ValueError for a kernel matrix that is not numerically positive
         definite leaves the model unusable."""
-        X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
         y_new = np.atleast_1d(np.asarray(y_new, dtype=float))
         if y_new.size == 0:
             return self
-        if X_new.shape[0] != y_new.shape[0]:
-            raise ValueError("one observation per input row is required")
-        if not np.all(np.isfinite(y_new)) or not np.all(np.isfinite(X_new)):
+        a = _ids("action", actions, self.n_actions)
+        c = _ids("context", contexts, self.n_contexts)
+        if not a.size == c.size == y_new.size:
+            raise ValueError("one action and one context id per observation are required")
+        if not np.all(np.isfinite(y_new)):
             raise ValueError("observations must be finite")
 
-        u0 = self._u
-        rows = [self._rows.setdefault(x.tobytes(), len(self._rows)) for x in X_new]
-        self._reserve(len(self._rows), X_new.shape[1])
-        self._X[rows] = X_new  # a repeat rewrites its own content
-        np.add.at(self._c, rows, 1.0)
-        np.add.at(self._s, rows, y_new)
-        self.n += y_new.shape[0]
-        self._u = len(self._rows)
-        i0 = min(rows)
+        u0, rows = self._u, self._rows
+        at = np.array([rows.setdefault(k, len(rows)) for k in (a * self.n_contexts + c).tolist()])
+        u = len(rows)
+        self._reserve(u)
+        self._A[at], self._C[at] = a, c  # a repeat rewrites its own ids
+        self._KA[u0:u], self._KC[u0:u] = self.ka[self._A[u0:u]], self.kc[self._C[u0:u]]
+        np.add.at(self._c, at, 1.0)
+        np.add.at(self._s, at, y_new)
+        self.n += y_new.size
+        self._u = u
+        i0 = int(at.min())
         if not self._factor(i0, u0):
             # The trailing block lost positive definiteness to rounding.
             if not (i0 and self._factor(0, u0)):
                 raise ValueError("kernel matrix is not positive definite")
         return self
 
-    def _reserve(self, u: int, d: int) -> None:
+    def _reserve(self, u: int) -> None:
         """Grow the storage by doubling until it holds u rows."""
-        cap = self._c.shape[0]
+        cap, k = self._c.shape[0], self._u
         if u <= cap:
             return
-        cap, k = max(u, 2 * cap), self._u
-        X, L, z = np.empty((cap, d)), np.empty((cap, cap)), np.empty(cap)
-        c, s = np.zeros(cap), np.zeros(cap)
-        if k:
-            X[:k], L[:k, :k], z[:k] = self._X[:k], self._L[:k, :k], self._z[:k]
-            c[:k], s[:k] = self._c[:k], self._s[:k]
-        self._X, self._L, self._z, self._c, self._s = X, L, z, c, s
-        if self._W is not None:
-            W, w = np.zeros((cap, cap)), self._w
-            W[:w, :w] = self._W[:w, :w]
-            self._W = W
+        cap = max(u, 2 * cap)
+        for name in ("_A", "_C", "_KA", "_KC", "_z", "_c", "_s"):
+            old = getattr(self, name)
+            setattr(self, name, np.zeros((cap, *old.shape[1:]), old.dtype))
+            getattr(self, name)[:k] = old[:k]
+        for name, rows in (("_L", k), ("_W", self._w)):
+            old = getattr(self, name)
+            if old is not None:
+                setattr(self, name, np.zeros((cap, cap)))
+                getattr(self, name)[:rows, :rows] = old[:rows, :rows]
+
+    def _kernel(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        """K between stored inputs [r0:r1] and [c0:c1], from the kept rows of [r0:r1]."""
+        return self._KA[r0:r1][:, self._A[c0:c1]] * self._KC[r0:r1][:, self._C[c0:c1]]
 
     def _factor(self, i0: int, u0: int) -> bool:
         """Refactor rows [i0:u] of L and z, given rows [:i0] and, for the
         rows stored before the update, L[:u0, :i0]. False, leaving L[:i0]
         and z[:i0] as they were, if the trailing block is not numerically
         positive definite."""
-        u, U, L = self._u, self._X[: self._u], self._L
+        u, L = self._u, self._L
         self._w = min(self._w, i0)
         if i0 and u > u0:  # the new rows' border against the kept rows
-            L[u0:u, :i0] = _solve_lower(L[:i0, :i0], self.kernel(U[:i0], U[u0:])).T
+            L[u0:u, :i0] = _solve_lower(L[:i0, :i0], self._kernel(u0, u, 0, i0).T).T
         M = L[i0:u, :i0]
-        S = self.kernel(U[i0:], U[i0:]) - M @ M.T
+        S = self._kernel(i0, u, i0, u) - M @ M.T
         S[np.diag_indices(u - i0)] += self.lam / self._c[i0:u]
         # S is symmetric, so S.T is the same matrix in the column order
         # LAPACK factors in place.
@@ -203,25 +209,23 @@ class GpModel:
 
     # -- queries -----------------------------------------------------------
 
-    def posterior(self, Xq) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and standard deviation at the query rows."""
-        Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-        if not np.isfinite(Xq).all():
-            raise ValueError("query rows must be finite")
-        kdiag = self.kernel.diag(Xq)
+    def posterior(self, c) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and standard deviation of every action at context id ``c``."""
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c < self.n_contexts:
+            raise _id_error("context", c, self.n_contexts)
+        kdiag = self.ka.diagonal() * self.kc[c, c]
         if self.n == 0:
-            return np.zeros(Xq.shape[0]), np.sqrt(kdiag)
+            return np.zeros(self.n_actions), np.sqrt(kdiag)
         u = self._u
-        # The multiply pays for W's refresh only on a block of at least u rows
-        # (the module docstring gives the measurement).
-        if Xq.shape[0] >= u:
+        K = self._KA[:u] * self._KC[:u, c, None]  # K(U, every action at c)
+        # Only a block of n >= u rows pays for W's refresh (see the module docstring).
+        if self.n_actions >= u:
             self._refresh_inverse()
-            # W is stored by rows, so W.T and K(Xq, U).T are W and K(U, Xq)
-            # in the column order BLAS reads.
-            K = self.kernel(Xq, self._X[:u])
-            V = dtrmm(1.0, self._W[:u, :u].T, K.T, trans_a=1, overwrite_b=1)
+            # W and K are stored by rows, so BLAS reads W^T and K^T, and
+            # K^T W^T = (W K)^T comes back as V by rows.
+            V = dtrmm(1.0, self._W[:u, :u].T, K.T, side=1, overwrite_b=1).T
         else:
-            V = _solve_lower(self._L[:u, :u], self.kernel(self._X[:u], Xq))
+            V = _solve_lower(self._L[:u, :u], K)
         mean = V.T @ self._z[:u]
         var = kdiag - np.einsum("ij,ij->j", V, V)
         low = var.min()

@@ -22,13 +22,13 @@ import traceback
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from .bench import log_alpha, offline_optimal_matrix, synth_instance
-from .gp import GpModel, RbfKernel
+from .gp import GpModel, rbf_table
 from .hst import HstTree, frt_embed
 from .metric import grid_metric
 from .mirror import MdEngine, PotentialParams, point_mass_state
@@ -47,13 +47,13 @@ from .wind import (
     cost_bounds,
     energy_service,
     ingest_wind_csv,
-    make_wind_gp,
     service_matrix,
     synthetic_wind_table,
+    wind_tables,
 )
 
 WORKERS_ENV = "GPMD_WORKERS"
-WIND_GP_KEYS = ("lengthscale", "outputscale", "lam")
+WIND_GP = {"lengthscale": 3.67, "outputscale": 6.85, "lam": 2.73}  # the windspeed GP's defaults
 ENERGY_KEYS = tuple(f.name for f in fields(EnergyParams))
 
 _STREAMS = {
@@ -187,7 +187,7 @@ class RunConfig:
             errors.append(f"update_mode: unknown mode {self.update_mode!r}")
         if self.beta_mode not in ("constant", "theory"):
             errors.append(f"beta_mode: unknown mode {self.beta_mode!r}")
-        for name, known in (("wind_gp", WIND_GP_KEYS), ("energy", ENERGY_KEYS)):
+        for name, known in (("wind_gp", tuple(WIND_GP)), ("energy", ENERGY_KEYS)):
             table = getattr(self, name)
             if not isinstance(table, dict):
                 errors.append(f"{name}: must be a mapping")
@@ -251,7 +251,8 @@ class Env:
     floored at ``obs_floor``: the service itself on synthetic runs, the
     windspeed on wind runs, whose GP bounds reach the cost through
     ``to_cost``. On wind runs ``energy`` maps the windspeed to the energy
-    generated.
+    generated. A GP learner reads key k as context id ``context_ids[k]``
+    (None: k), and ``make_gp`` builds the kernel tables on its first call.
     """
 
     tree: HstTree
@@ -261,7 +262,7 @@ class Env:
     x0: np.ndarray  # (episodes,) starts
     start: int | None  # the start a cell takes when it names none; None: x0
     labels: Sequence  # context label of each key, as steps.csv writes it
-    featurize: Callable  # key -> one GP query row per action
+    context_ids: np.ndarray | None  # key -> GP context id; None: the key itself
     make_gp: Callable  # () -> GP prior
     obs: np.ndarray  # (n_actions, n_keys) what the learner measures, before noise
     noise: np.ndarray  # (episodes, steps)
@@ -292,8 +293,8 @@ def build_synthetic_env(cfg: RunConfig, seed: int) -> Env:
     noise = rng_stream(seed, "noise").normal(0.0, inst.noise_sigma, size=(cfg.episodes, cfg.steps))
     starts = rng_stream(seed, "start").integers(0, metric.n, size=cfg.episodes)
 
-    def featurize(key):
-        return np.column_stack([metric.coords, np.full(metric.n, inst.contexts[int(key)])])
+    ls = inst.lengthscale
+    tables = cache(lambda: (rbf_table(metric.coords, ls, inst.scale**2), rbf_table(inst.contexts, ls)))
 
     return Env(
         tree=tree,
@@ -303,10 +304,9 @@ def build_synthetic_env(cfg: RunConfig, seed: int) -> Env:
         x0=starts,
         start=None,
         labels=[repr(float(c)) for c in inst.contexts],
-        featurize=featurize,
-        make_gp=partial(
-            GpModel,
-            kernel=RbfKernel(lengthscale=inst.lengthscale, outputscale=inst.scale**2),
+        context_ids=None,
+        make_gp=lambda: GpModel(
+            *tables(),
             lam=max(inst.noise_sigma**2, 1e-8),
             noise_sigma=inst.noise_sigma,
             beta_mode=cfg.beta_mode,
@@ -331,11 +331,9 @@ def build_wind_env(cfg: RunConfig, seed: int) -> Env:
     metric = altitude_metric(params, table.altitudes)
     tree = frt_embed(metric, tau=cfg.tau, rng_seed=int(rng_stream(seed, "frt").integers(2**31)))
     noise = rng_stream(seed, "noise").normal(0.0, cfg.wind_obs_noise, size=table.n_times)
-    alts, hours = table.altitudes, table.hours
     start = table.n_altitudes // 2
-
-    def featurize(key):
-        return np.column_stack([alts, np.full(alts.shape[0], hours[int(key)])])
+    gp = {**WIND_GP, **cfg.wind_gp}
+    tables = cache(partial(wind_tables, table.altitudes, gp["lengthscale"], gp["outputscale"]))
 
     return Env(
         tree=tree,
@@ -346,8 +344,8 @@ def build_wind_env(cfg: RunConfig, seed: int) -> Env:
         x0=np.array([start]),
         start=start,
         labels=[ts.isoformat() for ts in table.timestamps],
-        featurize=featurize,
-        make_gp=partial(make_wind_gp, alts, beta_value=cfg.beta_value, **cfg.wind_gp),
+        context_ids=table.hours,
+        make_gp=lambda: GpModel(*tables(), lam=gp["lam"], beta_value=cfg.beta_value),
         obs=table.speeds,
         noise=noise[None, :],
         obs_floor=0.0,
@@ -378,7 +376,7 @@ def _cell_policy(cfg: RunConfig, env: Env, name: str, rho: float, seed: int):
     if name in ("gp-md", "cgp-lcb"):
         update_mode = cfg.update_mode if name == "gp-md" else "per-step"
         model = GpServiceModel(
-            env.make_gp(), env.featurize, env.f.shape[0], update_mode=update_mode, to_cost=env.to_cost
+            env.make_gp(), env.context_ids, update_mode=update_mode, to_cost=env.to_cost
         )
     else:
         model = ExactCostModel(env.f)

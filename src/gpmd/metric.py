@@ -14,8 +14,8 @@ class FiniteMetric:
 
     A positive multiple of a Euclidean distance is a metric, so ``dist`` is
     exactly symmetric, zero on the diagonal and satisfies the triangle
-    inequality by construction. ``coords`` are also the kernel inputs of
-    models that featurize actions.
+    inequality by construction. ``coords`` are also the points of the GP's
+    action kernel table.
     """
 
     coords: np.ndarray

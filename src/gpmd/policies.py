@@ -53,64 +53,67 @@ def lower_bound(mean, std, beta):
 
 
 class GpServiceModel:
-    """Confidence lower bounds on the service cost from a GP fit on (action, context).
+    """Confidence lower bounds on the service cost from a GP over (action, context) ids.
 
-    ``featurize(context)`` returns one GP query row per action, and
+    Context key ``key`` has the GP context id ``context_ids[key]`` (None: the
+    key itself, as on synthetic runs; wind runs pass each time's hour of
+    day). ``lcb_costs`` reads every action's posterior at the key's id, and
     ``observe`` trains the model, which serves this learner alone, on the
-    chosen action's row. The posterior maps to costs through
+    chosen (action, context id). The posterior maps to costs through
     ``to_cost(mean, std, beta)``, by default the lower bound; a model of
     another quantity (the wind runs model the windspeed) passes the map
     from its bounds to cost bounds.
 
-    The bounds are served once per context per GP state: a context's array
+    The bounds are served once per context id per GP state: an id's array
     is kept, read-only, until ``gp.n`` changes (by a flush here or a direct
     ``gp.update``). Only a model frozen within an episode
-    (``update_mode="per-episode"``) sees a context twice between updates; a
+    (``update_mode="per-episode"``) sees an id twice between updates; a
     per-step model learns after every query, so it always computes afresh.
     """
 
     def __init__(
         self,
         gp: GpModel,
-        featurize,
-        n_actions: int,
+        context_ids=None,
         update_mode: str = "per-step",
         to_cost=lower_bound,
     ):
         if update_mode not in ("per-step", "per-episode"):
             raise ValueError(f"unknown update_mode {update_mode!r}")
         self.gp = gp
-        self.featurize = featurize
-        self.n_actions = int(n_actions)
+        self.context_ids = context_ids
+        self.n_actions = gp.n_actions
         self.update_mode = update_mode
         self.to_cost = to_cost
-        self._buffer_X: list = []
-        self._buffer_y: list = []
-        self._served: dict = {}  # context key -> its cost bounds at GP state _served_n
+        self._buffer: list = []  # (action, context id, y) per observation
+        self._served: dict = {}  # context id -> its cost bounds at GP state _served_n
         self._served_n = 0
+
+    def _context_id(self, key) -> int:
+        return key if self.context_ids is None else int(self.context_ids[key])
 
     def lcb_costs(self, context) -> np.ndarray:
         if self._served_n != self.gp.n:
             # beta_t, like the posterior, changes only when the GP learns.
             self._served.clear()
             self._served_n = self.gp.n
-        costs = self._served.get(context)
+        c = self._context_id(context)
+        costs = self._served.get(c)
         if costs is None:
-            costs = self.to_cost(*self.gp.posterior(self.featurize(context)), self.gp.beta_t())
+            costs = self.to_cost(*self.gp.posterior(c), self.gp.beta_t())
             costs.flags.writeable = False
-            self._served[context] = costs
+            self._served[c] = costs
         return costs
 
     def observe(self, action, context, y):
-        self._buffer_X.append(self.featurize(context)[action])
-        self._buffer_y.append(float(y))
+        self._buffer.append((action, self._context_id(context), float(y)))
         if self.update_mode == "per-step":
             self.flush()
 
     def flush(self):
-        if self._buffer_y:
-            self.gp.update(np.asarray(self._buffer_X), np.asarray(self._buffer_y))
-            self._buffer_X, self._buffer_y = [], []
+        if self._buffer:
+            self.gp.update(*zip(*self._buffer))
+            self._buffer = []
 
     def end_episode(self):
         if self.update_mode == "per-episode":

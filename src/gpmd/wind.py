@@ -23,7 +23,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .gp import GpModel, Normalizer, RbfKernel
+from .gp import rbf_table
 from .metric import FiniteMetric
 
 
@@ -95,7 +95,7 @@ class WindTable:
 
     @property
     def hours(self) -> np.ndarray:
-        return np.array([t.hour for t in self.timestamps], dtype=float)
+        return np.array([t.hour for t in self.timestamps])
 
 
 def ingest_wind_csv(path) -> WindTable:
@@ -240,24 +240,19 @@ def altitude_metric(params: EnergyParams, altitudes) -> FiniteMetric:
     return FiniteMetric(alts[:, None], scale=params.c3 * params.v_rated**2)
 
 
-def make_wind_gp(
-    altitudes,
-    lengthscale: float = 3.67,
-    outputscale: float = 6.85,
-    lam: float = 2.73,
-    beta_value: float = 2.0,
-) -> GpModel:
-    """Windspeed model over (altitude, hour) features, normalized per dimension."""
+def wind_tables(altitudes, lengthscale: float, outputscale: float):
+    """The windspeed model's kernel tables over (altitude, hour of day): the
+    altitude table, with the output scale, and the 24 x 24 hour table. Each
+    dimension is first normalized by its mean and standard deviation over
+    the altitude x hour grid."""
     alts = np.asarray(altitudes, dtype=float)
-    grid = np.column_stack(
-        [np.repeat(alts, 24), np.tile(np.arange(24.0), alts.shape[0])]
+    grid = np.column_stack([np.repeat(alts, 24), np.tile(np.arange(24.0), alts.shape[0])])
+    offset, scale = grid.mean(axis=0), grid.std(axis=0)
+    scale = np.where(scale > 0, scale, 1.0)
+    return (
+        rbf_table((alts - offset[0]) / scale[0], lengthscale, outputscale),
+        rbf_table((np.arange(24.0) - offset[1]) / scale[1], lengthscale),
     )
-    kernel = RbfKernel(
-        lengthscale=lengthscale,
-        outputscale=outputscale,
-        normalizer=Normalizer.from_data(grid),
-    )
-    return GpModel(kernel=kernel, lam=lam, beta_mode="constant", beta_value=beta_value)
 
 
 def synthetic_wind_table(seed: int, hours: int = 960, altitudes=None) -> WindTable:

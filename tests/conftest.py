@@ -12,7 +12,10 @@ transport (``lp_transport_cost``), a per-k scan of the metric axioms
 (``loop_triangle_error``) and the scalar interval bound of the wind energy
 (``energy_service_interval``) that ``gpmd.wind.cost_bounds`` computes over
 arrays. ``write_wind_csv`` writes a wind table in the format
-``gpmd.wind.ingest_wind_csv`` reads.
+``gpmd.wind.ingest_wind_csv`` reads. ``RbfKernel`` (with its
+``Normalizer``) evaluates the joint kernel on feature rows, for the dense GP
+oracles that check the model's kernel tables, and ``table_gp`` builds a
+model whose actions are given points at one context.
 """
 
 import csv
@@ -22,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.spatial.distance import cdist
 
+from gpmd.gp import GpModel
 from gpmd.hst import HstTree
 from gpmd.mirror import STATE_TOL, PotentialParams
 from gpmd.transport import MARGINAL_TOL, _as_probs
@@ -407,3 +412,53 @@ def energy_service_interval(params, lo: float, hi: float):
     # result matches it bit for bit (an array ``**3`` may differ in the last bit).
     vals = [(c1 * min(v, v_r) ** 3 - c2 * (v * v)) * dt for v in candidates]
     return min(vals), max(vals)
+
+
+@dataclass(frozen=True)
+class Normalizer:
+    """Affine map applied to inputs before kernel evaluation: (x - offset) / scale."""
+
+    offset: np.ndarray
+    scale: np.ndarray
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        return (X - self.offset) / self.scale
+
+    @classmethod
+    def from_data(cls, X: np.ndarray) -> "Normalizer":
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        scale = X.std(axis=0)
+        scale = np.where(scale > 0, scale, 1.0)
+        return cls(offset=X.mean(axis=0), scale=scale)
+
+
+@dataclass(frozen=True)
+class RbfKernel:
+    """Squared-exponential kernel on feature rows, with optional per-dimension lengthscales."""
+
+    lengthscale: float | tuple = 1.0
+    outputscale: float = 1.0
+    normalizer: Normalizer | None = None
+
+    def _prep(self, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.normalizer is not None:
+            X = self.normalizer(X)
+        return X / np.asarray(self.lengthscale, dtype=float)
+
+    def __call__(self, A, B) -> np.ndarray:
+        k = cdist(self._prep(A), self._prep(B), "sqeuclidean")
+        k *= -0.5
+        np.exp(k, out=k)
+        k *= self.outputscale
+        return k
+
+    def diag(self, A) -> np.ndarray:
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        return np.full(A.shape[0], float(self.outputscale))
+
+
+def table_gp(kernel: RbfKernel, points, lam: float, **kwargs) -> GpModel:
+    """A GP whose actions are the rows of ``points`` at a single context:
+    its action table is ``kernel`` between every pair of them."""
+    return GpModel(kernel(points, points), np.ones((1, 1)), lam=lam, **kwargs)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gpmd.bench import offline_optimal_matrix, synth_instance
-from gpmd.gp import GpModel, RbfKernel
+from gpmd.gp import GpModel, rbf_table
 from gpmd.harness import Env, RunConfig, build_synthetic_env, build_wind_env, rng_stream, run_cell
 from gpmd.hst import frt_embed
 from gpmd.metric import FiniteMetric, grid_metric
@@ -21,12 +21,14 @@ from gpmd.transport import sample_next
 from gpmd.wind import EnergyParams, altitude_metric, energy_service
 
 from conftest import (
+    RbfKernel,
     bregman,
     brute_force_optimal,
     distance_matrix,
     lp_transport_cost,
     optimal_coupling,
     random_hst,
+    table_gp,
     tree_wasserstein,
 )
 
@@ -195,16 +197,18 @@ def test_c05_gp_numerics():
     rng = np.random.default_rng(505)
     kernel = RbfKernel(lengthscale=0.5, outputscale=0.8)
     lam = 0.05
-    model = GpModel(kernel=kernel, lam=lam)
     X = rng.uniform(0.0, 1.0, size=(200, 3))
     y = np.sin(3.0 * X[:, 0]) + rng.normal(0.0, 0.1, 200)
     Xq = rng.uniform(0.0, 1.0, size=(64, 3))
+    # The training points (actions 0-199) and the query points (200-263)
+    # are the actions of a one-context model.
+    model = table_gp(kernel, np.concatenate([X, Xq]), lam)
 
     prev_var = None
     worst_mean = worst_std = worst_gain = 0.0
     for t in range(200):
-        model = model.update(X[t : t + 1], y[t : t + 1])
-        mean, std = model.posterior(Xq)
+        model = model.update([t], [0], y[t : t + 1])
+        mean, std = (v[200:] for v in model.posterior(0))
         if prev_var is not None:
             assert np.all(std**2 <= prev_var + 1e-9), f"variance rose at t={t + 1}"
         prev_var = std**2
@@ -266,23 +270,20 @@ def test_c07_known_f_consistency():
     tree = frt_embed(metric, tau=5.0, rng_seed=7)
     rho = 0.5
 
-    def featurize(c):
-        e = inst.contexts[int(c)]
-        return np.column_stack([metric.coords, np.full(metric.n, e)])
-
     # zero-width confidence: noiseless interpolation of the full table with
     # the exploration width switched off
     gp = GpModel(
-        kernel=RbfKernel(lengthscale=inst.lengthscale, outputscale=inst.scale**2),
+        rbf_table(metric.coords, inst.lengthscale, inst.scale**2),
+        rbf_table(inst.contexts, inst.lengthscale),
         lam=1e-12,
         beta_mode="constant",
         beta_value=0.0,
     )
-    X_all = np.vstack([featurize(c) for c in range(inst.n_contexts)])
-    gp = gp.update(X_all, inst.f_table.T.ravel())
+    actions, contexts = np.meshgrid(np.arange(metric.n), np.arange(inst.n_contexts))
+    gp = gp.update(actions.ravel(), contexts.ravel(), inst.f_table.T.ravel())
     gp_side = MirrorDescentPolicy(
         tree,
-        GpServiceModel(gp, featurize, n_actions=metric.n, update_mode="per-episode"),
+        GpServiceModel(gp, update_mode="per-episode"),
         rho=rho,
         rng=np.random.default_rng(1),
     )
@@ -365,10 +366,8 @@ def _episodic_regret_series(seed: int, n_ep: int = 50, horizon: int = 10):
     ctx_seq = rng_stream(seed, "contexts").integers(0, 8, size=horizon)
     noise = rng_stream(seed, "noise").normal(0.0, inst.noise_sigma, size=(n_ep, horizon))
 
-    def featurize(c):
-        e = inst.contexts[int(c)]
-        return np.column_stack([metric.coords, np.full(metric.n, e)])
-
+    ka = rbf_table(metric.coords, inst.lengthscale, inst.scale**2)
+    kc = rbf_table(inst.contexts, inst.lengthscale)
     env = Env(
         tree=tree,
         dist=metric.dist,
@@ -377,9 +376,10 @@ def _episodic_regret_series(seed: int, n_ep: int = 50, horizon: int = 10):
         x0=np.full(n_ep, 5),
         start=None,
         labels=[repr(float(c)) for c in inst.contexts],
-        featurize=featurize,
+        context_ids=None,
         make_gp=lambda: GpModel(
-            kernel=RbfKernel(lengthscale=inst.lengthscale, outputscale=inst.scale**2),
+            ka,
+            kc,
             lam=max(inst.noise_sigma**2, 1e-8),
             beta_mode="constant",
             beta_value=2.0,

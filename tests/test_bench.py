@@ -168,7 +168,7 @@ class TestRegret:
             x0=np.full(contexts.shape[0], x0),
             start=None,
             labels=[str(k) for k in range(len(f[0]))],
-            featurize=None,
+            context_ids=None,
             make_gp=None,
             obs=np.asarray(f, dtype=float),
             noise=np.zeros(contexts.shape),

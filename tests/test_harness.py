@@ -208,7 +208,7 @@ class TestCellPolicy:
         if model_cls is ExactCostModel:
             assert pol.cost_model.table is env.f
         else:
-            assert pol.cost_model.featurize is env.featurize
+            assert pol.cost_model.context_ids is env.context_ids
             assert pol.cost_model.to_cost is env.to_cost
         if policy_cls is MirrorDescentPolicy:
             assert pol.tree is env.tree and pol.rho == 0.5 and pol.engine.params.kappa == 2.0
@@ -888,11 +888,11 @@ def test_episode_end_failure_names_its_episode(tmp_path, monkeypatch):
     original = GpModel.update
     calls = []
 
-    def faulty(self, X, y):
+    def faulty(self, actions, contexts, y):
         calls.append(len(y))
         if len(calls) == 2:
             raise RuntimeError("flush broke")
-        return original(self, X, y)
+        return original(self, actions, contexts, y)
 
     monkeypatch.setattr(GpModel, "update", faulty)
     cfg = small_cfg(tmp_path, policies=["gp-md"], episodes=3, update_mode="per-episode")
@@ -997,3 +997,18 @@ def test_cell_invariants_over_random_configs(rows, cols, steps, policy, rho, kap
         out = Path(tmp) / "out"
         assert not list(out.glob("*.failed.json"))
         _check_cell_invariants(out, build_synthetic_env(cfg, seed), rho)
+
+
+@pytest.mark.parametrize("policies, code", [(["md-known", "minc-known"], 0), (["gp-md"], 2)])
+def test_only_a_gp_policy_builds_kernel_tables(tmp_path, monkeypatch, policies, code):
+    # The tables are built on the first GP model of a seed, so a sweep
+    # without a GP policy never builds them; a gp-md cell does.
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel table built")
+
+    monkeypatch.setattr(harness, "rbf_table", refuse)
+    cfg = small_cfg(tmp_path, policies=policies, seeds=[1, 2], episodes=2, grid=[20, 20], n_contexts=40)
+    assert run(cfg) == code
+    failed = list((tmp_path / "out").glob("*.failed.json"))
+    assert len(failed) == (0 if code == 0 else 2)
+    assert all("kernel table built" in f.read_text() for f in failed)

@@ -3,7 +3,7 @@ import pytest
 
 from gpmd import harness
 from gpmd.bench import synth_instance
-from gpmd.gp import GpModel, RbfKernel
+from gpmd.gp import GpModel, rbf_table
 from gpmd.harness import RunConfig, build_synthetic_env
 from gpmd.hst import frt_embed
 from gpmd.metric import grid_metric
@@ -31,28 +31,33 @@ def exact_model(inst) -> ExactCostModel:
     return ExactCostModel(inst.f_table)
 
 
-def gp_model_for(inst, update_mode="per-step", beta_mode="constant") -> GpServiceModel:
+def gp_tables(inst, perm=None):
+    """The instance's kernel tables over (action, context), the actions
+    relabelled by ``perm``."""
+    coords = inst.metric.coords if perm is None else inst.metric.coords[perm]
+    return (
+        rbf_table(coords, inst.lengthscale, inst.scale**2),
+        rbf_table(inst.contexts, inst.lengthscale),
+    )
+
+
+def gp_model_for(inst, update_mode="per-step", beta_mode="constant", perm=None) -> GpServiceModel:
     gp = GpModel(
-        kernel=RbfKernel(lengthscale=inst.lengthscale, outputscale=inst.scale**2),
+        *gp_tables(inst, perm),
         lam=max(inst.noise_sigma**2, 1e-8),
         beta_mode=beta_mode,
         beta_value=2.0,
     )
-
-    def featurize(c):
-        e = inst.contexts[int(c)]
-        return np.column_stack([inst.metric.coords, np.full(inst.metric.n, e)])
-
-    return GpServiceModel(gp, featurize, n_actions=inst.metric.n, update_mode=update_mode)
+    return GpServiceModel(gp, update_mode=update_mode)
 
 
 def count_posteriors(gp) -> list:
     """Record each later ``gp.posterior`` call in the returned list."""
     calls, posterior = [], gp.posterior
 
-    def counted(Xq):
-        calls.append(Xq)
-        return posterior(Xq)
+    def counted(context):
+        calls.append(context)
+        return posterior(context)
 
     gp.posterior = counted
     return calls
@@ -90,8 +95,8 @@ class TestArgminPolicies:
         assert action == 1
 
     def test_cgp_lcb_permutation_equivariance(self, small_world):
-        # Relabeling the actions (and features consistently) must relabel
-        # the chosen actions the same way.
+        # Relabeling the actions (and their kernel table consistently) must
+        # relabel the chosen actions the same way.
         inst, _ = small_world
         rng = np.random.default_rng(0)
         perm = rng.permutation(inst.n_actions)
@@ -100,17 +105,9 @@ class TestArgminPolicies:
         pol = ArgminPolicy(base)
         pol.begin_episode(0)
 
-        def featurize_perm(c):
-            e = inst.contexts[int(c)]
-            return np.column_stack(
-                [inst.metric.coords[perm], np.full(inst.metric.n, e)]
-            )
-
         # Each learner needs a GP model of its own: a shared one would learn
         # both learners' observations.
-        permuted = GpServiceModel(
-            gp_model_for(inst).gp, featurize_perm, n_actions=inst.metric.n, update_mode="per-step"
-        )
+        permuted = gp_model_for(inst, perm=perm)
         pol_p = ArgminPolicy(permuted)
         pol_p.begin_episode(0)
 
@@ -137,7 +134,7 @@ class TestArgminPolicies:
 
 class TestGpServiceModel:
     def test_to_cost_maps_the_posterior(self, small_world):
-        # The map gets the posterior at the context's query rows and the
+        # The map gets the posterior of every action at the context and the
         # model's beta_t; without a map the costs are the lower bound.
         inst, _ = small_world
         base = gp_model_for(inst)
@@ -148,10 +145,10 @@ class TestGpServiceModel:
             calls.append((mean, std, beta))
             return mean + std
 
-        mapped = GpServiceModel(base.gp, base.featurize, n_actions=inst.metric.n, to_cost=to_cost)
+        mapped = GpServiceModel(base.gp, to_cost=to_cost)
         costs = mapped.lcb_costs(3)
         [(mean, std, beta)] = calls
-        ref_mean, ref_std = base.gp.posterior(base.featurize(3))
+        ref_mean, ref_std = base.gp.posterior(3)
         assert np.array_equal(mean, ref_mean) and np.array_equal(std, ref_std)
         assert beta == base.gp.beta_t() == 2.0
         assert np.array_equal(costs, ref_mean + ref_std)
@@ -160,7 +157,7 @@ class TestGpServiceModel:
     def test_frozen_model_serves_each_context_once(self, small_world):
         inst, tree = small_world
         model = gp_model_for(inst, update_mode="per-episode")
-        model.gp.update(model.featurize(1)[[4]], [float(inst.f_table[4, 1])])
+        model.gp.update([4], [1], [float(inst.f_table[4, 1])])
         gp, calls = model.gp, count_posteriors(model.gp)
         pol = MirrorDescentPolicy(tree, model, rng=np.random.default_rng(2))
         pol.begin_episode(0)
@@ -170,7 +167,7 @@ class TestGpServiceModel:
         assert len(calls) == 2
         served = model.lcb_costs(0)
         assert len(calls) == 2
-        assert np.array_equal(served, lower_bound(*gp.posterior(model.featurize(0)), gp.beta_t()))
+        assert np.array_equal(served, lower_bound(*gp.posterior(0), gp.beta_t()))
         assert not served.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             served[0] = 0.0
@@ -184,7 +181,7 @@ class TestGpServiceModel:
         # update, the next query sees the new posterior and beta_t.
         inst, _ = small_world
         model = gp_model_for(inst, update_mode="per-episode", beta_mode=beta_mode)
-        model.gp.update(model.featurize(1)[[4]], [float(inst.f_table[4, 1])])
+        model.gp.update([4], [1], [float(inst.f_table[4, 1])])
         gp, calls = model.gp, count_posteriors(model.gp)
         before = model.lcb_costs(2)
         beta_before = gp.beta_t()
@@ -193,11 +190,11 @@ class TestGpServiceModel:
             assert model.lcb_costs(2) is before
             model.end_episode()
         else:
-            gp.update(model.featurize(3)[[6]], [float(inst.f_table[6, 3])])
+            gp.update([6], [3], [float(inst.f_table[6, 3])])
         after = model.lcb_costs(2)
         assert len(calls) == 2
         assert not np.array_equal(after, before)
-        assert np.array_equal(after, lower_bound(*gp.posterior(model.featurize(2)), gp.beta_t()))
+        assert np.array_equal(after, lower_bound(*gp.posterior(2), gp.beta_t()))
         assert (gp.beta_t() != beta_before) == (beta_mode == "theory")
 
     def test_per_step_bounds_match_unmemoized(self, small_world):
@@ -205,11 +202,11 @@ class TestGpServiceModel:
         # context gets a fresh posterior at each step.
         class Unmemoized(GpServiceModel):
             def lcb_costs(self, context):
-                return self.to_cost(*self.gp.posterior(self.featurize(context)), self.gp.beta_t())
+                return self.to_cost(*self.gp.posterior(context), self.gp.beta_t())
 
         inst, tree = small_world
         model = gp_model_for(inst)
-        ref = Unmemoized(gp_model_for(inst).gp, model.featurize, n_actions=inst.metric.n)
+        ref = Unmemoized(gp_model_for(inst).gp)
         calls = count_posteriors(model.gp)
         pol = MirrorDescentPolicy(tree, model, rng=np.random.default_rng(4))
         pol_ref = MirrorDescentPolicy(tree, ref, rng=np.random.default_rng(4))
@@ -312,21 +309,10 @@ class TestMirrorDescentPolicy:
         # distributions; the acceptance suite runs the 20-step version.
         inst, tree = small_world
         rho = 0.5
-        gp = GpModel(
-            kernel=RbfKernel(lengthscale=inst.lengthscale, outputscale=inst.scale**2),
-            lam=1e-10,
-            beta_mode="constant",
-            beta_value=2.0,
-        )
-
-        def featurize(c):
-            e = inst.contexts[int(c)]
-            return np.column_stack([inst.metric.coords, np.full(inst.metric.n, e)])
-
-        X_all = np.vstack([featurize(c) for c in range(inst.n_contexts)])
-        y_all = inst.f_table.T.ravel()
-        gp = gp.update(X_all, y_all)
-        gp_model = GpServiceModel(gp, featurize, n_actions=inst.metric.n, update_mode="per-episode")
+        gp = GpModel(*gp_tables(inst), lam=1e-10, beta_mode="constant", beta_value=2.0)
+        actions, contexts = np.meshgrid(np.arange(inst.metric.n), np.arange(inst.n_contexts))
+        gp = gp.update(actions.ravel(), contexts.ravel(), inst.f_table.T.ravel())
+        gp_model = GpServiceModel(gp, update_mode="per-episode")
 
         pol_gp = MirrorDescentPolicy(tree, gp_model, rho=rho, rng=np.random.default_rng(3))
         pol_known = MirrorDescentPolicy(tree, exact_model(inst), rho=rho, rng=np.random.default_rng(3))

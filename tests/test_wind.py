@@ -3,7 +3,6 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from gpmd.gp import GpModel, RbfKernel
 from gpmd.harness import RunConfig, build_wind_env, run_cell
 from gpmd.wind import (
     EnergyParams,
@@ -17,7 +16,7 @@ from gpmd.wind import (
     synthetic_wind_table,
 )
 
-from conftest import energy_service_interval, write_wind_csv
+from conftest import RbfKernel, energy_service_interval, table_gp, write_wind_csv
 
 P10 = EnergyParams(v_rated=10.0)
 
@@ -159,10 +158,9 @@ class TestPropagateBounds:
         # bounds equal f up to the shared per-timestep constant.
         table = toy_table([[5.0], [7.0]])
         alts = table.altitudes
-        feats = np.column_stack([alts, np.zeros(2)])
-        gp = GpModel(kernel=RbfKernel(lengthscale=50.0), lam=1e-10)
-        gp = gp.update(feats, table.speeds[:, 0])
-        lcb_f, ucb_f = cost_bounds(P10, *gp.posterior(feats), beta=0.0)
+        gp = table_gp(RbfKernel(lengthscale=50.0), alts[:, None], 1e-10)
+        gp = gp.update([0, 1], [0, 0], table.speeds[:, 0])
+        lcb_f, ucb_f = cost_bounds(P10, *gp.posterior(0), beta=0.0)
         es = energy_service(P10, table.speeds[:, 0])
         f_true = es.max() - es
         assert np.abs(lcb_f - f_true).max() <= 1e-4
@@ -173,11 +171,10 @@ class TestPropagateBounds:
         alts = np.array([10.0, 50.0, 90.0, 130.0])
         speeds = (4.0 + 3.0 * alts / 130.0)[:, None]
         table = toy_table(speeds, altitudes=tuple(alts))
-        feats = np.column_stack([alts, np.zeros(4)])
-        gp = GpModel(kernel=RbfKernel(lengthscale=100.0, outputscale=9.0), lam=0.5)
-        gp = gp.update(feats, table.speeds[:, 0])
+        gp = table_gp(RbfKernel(lengthscale=100.0, outputscale=9.0), alts[:, None], 0.5)
+        gp = gp.update(np.arange(4), np.zeros(4, int), table.speeds[:, 0])
         beta = 3.0
-        mean, std = gp.posterior(feats)
+        mean, std = gp.posterior(0)
         # only meaningful when the truth is inside the windspeed interval
         inside = np.abs(mean - table.speeds[:, 0]) <= beta * std
         assert inside.all()

@@ -1,5 +1,5 @@
 """Write the benchmark workloads' step CSVs and summaries at program seeds 0-5,
-and one long-horizon GP cell.
+one long-horizon GP cell and one theory-width GP cell: 88 files in all.
 
     python3 tools/bench_outputs.py OUT_DIR
 
@@ -9,7 +9,10 @@ benchmark's own wind CSV at bench seed 0. The long-horizon cell
 (``OUT_DIR/long-gp-md``) is per-step gp-md on the 20x20 grid for 1,000
 steps at program seed 0: its distinct-input count passes the 400 query
 rows, so it reads the posterior both by the inverse multiply and by the
-triangular solve. One worker and one BLAS thread; the manifests are
+triangular solve. The theory-width cell (``OUT_DIR/theory-gp-md``) is
+per-step gp-md on the 20x20 grid for 200 steps at program seed 0 with
+``beta_mode=theory``, so its widths read the model's information gain (the
+diagonal of its Cholesky factor). One worker and one BLAS thread; the manifests are
 dropped. Run it in two checkouts and ``diff -r`` the two output trees to
 check that a change leaves every cell's output unchanged.
 """
@@ -46,6 +49,10 @@ def main(out_dir) -> int:
     w = Workload("long-gp-md", "synthetic", ("gp-md",), lead="gp-md", episodes=1, steps=1000)
     out = Path(out_dir) / w.name
     rc = max(rc, cli.main(gpmd_argv(w, 0, out, w.steps)))
+    (out / "manifest.json").unlink()
+    w = Workload("theory-gp-md", "synthetic", ("gp-md",), lead="gp-md", episodes=1, steps=200)
+    out = Path(out_dir) / w.name
+    rc = max(rc, cli.main(gpmd_argv(w, 0, out, w.steps) + ["--set", "beta_mode=theory"]))
     (out / "manifest.json").unlink()
     return rc
 
