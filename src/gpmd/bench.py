@@ -13,20 +13,43 @@ from .metric import FiniteMetric
 
 
 NEIGHBOURS = 9  # each predecessor is tested for domination by its 9 nearest points
+LOWEST = 16  # past 16 left, the survivors are tested against the 16 of lowest value
 
 
-def offline_optimal_matrix(cost_matrix: np.ndarray, dist: np.ndarray, x0: int):
+def neighbour_table(dist: np.ndarray):
+    """``(near, near_dist, scale)`` of the DP's first domination test.
+
+    ``near[:, j]`` are the ``NEIGHBOURS`` points closest into j,
+    ``near_dist[:, j]`` their distances to j, and ``scale`` the largest
+    absolute distance. They depend only on ``dist``.
+    """
+    k = min(NEIGHBOURS, dist.shape[0])
+    near = np.argpartition(dist, k - 1, axis=0)[:k]
+    return near, np.take_along_axis(dist, near, axis=0), float(np.abs(dist).max())
+
+
+def offline_optimal_matrix(cost_matrix: np.ndarray, dist: np.ndarray, x0: int, neighbours=None):
     """Exact minimizer of total service-plus-movement cost by dynamic programming.
 
     ``cost_matrix`` is (H, n): the realized per-step service cost of each
     action. Transitions pay ``dist``, which must satisfy the triangle
     inequality up to rounding (every ``FiniteMetric`` does); the first step
     moves from ``x0``. Ties are broken toward the lowest action index.
+    ``neighbours`` is a callable returning ``neighbour_table(dist)``, for a
+    caller that solves many DPs on one metric; it is called only when H > 1.
 
     The forward pass keeps each step's values. It skips a predecessor j that
     one of its nearest points k reaches for less, v[k] + dist[k, j] < v[j] - tol,
     as by the triangle inequality k then reaches every point for less than j
-    does. The backtrack takes each argmin over all predecessors.
+    does. When more than ``LOWEST`` predecessors are left, it also skips a
+    left j that one of the ``LOWEST`` left points of lowest value, t, reaches
+    for less in the same sense. This too is exact: a skipped point's
+    dominator has a lower value, so following dominators ends at a point
+    that neither test skips, and by the triangle inequality that point
+    reaches every target for less than j does. The minimum over the
+    survivors takes the same sums v[j] + dist[j, i], so the values are
+    bit-identical to the unpruned ones. The backtrack takes each argmin
+    over all predecessors.
     """
     cost_matrix = np.asarray(cost_matrix, dtype=float)
     dist = np.asarray(dist, dtype=float)
@@ -42,14 +65,17 @@ def offline_optimal_matrix(cost_matrix: np.ndarray, dist: np.ndarray, x0: int):
     values = np.empty((H, n))
     values[0] = cost_matrix[0] + dist[x0]
     if H > 1:
-        k = min(NEIGHBOURS, n)
-        near = np.argpartition(dist, k - 1, axis=0)[:k]  # near[:, j]: the k closest into j
-        near_dist = np.take_along_axis(dist, near, axis=0)  # dist[near[i, j], j]
-        scale = float(np.abs(dist).max())
+        near, near_dist, scale = neighbours() if neighbours else neighbour_table(dist)
     for h in range(1, H):
         v = values[h - 1]
         tol = 1e-9 * (scale + float(np.abs(v).max()))
         kept = np.flatnonzero((v[near] + near_dist).min(axis=0) >= v - tol)
+        if kept.size > LOWEST:
+            vk = v[kept]
+            top = kept[np.argpartition(vk, LOWEST - 1)[:LOWEST]]
+            reach = dist.take(top[:, None] * n + kept)  # reach[i, j] = dist[top[i], kept[j]]
+            reach += v[top, None]
+            kept = kept[reach.min(axis=0) >= vk - tol]
         block = dist[kept]
         block += v[kept, None]  # block[i, to] = dist[kept[i], to] + v[kept[i]]
         values[h] = cost_matrix[h] + block.min(axis=0)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import log_alpha, offline_optimal_matrix, synth_instance
+from .bench import log_alpha, neighbour_table, offline_optimal_matrix, synth_instance
 from .gp import GpModel, rbf_table
 from .hst import HstTree, frt_embed
 from .metric import grid_metric
@@ -253,6 +253,8 @@ class Env:
     ``to_cost``. On wind runs ``energy`` maps the windspeed to the energy
     generated. A GP learner reads key k as context id ``context_ids[k]``
     (None: k), and ``make_gp`` builds the kernel tables on its first call.
+    The offline DP's neighbour table is built on the first DP of more than
+    one step, so a sweep of one step per episode never builds it.
     """
 
     tree: HstTree
@@ -270,13 +272,17 @@ class Env:
     to_cost: Callable = lower_bound  # (mean, std, beta) -> cost bounds
     energy: Callable | None = None  # observed quantity -> energy generated
     optima: dict = field(default_factory=dict, repr=False)
+    neighbours: Callable = field(init=False, repr=False)  # () -> neighbour_table(dist)
+
+    def __post_init__(self):
+        self.neighbours = cache(partial(neighbour_table, self.dist))
 
     def offline_optimum(self, rho: float, episode: int, x0: int) -> float:
         """Offline optimal cost of one episode at service weight ``rho``, solved once."""
         key = (rho, episode, x0)
         if key not in self.optima:
             f_eff = rho * self.f[:, self.contexts[episode]]
-            self.optima[key] = offline_optimal_matrix(f_eff.T, self.dist, x0)[1]
+            self.optima[key] = offline_optimal_matrix(f_eff.T, self.dist, x0, self.neighbours)[1]
         return self.optima[key]
 
 

@@ -196,7 +196,8 @@ class MirrorDescentPolicy(Policy):
         z_new = self.engine.delta_map(q_new)
         leaves = self.tree.leaf_vertex
         self.x_prev = sample_next(
-            self.tree, self.z_prev[leaves], z_new[leaves], self.x_prev, self.rng
+            self.tree, self.z_prev[leaves], z_new[leaves], self.x_prev, self.rng,
+            self.z_prev - z_new,
         )
         self.q = q_new
         self.z_prev = z_new

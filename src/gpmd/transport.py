@@ -29,6 +29,9 @@ subtractions leave behind.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 
 from .hst import HstTree
@@ -40,8 +43,8 @@ MARGINAL_TOL = 1e-9
 def _as_probs(dist) -> np.ndarray:
     """``dist`` as a float array, checked to be a probability vector."""
     p = np.asarray(dist, dtype=float)
-    if np.any(p < 0):
-        raise ValueError("leaf probabilities must be non-negative")
+    if not np.all(p >= 0):  # NaN fails this too
+        raise ValueError("leaf probabilities must be non-negative numbers")
     if abs(p.sum() - 1.0) > DIST_SUM_TOL:
         raise ValueError(f"leaf probabilities sum to {p.sum()!r}, not 1")
     return p
@@ -95,12 +98,14 @@ def _row_walk(tree: HstTree) -> _RowWalk:
     return walk
 
 
-def coupling_row(tree: HstTree, a, b, prev: int) -> tuple[np.ndarray, np.ndarray]:
+def coupling_row(tree: HstTree, a, b, prev: int, lifted=None) -> tuple[np.ndarray, np.ndarray]:
     """Row ``prev`` of the FIFO coupling of ``a`` and ``b``, without building it.
 
     Returns (next leaves, masses) in the pair order of the reference
     ``optimal_coupling`` in ``tests/conftest.py``; masses agree with it up
-    to rounding.
+    to rounding. ``lifted`` is the lifted imbalance, every vertex's subtree
+    mass under ``a`` minus that under ``b``, for a caller that holds both
+    lifted states; None sums it from the leaves.
     """
     pa, pb = _as_probs(a), _as_probs(b)
     if pa.shape != (tree.n_leaves,) or pb.shape != (tree.n_leaves,):
@@ -108,7 +113,10 @@ def coupling_row(tree: HstTree, a, b, prev: int) -> tuple[np.ndarray, np.ndarray
     if not 0 <= prev < tree.n_leaves:
         raise ValueError(f"unknown point index {prev}")
     walk = _row_walk(tree)
-    lifted = tree.subtree_sums(pa - pb)
+    if lifted is None:
+        lifted = tree.subtree_sums(pa - pb)
+    elif np.shape(lifted) != (tree.n_vertices,):
+        raise ValueError("the lifted imbalance must cover the tree's vertices")
     leftover = abs(float(lifted[walk.root]))
     if leftover > MARGINAL_TOL:
         raise AssertionError(f"unmatched transport mass {leftover:.3e}")
@@ -143,15 +151,32 @@ def coupling_row(tree: HstTree, a, b, prev: int) -> tuple[np.ndarray, np.ndarray
     return np.array(js, dtype=np.int64), np.array(ms, dtype=float)
 
 
-def sample_next(tree: HstTree, a, b, prev: int, rng: np.random.Generator) -> int:
+def _draw(js: np.ndarray, p: np.ndarray, rng: np.random.Generator) -> int:
+    """``rng.choice(js, p=p)``, drawn as that call draws it.
+
+    ``Generator.choice`` bisects one ``rng.random()`` into the left-to-right
+    cumulative sums of p, divided by their last. This does the same on
+    Python floats, so it takes the same draw and leaves ``rng`` in the same
+    state, and it keeps ``choice``'s check that p has no NaN or negative entry.
+    """
+    probs = p.tolist()
+    if not all(x >= 0.0 for x in probs):
+        raise ValueError("probabilities must be non-negative numbers")
+    cdf = list(accumulate(probs))
+    last = cdf[-1]
+    return int(js[bisect_right([c / last for c in cdf], rng.random())])
+
+
+def sample_next(tree: HstTree, a, b, prev: int, rng: np.random.Generator, lifted=None) -> int:
     """Draw the next leaf from row ``prev`` of the coupling of ``a`` and ``b``.
 
-    A zero row (``prev`` carries no mass under ``a``, possible only through
-    float underflow) falls back to sampling ``b`` directly.
+    ``lifted`` is passed on to ``coupling_row``. A zero row (``prev``
+    carries no mass under ``a``, possible only through float underflow)
+    falls back to sampling ``b`` directly.
     """
-    js, ms = coupling_row(tree, a, b, prev)
+    js, ms = coupling_row(tree, a, b, prev, lifted)
     total = ms.sum()
     if total <= 0.0:
         probs = _as_probs(b)
         return int(rng.choice(probs.shape[0], p=probs / probs.sum()))
-    return int(rng.choice(js, p=ms / total))
+    return _draw(js, ms / total, rng)

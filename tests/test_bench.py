@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from gpmd.bench import NEIGHBOURS, log_alpha, offline_optimal_matrix, synth_instance
+from gpmd.bench import (
+    LOWEST,
+    NEIGHBOURS,
+    log_alpha,
+    neighbour_table,
+    offline_optimal_matrix,
+    synth_instance,
+)
 from gpmd.harness import Env, RunConfig, run_cell
 from gpmd.hst import frt_embed
 from gpmd.metric import FiniteMetric, grid_metric
@@ -150,6 +157,55 @@ class TestPrunedDp:
     def test_forty_by_forty_grid(self, rng):
         metric = grid_metric(40, 40)
         self.assert_exact(rng.uniform(0, 1, (30, metric.n)), metric.dist, 820)
+
+    @staticmethod
+    def most_left_by_nearest(cost_matrix, dist, x0):
+        """The most predecessors that the nearest-points test alone leaves at
+        any step, so the lowest-value test runs where this exceeds LOWEST."""
+        near, near_dist, scale = neighbour_table(dist)
+        value = cost_matrix[0] + dist[x0]
+        most = 0
+        for h in range(1, cost_matrix.shape[0]):
+            tol = 1e-9 * (scale + float(np.abs(value).max()))
+            most = max(most, int(((value[near] + near_dist).min(axis=0) >= value - tol).sum()))
+            value = cost_matrix[h] + (value[:, None] + dist).min(axis=0)
+        return most
+
+    def test_lowest_values_on_a_sampled_grid(self):
+        metric = grid_metric(24, 24)
+        inst = synth_instance(5, metric)
+        contexts = np.random.default_rng(0).integers(0, inst.n_contexts, 100)
+        cost_matrix = inst.f_table[:, contexts].T
+        assert self.most_left_by_nearest(cost_matrix, metric.dist, 300) > LOWEST
+        self.assert_exact(cost_matrix, metric.dist, 300)
+
+    def test_lowest_values_on_a_nudged_lattice(self, rng):
+        # L1 distances on a lattice with repeated points tie often; entries
+        # above the diagonal get an asymmetric nudge of 1e-10.
+        for n, span in ((40, 6), (60, 8)):
+            pts = rng.integers(0, span, (n, 2))
+            dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).astype(float)
+            dist += np.triu(rng.integers(0, 2, (n, n)) * 1e-10, k=1)
+            cost_matrix = rng.integers(0, 3, (40, n)).astype(float)
+            x0 = int(rng.integers(n))
+            assert self.most_left_by_nearest(cost_matrix, dist, x0) > LOWEST
+            self.assert_exact(cost_matrix, dist, x0)
+
+    def test_neighbour_table_is_read_past_one_step_only(self, rng):
+        metric = grid_metric(6, 6)
+        cost_matrix = rng.uniform(0, 1, (20, metric.n))
+        calls = []
+
+        def neighbours():
+            calls.append(1)
+            return neighbour_table(metric.dist)
+
+        one_step = offline_optimal_matrix(cost_matrix[:1], metric.dist, 4, neighbours)
+        assert calls == []
+        assert one_step == offline_optimal_matrix(cost_matrix[:1], metric.dist, 4)
+        full = offline_optimal_matrix(cost_matrix, metric.dist, 4, neighbours)
+        assert calls == [1]
+        assert full == offline_optimal_matrix(cost_matrix, metric.dist, 4)
 
 
 class TestRegret:

@@ -753,7 +753,8 @@ def test_walked_row_sampler_matches_the_full_coupling(tmp_path, monkeypatch):
     # byte-identical step CSVs.
     from gpmd import policies
 
-    def coupling_sampler(tree, a, b, prev, rng):
+    def coupling_sampler(tree, a, b, prev, rng, lifted):
+        assert np.abs(lifted - tree.subtree_sums(a - b)).max() <= 1e-12
         js, ms = optimal_coupling(tree, a, b).conditional_row(prev)
         assert ms.sum() > 0.0
         return int(rng.choice(js, p=ms / ms.sum()))
@@ -819,6 +820,16 @@ class TestSeedSharing:
         assert run(cfg) == 0
         assert len(builds) == 1
         assert len(dps) == 2
+
+    def test_dp_neighbour_table_once_per_seed_past_one_step(self, tmp_path, monkeypatch):
+        tables = self.count(monkeypatch, "neighbour_table")
+        for steps, built in ((1, 0), (6, 2)):
+            cfg = small_cfg(
+                tmp_path, policies=["stationary", "md-known"], seeds=[1, 2], rhos=[0.5, 1.0],
+                episodes=2, steps=steps,
+            )
+            assert run(cfg) == 0
+            assert len(tables) == built
 
     def test_shared_optima_equal_fresh_envs(self, tmp_path):
         cfg = small_cfg(tmp_path, episodes=2)

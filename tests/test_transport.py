@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from gpmd.hst import frt_embed
 from gpmd.metric import FiniteMetric, grid_metric
 from gpmd.mirror import MdEngine, PotentialParams, point_mass_state
-from gpmd.transport import coupling_row, sample_next
+from gpmd.transport import _draw, coupling_row, sample_next
 
 from conftest import (
     distance_matrix,
@@ -293,14 +293,61 @@ def test_draws_match_the_full_coupling_sampler(rng):
         assert x == ref_x
 
 
+def test_draw_matches_generator_choice():
+    # Rows of 1-39 pieces, of which one may be a crumb of 1e-17 or zero; the
+    # two equally seeded generators stay in step.
+    pieces = np.random.default_rng(3)
+    ref_rng, rng = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(2000):
+        k = int(pieces.integers(1, 40))
+        ms = pieces.uniform(0, 1, k)
+        if k > 1:
+            ms[pieces.integers(k)] *= pieces.choice([1.0, 1e-17, 0.0])
+        js = pieces.permutation(100)[:k]
+        p = ms / ms.sum()
+        assert _draw(js, p, rng) == int(ref_rng.choice(js, p=p))
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.25])
+def test_draw_rejects_nan_and_negative_masses(bad):
+    p = np.array([0.5, bad, 0.75])
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(3, p=p)
+    with pytest.raises(ValueError, match="non-negative"):
+        _draw(np.arange(3), p, np.random.default_rng(0))
+
+
+def test_row_from_the_lifted_states(rng):
+    # A mirror step's two lifted states give the row that the leaf
+    # distributions give.
+    tree = frt_embed(grid_metric(6, 6), tau=5.0, rng_seed=2)
+    engine = MdEngine(tree, PotentialParams(tree))
+    z_prev = point_mass_state(tree, 5)
+    leaves = tree.leaf_vertex
+    for _ in range(20):
+        q, _ = engine.step(engine.delta_inverse(z_prev), rng.uniform(0, 1, tree.n_leaves))
+        z_new = engine.delta_map(q)
+        prev = int(np.argmax(z_prev[leaves]))
+        js, ms = coupling_row(tree, z_prev[leaves], z_new[leaves], prev, z_prev - z_new)
+        ref_js, ref_ms = coupling_row(tree, z_prev[leaves], z_new[leaves], prev)
+        assert js.tolist() == ref_js.tolist()
+        assert np.abs(ms - ref_ms).max() <= 1e-12
+        z_prev = z_new
+
+
 def test_sampler_validates_its_inputs(rng):
     tree = random_hst(rng, 4)
     ok = np.full(4, 0.25)
     with pytest.raises(ValueError, match="non-negative"):
         sample_next(tree, np.array([1.5, -0.5, 0.0, 0.0]), ok, 0, rng)
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_next(tree, ok, np.array([0.5, np.nan, 0.25, 0.25]), 0, rng)
     with pytest.raises(ValueError, match="sum"):
         sample_next(tree, ok, np.full(4, 0.2), 0, rng)
     with pytest.raises(ValueError, match="leaves"):
         sample_next(tree, ok, np.full(5, 0.2), 0, rng)
     with pytest.raises(ValueError, match="point index"):
         sample_next(tree, ok, ok, 4, rng)
+    with pytest.raises(ValueError, match="vertices"):
+        sample_next(tree, ok, ok, 0, rng, np.zeros(tree.n_vertices + 1))

@@ -1,5 +1,6 @@
 """Write the benchmark workloads' step CSVs and summaries at program seeds 0-5,
-one long-horizon GP cell and one theory-width GP cell: 88 files in all.
+one long-horizon GP cell, one theory-width GP cell and one large-action
+cell: 90 files in all.
 
     python3 tools/bench_outputs.py OUT_DIR
 
@@ -12,7 +13,10 @@ rows, so it reads the posterior both by the inverse multiply and by the
 triangular solve. The theory-width cell (``OUT_DIR/theory-gp-md``) is
 per-step gp-md on the 20x20 grid for 200 steps at program seed 0 with
 ``beta_mode=theory``, so its widths read the model's information gain (the
-diagonal of its Cholesky factor). One worker and one BLAS thread; the manifests are
+diagonal of its Cholesky factor). The large-action cell (``OUT_DIR/wide-md``)
+is md-known on the 40x40 grid (1,600 actions) for one 200-step episode at
+program seed 0, so its offline DP drops predecessors by both of its
+domination tests. One worker and one BLAS thread; the manifests are
 dropped. Run it in two checkouts and ``diff -r`` the two output trees to
 check that a change leaves every cell's output unchanged.
 """
@@ -53,6 +57,11 @@ def main(out_dir) -> int:
     w = Workload("theory-gp-md", "synthetic", ("gp-md",), lead="gp-md", episodes=1, steps=200)
     out = Path(out_dir) / w.name
     rc = max(rc, cli.main(gpmd_argv(w, 0, out, w.steps) + ["--set", "beta_mode=theory"]))
+    (out / "manifest.json").unlink()
+    w = Workload("wide-md", "synthetic", ("md-known",), lead="md-known", episodes=1, steps=200,
+                 grid=(40, 40))
+    out = Path(out_dir) / w.name
+    rc = max(rc, cli.main(gpmd_argv(w, 0, out, w.steps)))
     (out / "manifest.json").unlink()
     return rc
 
