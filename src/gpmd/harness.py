@@ -409,8 +409,8 @@ def run_cell(cfg: RunConfig, env: Env, name: str, rho: float, seed: int, start):
     steps) arrays, which steps.csv is written from. ``summary`` is the
     cell's record, built from those arrays: the service, movement and cost
     totals, each episode's cost, the regret against the offline optimum
-    and, on wind runs, the energy generated. The service, movement, cost and
-    energy totals are left-to-right sums.
+    and, on wind runs, the energy generated. The service, movement, cost,
+    offline optimal and energy totals are left-to-right sums.
     """
     n_keys = env.contexts.shape[1]
     if cfg.steps > n_keys:
@@ -460,7 +460,7 @@ def run_cell(cfg: RunConfig, env: Env, name: str, rho: float, seed: int, start):
         "cost_total": _total(costs),
         "episode_costs": costs.tolist(),
         "offline_optimal_costs": optima.tolist(),
-        "offline_optimal_total": float(optima.sum()),
+        "offline_optimal_total": _total(optima),
         "regret": {
             "alpha": alpha,
             "beta": cfg.regret_beta,

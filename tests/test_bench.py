@@ -282,6 +282,14 @@ class TestRegret:
         assert summary["offline_optimal_costs"] == pytest.approx([6.5])
         assert summary["regret"]["total"] == pytest.approx(0.0)
 
+    def test_offline_total_is_a_left_to_right_sum(self):
+        # nine episodes whose optimum stays at 0 for 0.1: numpy's pairwise
+        # sum reads 0.9, the left-to-right sum 0.8999999999999999
+        _, summary = self._cell([0.0, 1.0], [[0.1], [5.0]], np.zeros((9, 1), dtype=int), 0,
+                                "stationary")
+        assert summary["offline_optimal_costs"] == [0.1] * 9
+        assert summary["offline_optimal_total"] == np.cumsum(summary["offline_optimal_costs"])[-1]
+
 
 class TestSynthInstance:
     def test_normalization_contract(self):
