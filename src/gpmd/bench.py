@@ -17,12 +17,9 @@ LOWEST = 16  # past 16 left, the survivors are tested against the 16 of lowest v
 
 
 def neighbour_table(dist: np.ndarray):
-    """``(near, near_dist, scale)`` of the DP's first domination test.
-
-    ``near[:, j]`` are the ``NEIGHBOURS`` points closest into j,
-    ``near_dist[:, j]`` their distances to j, and ``scale`` the largest
-    absolute distance. They depend only on ``dist``.
-    """
+    """The DP's ``(near, near_dist, scale)``: ``near[:, j]`` are the ``NEIGHBOURS``
+    points closest into j, ``near_dist[:, j]`` their distances to j, and
+    ``scale`` the largest absolute distance."""
     k = min(NEIGHBOURS, dist.shape[0])
     near = np.argpartition(dist, k - 1, axis=0)[:k]
     return near, np.take_along_axis(dist, near, axis=0), float(np.abs(dist).max())
@@ -35,8 +32,8 @@ def offline_optimal_matrix(cost_matrix: np.ndarray, dist: np.ndarray, x0: int, n
     action. Transitions pay ``dist``, which must satisfy the triangle
     inequality up to rounding (every ``FiniteMetric`` does); the first step
     moves from ``x0``. Ties are broken toward the lowest action index.
-    ``neighbours`` is a callable returning ``neighbour_table(dist)``, for a
-    caller that solves many DPs on one metric; it is called only when H > 1.
+    ``neighbours``, a callable returning ``neighbour_table(dist)``, lets a
+    caller build that table once for many DPs; it is called only if H > 1.
 
     The forward pass keeps each step's values. It skips a predecessor j that
     one of its nearest points k reaches for less, v[k] + dist[k, j] < v[j] - tol,
@@ -52,7 +49,7 @@ def offline_optimal_matrix(cost_matrix: np.ndarray, dist: np.ndarray, x0: int, n
     over all predecessors.
     """
     cost_matrix = np.asarray(cost_matrix, dtype=float)
-    dist = np.asarray(dist, dtype=float)
+    dist = np.ascontiguousarray(dist, dtype=float)  # dist.take reads it flat
     if cost_matrix.ndim != 2 or cost_matrix.shape[0] == 0:
         raise ValueError(f"service cost table must be (H, n) with H >= 1, got {cost_matrix.shape}")
     if not np.all(np.isfinite(cost_matrix)):

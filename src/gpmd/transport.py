@@ -103,9 +103,8 @@ def coupling_row(tree: HstTree, a, b, prev: int, lifted=None) -> tuple[np.ndarra
 
     Returns (next leaves, masses) in the pair order of the reference
     ``optimal_coupling`` in ``tests/conftest.py``; masses agree with it up
-    to rounding. ``lifted`` is the lifted imbalance, every vertex's subtree
-    mass under ``a`` minus that under ``b``, for a caller that holds both
-    lifted states; None sums it from the leaves.
+    to rounding. ``lifted``, if given, is the lifted imbalance (each
+    vertex's subtree mass under ``a`` minus that under ``b``).
     """
     pa, pb = _as_probs(a), _as_probs(b)
     if pa.shape != (tree.n_leaves,) or pb.shape != (tree.n_leaves,):
@@ -152,13 +151,9 @@ def coupling_row(tree: HstTree, a, b, prev: int, lifted=None) -> tuple[np.ndarra
 
 
 def _draw(js: np.ndarray, p: np.ndarray, rng: np.random.Generator) -> int:
-    """``rng.choice(js, p=p)``, drawn as that call draws it.
-
-    ``Generator.choice`` bisects one ``rng.random()`` into the left-to-right
-    cumulative sums of p, divided by their last. This does the same on
-    Python floats, so it takes the same draw and leaves ``rng`` in the same
-    state, and it keeps ``choice``'s check that p has no NaN or negative entry.
-    """
+    """``rng.choice(js, p=p)`` as that call draws it, on Python floats: one
+    ``rng.random()`` bisected into the left-to-right cumulative sums of p,
+    divided by their last. Like ``choice``, it rejects a NaN or negative p."""
     probs = p.tolist()
     if not all(x >= 0.0 for x in probs):
         raise ValueError("probabilities must be non-negative numbers")
