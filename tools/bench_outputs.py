@@ -50,19 +50,17 @@ def main(out_dir) -> int:
             for seed in range(6):
                 rc = max(rc, cli.main(gpmd_argv(w, seed, out, w.steps, dataset)))
                 (out / "manifest.json").unlink()
-    w = Workload("long-gp-md", "synthetic", ("gp-md",), lead="gp-md", episodes=1, steps=1000)
-    out = Path(out_dir) / w.name
-    rc = max(rc, cli.main(gpmd_argv(w, 0, out, w.steps)))
-    (out / "manifest.json").unlink()
-    w = Workload("theory-gp-md", "synthetic", ("gp-md",), lead="gp-md", episodes=1, steps=200)
-    out = Path(out_dir) / w.name
-    rc = max(rc, cli.main(gpmd_argv(w, 0, out, w.steps) + ["--set", "beta_mode=theory"]))
-    (out / "manifest.json").unlink()
-    w = Workload("wide-md", "synthetic", ("md-known",), lead="md-known", episodes=1, steps=200,
-                 grid=(40, 40))
-    out = Path(out_dir) / w.name
-    rc = max(rc, cli.main(gpmd_argv(w, 0, out, w.steps)))
-    (out / "manifest.json").unlink()
+    singles = (
+        (Workload("long-gp-md", "synthetic", ("gp-md",), "gp-md", episodes=1, steps=1000), []),
+        (Workload("theory-gp-md", "synthetic", ("gp-md",), "gp-md", episodes=1, steps=200),
+         ["--set", "beta_mode=theory"]),
+        (Workload("wide-md", "synthetic", ("md-known",), "md-known", episodes=1, steps=200,
+                  grid=(40, 40)), []),
+    )
+    for w, extra in singles:
+        out = Path(out_dir) / w.name
+        rc = max(rc, cli.main(gpmd_argv(w, 0, out, w.steps) + extra))
+        (out / "manifest.json").unlink()
     return rc
 
 
