@@ -84,7 +84,12 @@ def main(argv=None) -> int:
             return 1
         return harness.run(cfg)
     if args.command == "report":
-        for row in harness.report(args.dir, out_path=args.out):
+        try:
+            rows = harness.report(args.dir, out_path=args.out)
+        except OSError as exc:
+            print(f"report error: {exc}", file=sys.stderr)
+            return 1
+        for row in rows:
             print(json.dumps(row, sort_keys=True))
         return 0
     print(harness.mts_demo(costs_seed=args.seed))

@@ -269,7 +269,7 @@ class Env:
     obs: np.ndarray  # (n_actions, n_keys) what the learner measures, before noise
     noise: np.ndarray  # (episodes, steps)
     obs_floor: float = -math.inf
-    to_cost: Callable = lower_bound  # (mean, std, beta) -> cost bounds
+    to_cost: Callable = lower_bound  # (mean, std, beta) -> lower cost bound
     energy: Callable | None = None  # observed quantity -> energy generated
     optima: dict = field(default_factory=dict, repr=False)
     neighbours: Callable = field(init=False, repr=False)  # () -> neighbour_table(dist)
@@ -355,7 +355,7 @@ def build_wind_env(cfg: RunConfig, seed: int) -> Env:
         obs=table.speeds,
         noise=noise[None, :],
         obs_floor=0.0,
-        to_cost=lambda mean, std, beta: cost_bounds(params, mean, std, beta)[0],
+        to_cost=partial(cost_bounds, params),
         energy=partial(energy_service, params),
     )
 
@@ -591,6 +591,8 @@ def run(cfg: RunConfig) -> int:
 def report(run_dir, out_path=None) -> list[dict]:
     """Aggregate summaries: mean and std per (policy, rho) across seeds/starts."""
     run_dir = Path(run_dir)
+    if not run_dir.is_dir():
+        raise NotADirectoryError(f"{run_dir}: not a run directory")
     summaries = [json.loads(path.read_text()) for path in sorted(run_dir.glob("*.summary.json"))]
     for name in sorted(p.name for p in run_dir.glob("*.failed.json")):
         print(f"missing cell (failed): {name}")

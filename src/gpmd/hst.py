@@ -139,16 +139,13 @@ class HstTree:
             np.add.at(z, self.parent[verts], z[verts])
         return z
 
-    def leaf_counts(self) -> np.ndarray:
-        return self.subtree_sums(np.ones(self.n_leaves)).astype(np.int64)
-
     def leaf_count_ratios(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-vertex (theta, eta, delta); entries at the root are NaN.
 
         theta_u = |L(u)| / |L(parent(u))|, eta_u = 1 + log(1/theta_u),
         delta_u = theta_u / eta_u.
         """
-        counts = self.leaf_counts().astype(float)
+        counts = self.subtree_sums(np.ones(self.n_leaves))
         theta = np.full(self.n_vertices, np.nan)
         mask = self.parent >= 0
         theta[mask] = counts[mask] / counts[self.parent[mask]]

@@ -194,11 +194,7 @@ class MirrorDescentPolicy(Policy):
         costs = np.maximum(self.rho * np.asarray(lcb, dtype=float), 0.0)
         q_new, _ = self.engine.step(self.q, costs)
         z_new = self.engine.delta_map(q_new)
-        leaves = self.tree.leaf_vertex
-        self.x_prev = sample_next(
-            self.tree, self.z_prev[leaves], z_new[leaves], self.x_prev, self.rng,
-            self.z_prev - z_new,
-        )
+        self.x_prev = sample_next(self.tree, self.z_prev, z_new, self.x_prev, self.rng)
         self.q = q_new
         self.z_prev = z_new
         return self.x_prev

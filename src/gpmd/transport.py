@@ -9,19 +9,20 @@ needs that number: the closed form is a test oracle in ``tests/conftest.py``.
 
 The reference, ``optimal_coupling`` in ``tests/conftest.py``, builds that
 whole FIFO coupling. The controller only ever needs one row of it, the row
-of its current action, and ``coupling_row`` computes that row alone. With
-e = the lifted imbalance a - b, the surplus queue at a vertex is the
-concatenation, in child order, of the queues its children with e > 0 pass
-up, and likewise the deficit queue for children with e < 0. FIFO matching
-eats the first min(surplus, deficit) of both queues (the north-west-corner
-rule), so in cumulative coordinates the matched part is an interval, and
-what a vertex passes up is the tail of its queue. The walk follows the
-previous action's single surplus piece up from its leaf as an (offset,
-residual) pair in each ancestor's queue, and maps each matched interval to
-deficit leaves by descending into the deficit children it overlaps,
-shifting the offset at each child by the deficit that child matched
-itself. Pieces come out in the reference's pair order: the stay mass
-first, then bottom-up by ancestor and in queue order within each. The
+of its current action, and ``coupling_row`` computes that row alone, from
+the two lifted states (subtree masses per vertex) that a mirror step
+holds. With e = the lifted imbalance z_prev - z_new, the surplus queue at
+a vertex is the concatenation, in child order, of the queues its children
+with e > 0 pass up, and likewise the deficit queue for children with
+e < 0. FIFO matching eats the first min(surplus, deficit) of both queues
+(the north-west-corner rule), so in cumulative coordinates the matched
+part is an interval, and what a vertex passes up is the tail of its queue.
+The walk follows the previous action's single surplus piece up from its
+leaf as an (offset, residual) pair in each ancestor's queue, and maps each
+matched interval to deficit leaves by descending into the deficit children
+it overlaps, shifting the offset at each child by the deficit that child
+matched itself. Pieces come out in the reference's pair order: the stay
+mass first, then bottom-up by ancestor and in queue order within each. The
 masses agree with the reference up to rounding, which differs only in the
 last bits and in crumbs of about 1e-17 that the reference's repeated
 subtractions leave behind.
@@ -98,28 +99,26 @@ def _row_walk(tree: HstTree) -> _RowWalk:
     return walk
 
 
-def coupling_row(tree: HstTree, a, b, prev: int, lifted=None) -> tuple[np.ndarray, np.ndarray]:
-    """Row ``prev`` of the FIFO coupling of ``a`` and ``b``, without building it.
+def coupling_row(tree: HstTree, z_prev, z_new, prev: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``prev`` of the FIFO coupling between two lifted states, without building it.
 
-    Returns (next leaves, masses) in the pair order of the reference
-    ``optimal_coupling`` in ``tests/conftest.py``; masses agree with it up
-    to rounding. ``lifted``, if given, is the lifted imbalance (each
-    vertex's subtree mass under ``a`` minus that under ``b``).
+    ``z_prev`` and ``z_new`` hold each vertex's subtree mass, as
+    ``MdEngine.delta_map`` returns them; their leaf entries are the two
+    leaf distributions. Returns (next leaves, masses) in the pair order of
+    the reference ``optimal_coupling`` in ``tests/conftest.py``; masses
+    agree with it up to rounding.
     """
-    pa, pb = _as_probs(a), _as_probs(b)
-    if pa.shape != (tree.n_leaves,) or pb.shape != (tree.n_leaves,):
-        raise ValueError("distributions must cover the tree's leaves")
+    z_prev, z_new = np.asarray(z_prev, dtype=float), np.asarray(z_new, dtype=float)
+    if z_prev.shape != (tree.n_vertices,) or z_new.shape != (tree.n_vertices,):
+        raise ValueError("lifted states must cover the tree's vertices")
+    pa, pb = _as_probs(z_prev[tree.leaf_vertex]), _as_probs(z_new[tree.leaf_vertex])
     if not 0 <= prev < tree.n_leaves:
         raise ValueError(f"unknown point index {prev}")
     walk = _row_walk(tree)
-    if lifted is None:
-        lifted = tree.subtree_sums(pa - pb)
-    elif np.shape(lifted) != (tree.n_vertices,):
-        raise ValueError("the lifted imbalance must cover the tree's vertices")
-    leftover = abs(float(lifted[walk.root]))
+    e = (z_prev - z_new).tolist()
+    leftover = abs(e[walk.root])
     if leftover > MARGINAL_TOL:
         raise AssertionError(f"unmatched transport mass {leftover:.3e}")
-    e = lifted.tolist()
     js: list[int] = []
     ms: list[float] = []
     stay = min(pa[prev], pb[prev])
@@ -162,16 +161,16 @@ def _draw(js: np.ndarray, p: np.ndarray, rng: np.random.Generator) -> int:
     return int(js[bisect_right([c / last for c in cdf], rng.random())])
 
 
-def sample_next(tree: HstTree, a, b, prev: int, rng: np.random.Generator, lifted=None) -> int:
-    """Draw the next leaf from row ``prev`` of the coupling of ``a`` and ``b``.
+def sample_next(tree: HstTree, z_prev, z_new, prev: int, rng: np.random.Generator) -> int:
+    """Draw the next leaf from row ``prev`` of the coupling of two lifted states.
 
-    ``lifted`` is passed on to ``coupling_row``. A zero row (``prev``
-    carries no mass under ``a``, possible only through float underflow)
-    falls back to sampling ``b`` directly.
+    A zero row (``prev`` carries no mass under ``z_prev``, possible only
+    through float underflow) falls back to sampling ``z_new``'s leaves
+    directly.
     """
-    js, ms = coupling_row(tree, a, b, prev, lifted)
+    js, ms = coupling_row(tree, z_prev, z_new, prev)
     total = ms.sum()
     if total <= 0.0:
-        probs = _as_probs(b)
+        probs = np.asarray(z_new, dtype=float)[tree.leaf_vertex]
         return int(rng.choice(probs.shape[0], p=probs / probs.sum()))
     return _draw(js, ms / total, rng)

@@ -40,11 +40,6 @@ class EnergyParams:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    @property
-    def stall_speed(self) -> float:
-        """Interior critical point of the below-rated branch, 2*c2/(3*c1)."""
-        return 2.0 * self.c2 / (3.0 * self.c1)
-
 
 def energy_service(params: EnergyParams, v) -> np.ndarray | float:
     """Energy generated over one interval at windspeed ``v`` (may be negative
@@ -211,7 +206,7 @@ def service_matrix(params: EnergyParams, wind: WindTable) -> np.ndarray:
 
 
 def cost_bounds(params: EnergyParams, mean: np.ndarray, std: np.ndarray, beta: float):
-    """(lcb_f, ucb_f) per altitude from the windspeed posterior at one context.
+    """The lower bound on f per altitude from the windspeed posterior at one context.
 
     The per-timestep reference C = max over altitudes of the E_S upper bound
     is shared by every altitude, so the induced cost is non-negative and the
@@ -219,15 +214,11 @@ def cost_bounds(params: EnergyParams, mean: np.ndarray, std: np.ndarray, beta: f
     """
     lo = np.maximum(0.0, mean - beta * std)
     hi = np.maximum(lo, mean + beta * std)
-    # E_S is monotone between its critical points, so its extremes over
-    # [lo, hi] are among the ends and the critical points clipped into it.
-    crit = [np.clip(c, lo, hi) for c in (params.stall_speed, params.v_rated)]
-    es = energy_service(params, np.stack([lo, hi, *crit]))
-    es_lo, es_hi = es.min(axis=0), es.max(axis=0)
-    ceiling = es_hi.max()
-    lcb_f = np.maximum(0.0, ceiling - es_hi)
-    ucb_f = ceiling - es_lo
-    return lcb_f, ucb_f
+    # E_S falls up to the stall speed, rises to V_r and falls after it, so
+    # its maximum over [lo, hi] is at an end or at V_r clipped into it.
+    peak = np.clip(params.v_rated, lo, hi)
+    es_hi = energy_service(params, np.stack([lo, hi, peak])).max(axis=0)
+    return np.maximum(0.0, es_hi.max() - es_hi)
 
 
 def default_altitudes(n: int = 25, low: float = 10.0, high: float = 1600.0) -> np.ndarray:

@@ -10,8 +10,9 @@ bisection on the mirror-descent KKT form (``bisection_step``), state checks
 (``validate_state``, ``validate_conditionals``) and a dense LP for optimal
 transport (``lp_transport_cost``), a per-k scan of the metric axioms
 (``loop_triangle_error``) and the scalar interval bound of the wind energy
-(``energy_service_interval``) that ``gpmd.wind.cost_bounds`` computes over
-arrays. ``write_wind_csv`` writes a wind table in the format
+(``energy_service_interval``, with its ``stall_speed`` candidate) whose
+upper end ``gpmd.wind.cost_bounds`` computes over arrays.
+``write_wind_csv`` writes a wind table in the format
 ``gpmd.wind.ingest_wind_csv`` reads. ``RbfKernel`` (with its
 ``Normalizer``) evaluates the joint kernel on feature rows, for the dense GP
 oracles that check the model's kernel tables, and ``table_gp`` builds a
@@ -397,6 +398,11 @@ def write_wind_csv(path, table: WindTable) -> None:
                 writer.writerow([ts.isoformat(), repr(float(alt)), repr(float(table.speeds[i, k]))])
 
 
+def stall_speed(params) -> float:
+    """The interior critical point of E_S's below-rated branch, 2*c2/(3*c1)."""
+    return 2.0 * params.c2 / (3.0 * params.c1)
+
+
 def energy_service_interval(params, lo: float, hi: float):
     """(min, max) of E_S over a windspeed interval, one candidate point at a time."""
     if lo > hi:
@@ -405,7 +411,7 @@ def energy_service_interval(params, lo: float, hi: float):
     hi = max(lo, float(hi))
     c1, c2, v_r, dt = params.c1, params.c2, params.v_rated, params.dt_minutes
     candidates = [lo, hi]
-    for crit in (params.stall_speed, v_r):
+    for crit in (stall_speed(params), v_r):
         if lo < crit < hi:
             candidates.append(crit)
     # Scalar arithmetic in energy_service's order of operations, so the

@@ -463,18 +463,18 @@ def test_c11_coupling_sampling_marginals():
     costs2 = rng.uniform(0.0, 2.0, 8)
     q1, _ = engine.step(q0, costs1)
     q2, _ = engine.step(q1, costs2)
-    z_prev = engine.delta_map(q1)[tree.leaf_vertex]
-    z_next = engine.delta_map(q2)[tree.leaf_vertex]
+    z_prev, z_next = engine.delta_map(q1), engine.delta_map(q2)
+    p_prev, p_next = z_prev[tree.leaf_vertex], z_next[tree.leaf_vertex]
 
     draws = 100_000
     sampler = np.random.default_rng(1212)
-    prevs = sampler.choice(8, size=draws, p=z_prev)
+    prevs = sampler.choice(8, size=draws, p=p_prev)
     counts = np.zeros(8)
     for prev in prevs:
         counts[sample_next(tree, z_prev, z_next, int(prev), sampler)] += 1
     freqs = counts / draws
     for j in range(8):
-        p = z_next[j]
+        p = p_next[j]
         band = 3.0 * math.sqrt(max(p * (1.0 - p), 0.0) / draws)
         assert abs(freqs[j] - p) <= band + 1e-12, (
             f"leaf {j}: freq {freqs[j]:.5f} vs target {p:.5f}, band {band:.5f}"

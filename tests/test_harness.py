@@ -506,6 +506,16 @@ class TestCli:
     def test_bad_config_exit_one(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 1
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_report_needs_a_run_directory(self, tmp_path, capsys, kind):
+        path = tmp_path / "run"
+        if kind == "file":
+            path.write_text("{}")
+        assert cli_main(["report", "--dir", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"report error: {path}: not a run directory\n"
+
     @pytest.mark.parametrize("override", ["grid.x=1", "steps.x=1"])
     def test_override_below_a_non_mapping_is_a_config_error(self, tmp_path, capsys, override):
         out = tmp_path / "o"
@@ -552,8 +562,30 @@ AS_SET = {
     "--out": lambda v: f"out_dir={v}",
 }
 
-# The benchmark's workloads, read from their file without importing perfbench.
+# The benchmark's workloads and tracer, read from their files without importing perfbench.
 BENCH_WORKLOADS = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))
+BENCH_SPANS = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "spans.py"))
+
+# The tracer's targets whose names the program no longer has.
+GONE_SPAN_TARGETS = {
+    "gpmd.policies.ArgminPolicy.observe",
+    "gpmd.policies.MirrorDescentPolicy.observe",
+    "gpmd.policies.WindServiceModel.lcb_costs",
+    "gpmd.policies.propagate_bounds_all",
+    "gpmd.policies.optimal_coupling",
+}
+
+
+def test_benchmark_tracer_finds_its_targets():
+    # A renamed or moved target reads 0 in the traced benchmark instead of
+    # failing, as transport.sample_s would if sample_next left gpmd.policies.
+    tracer = BENCH_SPANS["Tracer"]()
+    try:
+        tracer.install()
+        assert set(tracer.absent) <= GONE_SPAN_TARGETS
+    finally:
+        tracer.uninstall()
+    assert not hasattr(harness.frt_embed, "__wrapped__")
 
 
 def config_of(argv) -> RunConfig:
@@ -753,9 +785,9 @@ def test_walked_row_sampler_matches_the_full_coupling(tmp_path, monkeypatch):
     # byte-identical step CSVs.
     from gpmd import policies
 
-    def coupling_sampler(tree, a, b, prev, rng, lifted):
-        assert np.abs(lifted - tree.subtree_sums(a - b)).max() <= 1e-12
-        js, ms = optimal_coupling(tree, a, b).conditional_row(prev)
+    def coupling_sampler(tree, z_prev, z_new, prev, rng):
+        leaves = tree.leaf_vertex
+        js, ms = optimal_coupling(tree, z_prev[leaves], z_new[leaves]).conditional_row(prev)
         assert ms.sum() > 0.0
         return int(rng.choice(js, p=ms / ms.sum()))
 

@@ -23,9 +23,10 @@ def test_identical_distributions(rng):
     assert tree_wasserstein(tree, p, p) == 0.0
     coupling = optimal_coupling(tree, p, p)
     assert all(i == j for i, j, _ in coupling.pairs)
+    z = tree.subtree_sums(p)
     for prev in range(7):
         if p[prev] > 0:
-            assert sample_next(tree, p, p, prev, rng) == prev
+            assert sample_next(tree, z, z, prev, rng) == prev
 
 
 def test_point_masses_pay_tree_distance(rng):
@@ -38,7 +39,7 @@ def test_point_masses_pay_tree_distance(rng):
     assert w == pytest.approx(distance_matrix(tree)[1, 4])
     coupling = optimal_coupling(tree, a, b)
     assert coupling.pairs == ((1, 4, 1.0),)
-    assert sample_next(tree, a, b, 1, rng) == 4
+    assert sample_next(tree, tree.subtree_sums(a), tree.subtree_sums(b), 1, rng) == 4
 
 
 def test_symmetry_and_triangle(rng):
@@ -96,10 +97,11 @@ def test_sampler_conditional_frequencies(rng):
     coupling = optimal_coupling(tree, a, b)
     js, ms = coupling.conditional_row(0)
     probs = ms / ms.sum()
+    za, zb = tree.subtree_sums(a), tree.subtree_sums(b)
     draws = 20000
     counts = np.zeros(4)
     for _ in range(draws):
-        counts[sample_next(tree, a, b, 0, rng)] += 1
+        counts[sample_next(tree, za, zb, 0, rng)] += 1
     for j, p in zip(js, probs):
         se = np.sqrt(p * (1 - p) / draws)
         assert abs(counts[j] / draws - p) <= 4 * se + 1e-12
@@ -110,8 +112,9 @@ def test_zero_marginal_fallback(rng):
     a = np.zeros(5)
     a[0] = 1.0
     b = rng.dirichlet(np.ones(5))
+    za, zb = tree.subtree_sums(a), tree.subtree_sums(b)
     # leaf 3 has no mass in the previous marginal: fall back to next marginal
-    draws = [sample_next(tree, a, b, 3, rng) for _ in range(200)]
+    draws = [sample_next(tree, za, zb, 3, rng) for _ in range(200)]
     assert all(0 <= d < 5 for d in draws)
 
 
@@ -136,12 +139,13 @@ def test_realized_movement_tracks_wasserstein_sum(rng):
     engine = MdEngine(tree, PotentialParams(tree))
     x0 = 0
     q = engine.delta_inverse(point_mass_state(tree, x0))
-    dists = [engine.delta_map(q)[tree.leaf_vertex]]
+    states = [engine.delta_map(q)]
     for h in range(6):
         q, _ = engine.step(q, rng.uniform(0.0, 2.0, 8))
-        dists.append(engine.delta_map(q)[tree.leaf_vertex])
+        states.append(engine.delta_map(q))
+    leaves = tree.leaf_vertex
     w_total = sum(
-        tree_wasserstein(tree, dists[h], dists[h + 1]) for h in range(len(dists) - 1)
+        tree_wasserstein(tree, za[leaves], zb[leaves]) for za, zb in zip(states[:-1], states[1:])
     )
     dist = distance_matrix(tree)
     replays = 3000
@@ -149,8 +153,8 @@ def test_realized_movement_tracks_wasserstein_sum(rng):
     for r in range(replays):
         x = x0
         total = 0.0
-        for prev_dist, next_dist in zip(dists[:-1], dists[1:]):
-            nxt = sample_next(tree, prev_dist, next_dist, x, rng)
+        for z_prev, z_next in zip(states[:-1], states[1:]):
+            nxt = sample_next(tree, z_prev, z_next, x, rng)
             total += dist[x, nxt]
             x = nxt
         moved[r] = total
@@ -161,11 +165,13 @@ def test_realized_movement_tracks_wasserstein_sum(rng):
 # -- the previous action's row, walked on the tree ------------------------
 
 
-def assert_row_matches_coupling(tree, a, b, prev):
-    """``coupling_row`` equals the full coupling's row: targets and order
-    exactly, masses within 1e-12, once rounding crumbs are dropped."""
-    js, ms = coupling_row(tree, a, b, prev)
-    ref_js, ref_ms = optimal_coupling(tree, a, b).conditional_row(prev)
+def assert_row_matches_coupling(tree, za, zb, prev):
+    """``coupling_row`` of two lifted states equals the full coupling's row
+    of their leaf distributions: targets and order exactly, masses within
+    1e-12, once rounding crumbs are dropped."""
+    js, ms = coupling_row(tree, za, zb, prev)
+    leaves = tree.leaf_vertex
+    ref_js, ref_ms = optimal_coupling(tree, za[leaves], zb[leaves]).conditional_row(prev)
     keep, ref_keep = ms >= 1e-15, ref_ms >= 1e-15
     assert js[keep].tolist() == ref_js[ref_keep].tolist()
     assert np.abs(ms[keep] - ref_ms[ref_keep]).max(initial=0.0) <= 1e-12
@@ -201,33 +207,33 @@ def test_lp_oracle_resolves_sparse_draws():
 
 
 def md_sequence(tree, rng, steps, x0=0):
-    """Leaf distributions of ``steps`` mirror-descent steps from a point mass."""
+    """Lifted states of ``steps`` mirror-descent steps from a point mass."""
     engine = MdEngine(tree, PotentialParams(tree))
     q = engine.delta_inverse(point_mass_state(tree, x0))
-    dists = [engine.delta_map(q)[tree.leaf_vertex]]
+    states = [engine.delta_map(q)]
     for _ in range(steps):
         q, _ = engine.step(q, rng.uniform(0.0, 3.0, tree.n_leaves))
-        dists.append(engine.delta_map(q)[tree.leaf_vertex])
-    return dists
+        states.append(engine.delta_map(q))
+    return states
 
 
 def test_row_matches_coupling_on_random_trees(rng):
     for _ in range(150):
         n = int(rng.integers(2, 20))
         tree = random_hst(rng, n, max_children=int(rng.integers(2, 6)))
-        a, b = sparse_dirichlet(rng, n), sparse_dirichlet(rng, n)
+        za, zb = (tree.subtree_sums(sparse_dirichlet(rng, n)) for _ in range(2))
         for prev in range(n):
-            assert_row_matches_coupling(tree, a, b, prev)
+            assert_row_matches_coupling(tree, za, zb, prev)
 
 
 def test_row_matches_coupling_on_frt_tree_with_duplicates(rng):
     pts = rng.integers(0, 5, size=(40, 2)).astype(float)
     tree = frt_embed(FiniteMetric(pts), tau=5.0, rng_seed=3)
     assert (tree.weight[tree.leaf_vertex] == 0.0).any()  # zero-weight duplicate leaves
-    dists = md_sequence(tree, rng, 8)
-    for a, b in zip(dists[:-1], dists[1:]):
+    states = md_sequence(tree, rng, 8)
+    for za, zb in zip(states[:-1], states[1:]):
         for prev in range(tree.n_leaves):
-            assert_row_matches_coupling(tree, a, b, prev)
+            assert_row_matches_coupling(tree, za, zb, prev)
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,9 +249,10 @@ def test_rows_assemble_an_optimal_coupling(seed, n, max_children, dup):
     rng = np.random.default_rng(seed)
     tree = random_hst(rng, n, max_children=max_children, dup=dup)
     a, b = grid_distribution(rng, n), grid_distribution(rng, n)
+    za, zb = tree.subtree_sums(a), tree.subtree_sums(b)
     plan = np.zeros((n, n))
     for prev in range(n):
-        js, ms = coupling_row(tree, a, b, prev)
+        js, ms = coupling_row(tree, za, zb, prev)
         np.add.at(plan[prev], js, ms)
     assert np.abs(plan.sum(axis=1) - a).max() <= 1e-12
     assert np.abs(plan.sum(axis=0) - b).max() <= 1e-12
@@ -260,8 +267,9 @@ def test_point_mass_row_is_the_next_distribution(rng):
     a = np.zeros(12)
     a[5] = 1.0
     b = sparse_dirichlet(rng, 12)
-    assert_row_matches_coupling(tree, a, b, 5)
-    js, ms = coupling_row(tree, a, b, 5)
+    za, zb = tree.subtree_sums(a), tree.subtree_sums(b)
+    assert_row_matches_coupling(tree, za, zb, 5)
+    js, ms = coupling_row(tree, za, zb, 5)
     dense = np.zeros(12)
     dense[js] = ms
     assert np.abs(dense - b).max() <= 1e-12
@@ -272,10 +280,11 @@ def test_zero_previous_mass_falls_back_to_next_distribution(rng):
     a = np.zeros(6)
     a[0] = 1.0
     b = rng.dirichlet(np.ones(6))
-    js, ms = coupling_row(tree, a, b, 3)
+    za, zb = tree.subtree_sums(a), tree.subtree_sums(b)
+    js, ms = coupling_row(tree, za, zb, 3)
     assert js.size == 0 and ms.size == 0
-    assert_row_matches_coupling(tree, a, b, 3)
-    draw = sample_next(tree, a, b, 3, np.random.default_rng(9))
+    assert_row_matches_coupling(tree, za, zb, 3)
+    draw = sample_next(tree, za, zb, 3, np.random.default_rng(9))
     assert draw == np.random.default_rng(9).choice(6, p=b / b.sum())
 
 
@@ -283,13 +292,14 @@ def test_draws_match_the_full_coupling_sampler(rng):
     # Two equally seeded generators, one drawing from the full coupling's row
     # and one from the walked row, follow the same actions step for step.
     tree = frt_embed(grid_metric(10, 10), tau=5.0, rng_seed=4)
-    dists = md_sequence(tree, rng, 300, x0=17)
+    states = md_sequence(tree, rng, 300, x0=17)
+    leaves = tree.leaf_vertex
     ref_rng, rng_b = np.random.default_rng(77), np.random.default_rng(77)
     ref_x = x = 17
-    for a, b in zip(dists[:-1], dists[1:]):
-        js, ms = optimal_coupling(tree, a, b).conditional_row(ref_x)
+    for za, zb in zip(states[:-1], states[1:]):
+        js, ms = optimal_coupling(tree, za[leaves], zb[leaves]).conditional_row(ref_x)
         ref_x = int(ref_rng.choice(js, p=ms / ms.sum()))
-        x = sample_next(tree, a, b, x, rng_b)
+        x = sample_next(tree, za, zb, x, rng_b)
         assert x == ref_x
 
 
@@ -319,8 +329,9 @@ def test_draw_rejects_nan_and_negative_masses(bad):
 
 
 def test_row_from_the_lifted_states(rng):
-    # A mirror step's two lifted states give the row that the leaf
-    # distributions give.
+    # The states a policy step holds: the row of the previous action from
+    # delta_map's lifted masses, whose inner vertices are not sums of their
+    # leaves bit for bit, is the full coupling's row of their leaves.
     tree = frt_embed(grid_metric(6, 6), tau=5.0, rng_seed=2)
     engine = MdEngine(tree, PotentialParams(tree))
     z_prev = point_mass_state(tree, 5)
@@ -328,26 +339,27 @@ def test_row_from_the_lifted_states(rng):
     for _ in range(20):
         q, _ = engine.step(engine.delta_inverse(z_prev), rng.uniform(0, 1, tree.n_leaves))
         z_new = engine.delta_map(q)
-        prev = int(np.argmax(z_prev[leaves]))
-        js, ms = coupling_row(tree, z_prev[leaves], z_new[leaves], prev, z_prev - z_new)
-        ref_js, ref_ms = coupling_row(tree, z_prev[leaves], z_new[leaves], prev)
-        assert js.tolist() == ref_js.tolist()
-        assert np.abs(ms - ref_ms).max() <= 1e-12
+        assert_row_matches_coupling(tree, z_prev, z_new, int(np.argmax(z_prev[leaves])))
         z_prev = z_new
 
 
 def test_sampler_validates_its_inputs(rng):
     tree = random_hst(rng, 4)
-    ok = np.full(4, 0.25)
+    lift = tree.subtree_sums
+    ok = lift(np.full(4, 0.25))
     with pytest.raises(ValueError, match="non-negative"):
-        sample_next(tree, np.array([1.5, -0.5, 0.0, 0.0]), ok, 0, rng)
+        sample_next(tree, lift([1.5, -0.5, 0.0, 0.0]), ok, 0, rng)
     with pytest.raises(ValueError, match="non-negative"):
-        sample_next(tree, ok, np.array([0.5, np.nan, 0.25, 0.25]), 0, rng)
+        sample_next(tree, ok, lift([0.5, np.nan, 0.25, 0.25]), 0, rng)
     with pytest.raises(ValueError, match="sum"):
-        sample_next(tree, ok, np.full(4, 0.2), 0, rng)
-    with pytest.raises(ValueError, match="leaves"):
-        sample_next(tree, ok, np.full(5, 0.2), 0, rng)
+        sample_next(tree, ok, lift(np.full(4, 0.2)), 0, rng)
+    with pytest.raises(ValueError, match="vertices"):
+        sample_next(tree, ok, np.append(ok, 0.0), 0, rng)
+    with pytest.raises(ValueError, match="vertices"):
+        sample_next(tree, ok[:-1], ok, 0, rng)
     with pytest.raises(ValueError, match="point index"):
         sample_next(tree, ok, ok, 4, rng)
-    with pytest.raises(ValueError, match="vertices"):
-        sample_next(tree, ok, ok, 0, rng, np.zeros(tree.n_vertices + 1))
+    unmatched = ok.copy()
+    unmatched[tree.root] += 1e-6
+    with pytest.raises(AssertionError, match="unmatched"):
+        sample_next(tree, ok, unmatched, 0, rng)
