@@ -6,10 +6,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky as sp_cholesky
-from scipy.spatial.distance import cdist
+from scipy.linalg.lapack import dpotrf
 
-from .metric import FiniteMetric
+from .metric import ROWS, FiniteMetric, sq_dists
 
 
 NEIGHBOURS = 9  # each predecessor is tested for domination by its 9 nearest points
@@ -18,11 +17,12 @@ LOWEST = 16  # past 16 left, the survivors are tested against the 16 of lowest v
 
 def neighbour_table(dist: np.ndarray):
     """The DP's ``(near, near_dist, scale)``: ``near[:, j]`` are the ``NEIGHBOURS``
-    points closest into j, ``near_dist[:, j]`` their distances to j, and
-    ``scale`` the largest absolute distance."""
+    points closest into j (partitioned ``ROWS`` columns at a time), ``near_dist[:, j]``
+    their distances to j, and ``scale`` the largest absolute distance."""
     k = min(NEIGHBOURS, dist.shape[0])
-    near = np.argpartition(dist, k - 1, axis=0)[:k]
-    return near, np.take_along_axis(dist, near, axis=0), float(np.abs(dist).max())
+    blocks = range(0, dist.shape[0], ROWS)
+    near = np.hstack([np.argpartition(dist[:, c : c + ROWS], k - 1, axis=0)[:k] for c in blocks])
+    return near, np.take_along_axis(dist, near, axis=0), float(max(dist.max(), -dist.min()))
 
 
 def offline_optimal_matrix(cost_matrix: np.ndarray, dist: np.ndarray, x0: int, neighbours=None):
@@ -111,12 +111,25 @@ class SyntheticInstance:
         return self.f_table.shape[1]
 
 
-def _chol_with_jitter(K: np.ndarray, jitter: float = 1e-8):
+def _se_kernel(points: np.ndarray, lengthscale: float) -> np.ndarray:
+    """exp(-0.5 |x - x'|^2 / lengthscale^2) between the rows of ``points``, in place."""
+    K = sq_dists(points)
+    K *= -0.5
+    K /= lengthscale**2
+    return np.exp(K, out=K)
+
+
+def _chol_with_jitter(kernel, jitter: float = 1e-8) -> np.ndarray:
+    """Lower Cholesky factor of ``kernel()``, a fresh symmetric C-ordered matrix that the
+    factor overwrites, plus ``jitter`` on the diagonal; retried once at 1e-6."""
     for eps in (jitter, 1e-6):
-        try:
-            return sp_cholesky(K + eps * np.eye(K.shape[0]), lower=True)
-        except np.linalg.LinAlgError:
-            continue
+        K = kernel()
+        if not np.isfinite(K).all():
+            raise ValueError("kernel entries must be finite")
+        K.flat[:: K.shape[0] + 1] += eps
+        L, info = dpotrf(K.T, lower=1, clean=1, overwrite_a=1)
+        if not info:
+            return L
     raise ValueError("kernel factorization failed even with raised jitter")
 
 
@@ -135,12 +148,8 @@ def synth_instance(
     rng = np.random.default_rng(seed)
     contexts = np.sort(rng.uniform(0.0, 1.0, n_contexts))
 
-    sq_x = cdist(metric.coords, metric.coords, "sqeuclidean")
-    Kx = np.exp(-0.5 * sq_x / lengthscale**2)
-    de = contexts[:, None] - contexts[None, :]
-    Ke = np.exp(-0.5 * de**2 / lengthscale**2)
-    Lx = _chol_with_jitter(Kx)
-    Le = _chol_with_jitter(Ke)
+    Lx = _chol_with_jitter(lambda: _se_kernel(metric.coords, lengthscale))
+    Le = _chol_with_jitter(lambda: _se_kernel(contexts[:, None], lengthscale))
     G = rng.standard_normal((metric.n, n_contexts))
     sample = Lx @ G @ Le.T
 

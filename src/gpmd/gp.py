@@ -46,30 +46,26 @@ import numpy as np
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
 
+from .metric import sq_dists
+
 VAR_CLAMP = 1e-12
 
 
 def rbf_table(points, lengthscale: float, outputscale: float = 1.0) -> np.ndarray:
     """outputscale * exp(-|x - x'|^2 / (2 lengthscale^2)) between every pair of
     ``points`` (one per row, or scalars)."""
-    P = np.asarray(points, dtype=float).reshape(len(points), -1) / lengthscale
-    k = np.zeros((P.shape[0], P.shape[0]))
-    for col in P.T:  # the squared distance, summed over dimensions in order
-        d = col[:, None] - col[None, :]
-        k += np.square(d, out=d)
+    k = sq_dists(np.asarray(points, dtype=float).reshape(len(points), -1) / lengthscale)
     k *= -0.5
-    np.exp(k, out=k)
-    k *= outputscale
-    return k
+    return np.multiply(np.exp(k, out=k), outputscale, out=k)
 
 
 def _ids(name: str, ids, size: int) -> np.ndarray:
     """``ids`` as a 1-d integer array; a ValueError names the first id that
     is not an integer in [0, size)."""
     ids = np.asarray(ids).ravel()
-    bad = np.flatnonzero((ids < 0) | (ids >= size)) if ids.dtype.kind in "iu" else range(ids.size)
-    if len(bad):
-        raise _id_error(name, ids[bad[0]], size)
+    for value in ids.tolist():  # a per-step update's one id is cheaper read in Python
+        if ids.dtype.kind not in "iu" or not 0 <= value < size:
+            raise _id_error(name, value, size)
     return ids
 
 

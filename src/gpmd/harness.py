@@ -596,6 +596,8 @@ def report(run_dir, out_path=None) -> list[dict]:
     summaries = [json.loads(path.read_text()) for path in sorted(run_dir.glob("*.summary.json"))]
     for name in sorted(p.name for p in run_dir.glob("*.failed.json")):
         print(f"missing cell (failed): {name}")
+    if not summaries:
+        raise FileNotFoundError(f"{run_dir}: no cell summaries")
     groups: dict = {}
     for s in summaries:
         groups.setdefault((s["policy"], s["rho"]), []).append(s)
@@ -611,7 +613,7 @@ def report(run_dir, out_path=None) -> list[dict]:
         if any("energy" in c for c in cells):
             row["total_energy_mean"], row["total_energy_std"] = stats("energy", "total_energy")
         rows.append(row)
-    if out_path is not None and rows:
+    if out_path is not None:
         keys = sorted({k for r in rows for k in r}, key=lambda k: (k != "policy", k != "rho", k))
         with open(out_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=keys)

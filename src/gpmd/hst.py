@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import FiniteMetric
+from .metric import ROWS, FiniteMetric
 
 
 @dataclass(frozen=True)
@@ -196,13 +196,9 @@ def frt_embed(metric: FiniteMetric, tau: float = 5.0, rng_seed: int = 0) -> HstT
     group_of = np.full(n, -1, dtype=np.int64)
     reps: list[int] = []
     for i in range(n):
-        if group_of[i] >= 0:
-            continue
-        g = len(reps)
-        members = np.where(dist[i] == 0.0)[0]
-        group_of[members] = g
-        reps.append(i)
-    members_of = [np.where(group_of == g)[0] for g in range(len(reps))]
+        if group_of[i] < 0:
+            group_of[dist[i] == 0.0] = len(reps)
+            reps.append(i)
     rep_idx = np.asarray(reps, dtype=np.int64)
     m = len(reps)
 
@@ -215,31 +211,35 @@ def frt_embed(metric: FiniteMetric, tau: float = 5.0, rng_seed: int = 0) -> HstT
         weights.append(weight)
         return len(parents) - 1
 
+    root = new_vertex(-1, 0.0)
     if m == 1:
-        root = new_vertex(-1, 0.0)
         group_leaf[0] = root
     else:
-        sub = dist[np.ix_(rep_idx, rep_idx)]
-        psi = float(sub.max())
+        psi = float(dist.max() if m == n else dist[np.ix_(rep_idx, rep_idx)].max())
         top = math.ceil(math.log(psi, tau))
         while tau**top < psi:  # guard against log() rounding
             top += 1
         perm = rng.permutation(m)
         beta = float(tau ** rng.uniform(0.0, 1.0))
-        # Columns in permutation order: a member's centre is the first
-        # column within the radius (its own column always is).
-        sub_perm = sub[:, perm]
+        # A member's centre is the first representative in permutation order
+        # within the radius (itself always is): the least rank_of[c] over the
+        # columns c of its row of dist within the radius (a duplicate ranks m).
+        rank_of = np.full(n, m)
+        rank_of[rep_idx[perm]] = np.arange(m)
 
-        root = new_vertex(-1, 0.0)
         # (vertex, member representative indices) clusters awaiting splitting
         active: list[tuple[int, np.ndarray]] = [(root, np.arange(m))]
         level = top - 1
         while active:
             radius = beta * tau**level
             child_w = beta * tau ** (level + 1)
+            # Every active member's centre rank, ROWS rows of dist at a time.
+            rows = rep_idx[np.concatenate([members for _, members in active])]
+            blocks = (dist[rows[r : r + ROWS]] <= radius for r in range(0, rows.size, ROWS))
+            centre = np.concatenate([np.where(b, rank_of, m).min(axis=1) for b in blocks])
             nxt: list[tuple[int, np.ndarray]] = []
             for vert, members in active:
-                rank = np.argmax(sub_perm[members] <= radius, axis=1)
+                rank, centre = centre[: members.size], centre[members.size :]
                 # children in centre-rank order, members in cluster order
                 order = np.argsort(rank, kind="stable")
                 ranks = rank[order]
@@ -254,14 +254,10 @@ def frt_embed(metric: FiniteMetric, tau: float = 5.0, rng_seed: int = 0) -> HstT
             level -= 1
 
     # Restore collapsed duplicates as zero-weight fanouts.
-    leaf_vertex = np.full(n, -1, dtype=np.int64)
-    for g in range(m):
-        members = members_of[g]
-        if members.size == 1:
-            leaf_vertex[members[0]] = group_leaf[g]
-        else:
-            for p in members:
-                leaf_vertex[p] = new_vertex(int(group_leaf[g]), 0.0)
+    leaf_vertex = group_leaf[group_of]
+    dups = np.flatnonzero(np.bincount(group_of)[group_of] > 1)
+    for p in dups[np.argsort(group_of[dups], kind="stable")]:  # by group, then point
+        leaf_vertex[p] = new_vertex(int(leaf_vertex[p]), 0.0)
 
     return HstTree(
         parent=np.asarray(parents, dtype=np.int64),

@@ -32,8 +32,8 @@ class FiniteMetric:
         if not (math.isfinite(scale) and scale > 0):
             raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
         with np.errstate(over="ignore"):  # an overflow is reported below
-            dist = _coord_dist(coords)
-            np.multiply(dist, scale, out=dist)
+            dist = sq_dists(coords)
+            np.multiply(np.sqrt(dist, out=dist), scale, out=dist)
         if not math.isfinite(dist.max()):
             raise ValueError("distances overflow")
         object.__setattr__(self, "coords", coords)
@@ -52,21 +52,18 @@ class FiniteMetric:
         return float(self.dist.sum() / (n * (n - 1)))
 
 
-def _coord_dist(coords: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of ``coords``, one dimension at a time.
+ROWS = 64  # rows (or columns) per block of a pass over an n x n array
 
-    Accumulates per-dimension squares into one n x n array, so no n x n x dim
-    difference array is built. Subtraction is exactly antisymmetric, so the
-    result is exactly symmetric with a zero diagonal for finite coords.
-    """
-    n = coords.shape[0]
-    dist = np.zeros((n, n))
-    term = np.empty((n, n))
-    for col in coords.T:
-        np.subtract(col[:, None], col[None, :], out=term)
-        np.multiply(term, term, out=term)
-        np.add(dist, term, out=dist)
-    return np.sqrt(dist, out=dist)
+
+def sq_dists(points: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``points``, summed over
+    dimensions in order as ``cdist(..., "sqeuclidean")`` does, ``ROWS`` rows at a
+    time: exactly symmetric with a zero diagonal for finite points."""
+    out = np.zeros((points.shape[0], points.shape[0]))
+    for r in range(0, points.shape[0], ROWS):
+        for col in points.T:
+            out[r : r + ROWS] += np.square(col[r : r + ROWS, None] - col)
+    return out
 
 
 def grid_metric(side_x: int, side_y: int | None = None) -> FiniteMetric:

@@ -44,7 +44,7 @@ MARGINAL_TOL = 1e-9
 def _as_probs(dist) -> np.ndarray:
     """``dist`` as a float array, checked to be a probability vector."""
     p = np.asarray(dist, dtype=float)
-    if not np.all(p >= 0):  # NaN fails this too
+    if not p.min() >= 0:  # NaN fails this too
         raise ValueError("leaf probabilities must be non-negative numbers")
     if abs(p.sum() - 1.0) > DIST_SUM_TOL:
         raise ValueError(f"leaf probabilities sum to {p.sum()!r}, not 1")

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
 
 from gpmd.bench import (
     LOWEST,
     NEIGHBOURS,
+    _chol_with_jitter,
     log_alpha,
     neighbour_table,
     offline_optimal_matrix,
@@ -191,6 +195,15 @@ class TestPrunedDp:
             assert self.most_left_by_nearest(cost_matrix, dist, x0) > LOWEST
             self.assert_exact(cost_matrix, dist, x0)
 
+    @pytest.mark.parametrize("side", [20, 40])
+    def test_neighbour_table_matches_one_partition(self, side):
+        dist = grid_metric(side, side).dist
+        near, near_dist, scale = neighbour_table(dist)
+        whole = np.argpartition(dist, NEIGHBOURS - 1, axis=0)[:NEIGHBOURS]
+        assert np.array_equal(near, whole)
+        assert np.array_equal(near_dist, np.take_along_axis(dist, whole, axis=0))
+        assert scale == np.abs(dist).max()
+
     def test_neighbour_table_is_read_past_one_step_only(self, rng):
         metric = grid_metric(6, 6)
         cost_matrix = rng.uniform(0, 1, (20, metric.n))
@@ -325,3 +338,55 @@ class TestSynthInstance:
         assert cov[1, 1] == pytest.approx(1.0, rel=0.10)
         assert cov[0, 1] == pytest.approx(k01, rel=0.10)
         assert cov[1, 2] == pytest.approx(k01, rel=0.10)
+
+
+class TestCholWithJitter:
+    @staticmethod
+    def kernel(low, calls):
+        """A fresh 2 x 2 kernel with eigenvalues 1 and ``low`` on each call."""
+
+        def build():
+            calls.append(1)
+            return np.array([[1.0 + low, 1.0 - low], [1.0 - low, 1.0 + low]]) / 2.0
+
+        return build
+
+    def test_first_jitter_factors_in_place(self):
+        K = self.kernel(0.5, [])()
+        L = _chol_with_jitter(lambda: K)
+        assert np.shares_memory(L, K)
+        assert np.array_equal(L, cholesky(self.kernel(0.5, [])() + 1e-8 * np.eye(2), lower=True))
+
+    def test_retry_refactors_a_fresh_kernel(self):
+        calls = []
+        L = _chol_with_jitter(self.kernel(-1e-7, calls))
+        assert len(calls) == 2
+        assert np.array_equal(L, cholesky(self.kernel(-1e-7, [])() + 1e-6 * np.eye(2), lower=True))
+
+    def test_indefinite_kernel_rejected(self):
+        calls = []
+        with pytest.raises(ValueError, match="even with raised jitter"):
+            _chol_with_jitter(self.kernel(-1e-3, calls))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kernel_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            _chol_with_jitter(lambda: np.array([[1.0, bad], [bad, 1.0]]))
+
+
+def test_env_build_peak_memory():
+    # Beyond dist: the one n x n kernel that the factor overwrites, and
+    # blocks of rows or columns. Copies of dist or of the kernel would read
+    # several times that.
+    metric = grid_metric(24, 24)
+    n = metric.n
+    tracemalloc.start()
+    try:
+        synth_instance(5, metric)
+        frt_embed(metric, tau=5.0, rng_seed=3)
+        neighbour_table(metric.dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * n * 8

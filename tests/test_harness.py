@@ -516,6 +516,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"report error: {path}: not a run directory\n"
 
+    def test_report_needs_cell_summaries(self, tmp_path, capsys):
+        path = tmp_path / "run"
+        path.mkdir()
+        (path / "a.failed.json").write_text("{}")
+        out = tmp_path / "agg.csv"
+        assert cli_main(["report", "--dir", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "missing cell (failed): a.failed.json\n"
+        assert captured.err == f"report error: {path}: no cell summaries\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("override", ["grid.x=1", "steps.x=1"])
     def test_override_below_a_non_mapping_is_a_config_error(self, tmp_path, capsys, override):
         out = tmp_path / "o"

@@ -410,10 +410,11 @@ def _wind_metric() -> FiniteMetric:
     [
         (grid_metric(12, 12), range(6)),
         (grid_metric(7, 5), range(6)),
+        (grid_metric(24, 24), range(3)),
         (_duplicate_points_metric(), range(6)),
         (_wind_metric(), (0, 12, 20, 21, 24, 27)),
     ],
-    ids=["grid12x12", "grid7x5", "duplicates", "wind"],
+    ids=["grid12x12", "grid7x5", "grid24x24", "duplicates", "wind"],
 )
 def test_frt_matches_the_loop_construction(metric, seeds):
     for seed in seeds:

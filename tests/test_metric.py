@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
-from gpmd.metric import FiniteMetric, grid_metric
+import gpmd
+from gpmd.metric import FiniteMetric, grid_metric, sq_dists
 from gpmd.wind import EnergyParams, altitude_metric, default_altitudes
 
 from conftest import loop_triangle_error
@@ -152,3 +158,28 @@ def test_grid_metric_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 3 * n * n * 8
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: grid_metric(20, 20).coords,
+        lambda: grid_metric(24, 24).coords,
+        lambda: grid_metric(40, 40).coords,
+        lambda: np.random.default_rng(1).normal(0.0, 3.0, (150, 1)),
+        lambda: np.random.default_rng(3).normal(0.0, 3.0, (150, 3)),
+    ],
+    ids=["grid20x20", "grid24x24", "grid40x40", "random1d", "random3d"],
+)
+def test_sq_dists_equals_cdist(make):
+    points = make()
+    assert np.array_equal(sq_dists(points), cdist(points, points, "sqeuclidean"))
+
+
+def test_import_loads_no_scipy_spatial():
+    code = "import sys, gpmd; print([m for m in sys.modules if m.startswith('scipy.spatial')])"
+    src = str(Path(gpmd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
