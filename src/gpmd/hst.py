@@ -215,7 +215,7 @@ def frt_embed(metric: FiniteMetric, tau: float = 5.0, rng_seed: int = 0) -> HstT
     if m == 1:
         group_leaf[0] = root
     else:
-        psi = float(dist.max() if m == n else dist[np.ix_(rep_idx, rep_idx)].max())
+        psi = float(dist.max())  # a duplicate's row of dist equals its representative's
         top = math.ceil(math.log(psi, tau))
         while tau**top < psi:  # guard against log() rounding
             top += 1
