@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
-from .metric import ROWS, FiniteMetric, sq_dists
+from .gp import rbf_table
+from .metric import ROWS, FiniteMetric
 
 
 NEIGHBOURS = 9  # each predecessor is tested for domination by its 9 nearest points
@@ -20,8 +21,9 @@ def neighbour_table(dist: np.ndarray):
     points closest into j (partitioned ``ROWS`` columns at a time), ``near_dist[:, j]``
     their distances to j, and ``scale`` the largest absolute distance."""
     k = min(NEIGHBOURS, dist.shape[0])
-    blocks = range(0, dist.shape[0], ROWS)
-    near = np.hstack([np.argpartition(dist[:, c : c + ROWS], k - 1, axis=0)[:k] for c in blocks])
+    near = np.empty((k, dist.shape[0]), dtype=np.intp)
+    for c in range(0, dist.shape[0], ROWS):
+        near[:, c : c + ROWS] = np.argpartition(dist[:, c : c + ROWS], k - 1, axis=0)[:k]
     return near, np.take_along_axis(dist, near, axis=0), float(max(dist.max(), -dist.min()))
 
 
@@ -73,9 +75,12 @@ def offline_optimal_matrix(cost_matrix: np.ndarray, dist: np.ndarray, x0: int, n
             reach = dist.take(top[:, None] * n + kept)  # reach[i, j] = dist[top[i], kept[j]]
             reach += v[top, None]
             kept = kept[reach.min(axis=0) >= vk - tol]
-        block = dist[kept]
-        block += v[kept, None]  # block[i, to] = dist[kept[i], to] + v[kept[i]]
-        values[h] = cost_matrix[h] + block.min(axis=0)
+        low = values[h]
+        low.fill(np.inf)
+        for r in range(0, kept.size, ROWS):  # min over kept j of dist[j] + v[j], ROWS j at a time
+            rows = kept[r : r + ROWS]
+            np.minimum(low, (dist[rows] + v[rows, None]).min(axis=0), out=low)
+        low += cost_matrix[h]
     last = int(np.argmin(values[-1]))
     seq = [last]
     for h in range(H - 1, 0, -1):
@@ -111,18 +116,10 @@ class SyntheticInstance:
         return self.f_table.shape[1]
 
 
-def _se_kernel(points: np.ndarray, lengthscale: float) -> np.ndarray:
-    """exp(-0.5 |x - x'|^2 / lengthscale^2) between the rows of ``points``, in place."""
-    K = sq_dists(points)
-    K *= -0.5
-    K /= lengthscale**2
-    return np.exp(K, out=K)
-
-
-def _chol_with_jitter(kernel, jitter: float = 1e-8) -> np.ndarray:
+def _chol_with_jitter(kernel) -> np.ndarray:
     """Lower Cholesky factor of ``kernel()``, a fresh symmetric C-ordered matrix that the
-    factor overwrites, plus ``jitter`` on the diagonal; retried once at 1e-6."""
-    for eps in (jitter, 1e-6):
+    factor overwrites, plus 1e-8 on the diagonal; retried once at 1e-6."""
+    for eps in (1e-8, 1e-6):
         K = kernel()
         if not np.isfinite(K).all():
             raise ValueError("kernel entries must be finite")
@@ -143,13 +140,15 @@ def synth_instance(
 
     The joint kernel over (action coords, context) factorizes across the two
     blocks, so the exact joint sample is L_x @ G @ L_e^T with G standard
-    normal; this equals a draw from the full joint factorization.
+    normal; this equals a draw from the full joint factorization. Both
+    blocks are ``rbf_table`` kernels, the helper that also builds the GP's
+    tables, so the learner's prior is the kernel the objective was drawn from.
     """
     rng = np.random.default_rng(seed)
     contexts = np.sort(rng.uniform(0.0, 1.0, n_contexts))
 
-    Lx = _chol_with_jitter(lambda: _se_kernel(metric.coords, lengthscale))
-    Le = _chol_with_jitter(lambda: _se_kernel(contexts[:, None], lengthscale))
+    Lx = _chol_with_jitter(lambda: rbf_table(metric.coords, lengthscale))
+    Le = _chol_with_jitter(lambda: rbf_table(contexts, lengthscale))
     G = rng.standard_normal((metric.n, n_contexts))
     sample = Lx @ G @ Le.T
 

@@ -53,9 +53,10 @@ VAR_CLAMP = 1e-12
 
 def rbf_table(points, lengthscale: float, outputscale: float = 1.0) -> np.ndarray:
     """outputscale * exp(-|x - x'|^2 / (2 lengthscale^2)) between every pair of
-    ``points`` (one per row, or scalars)."""
-    k = sq_dists(np.asarray(points, dtype=float).reshape(len(points), -1) / lengthscale)
-    k *= -0.5
+    ``points`` (one per row, or scalars): the squared-exponential kernel of both
+    the synthetic objective's draw and the GP's tables."""
+    k = sq_dists(np.asarray(points, dtype=float).reshape(len(points), -1))
+    k /= -2.0 * lengthscale**2
     return np.multiply(np.exp(k, out=k), outputscale, out=k)
 
 
@@ -79,9 +80,9 @@ class GpModel:
 
     ``ka`` (n x n, with the output scale) and ``kc`` (C x C) are the kernel
     tables over the action and context ids, which the model never writes.
-    ``lam`` is the regularization added to the kernel matrix (by default
-    the observation noise variance; the theory-faithful alternative sets it
-    to the episode length). ``beta_mode`` selects between the analytic
+    ``lam`` is the regularization added to the kernel matrix: synthetic runs
+    pass the observation noise variance (at least 1e-8), wind runs the
+    windspeed GP's ``lam``. ``beta_mode`` selects between the analytic
     confidence width ("theory") and a fixed exploration constant ("constant").
 
     ``n`` counts observations. Storage row i holds the i-th distinct input,

@@ -561,6 +561,9 @@ def run(cfg: RunConfig) -> int:
         workers = int(raw_workers)
     except ValueError:
         errors.append(f"{WORKERS_ENV}: must be an integer, got {raw_workers!r}")
+    else:
+        if workers < 1:
+            errors.append(f"{WORKERS_ENV}: must be at least 1, got {raw_workers!r}")
     if errors:
         for e in errors:
             print(f"config error: {e}")

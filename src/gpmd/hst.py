@@ -34,11 +34,11 @@ class HstTree:
     tau: float
 
     # Derived structure, filled in __post_init__.
-    children: tuple = field(default=None, repr=False)
-    depth: np.ndarray = field(default=None, repr=False)
-    depth_layers: tuple = field(default=None, repr=False)
-    point_index: np.ndarray = field(default=None, repr=False)
-    root: int = field(default=None, repr=False)
+    children: tuple = field(init=False, repr=False)
+    depth: np.ndarray = field(init=False, repr=False)
+    depth_layers: tuple = field(init=False, repr=False)
+    point_index: np.ndarray = field(init=False, repr=False)
+    root: int = field(init=False, repr=False)
 
     def __post_init__(self):
         parent = _as_indices("parent", self.parent)

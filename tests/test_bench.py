@@ -13,6 +13,7 @@ from gpmd.bench import (
     offline_optimal_matrix,
     synth_instance,
 )
+from gpmd.gp import rbf_table
 from gpmd.harness import Env, RunConfig, run_cell
 from gpmd.hst import frt_embed
 from gpmd.metric import FiniteMetric, grid_metric
@@ -338,6 +339,22 @@ class TestSynthInstance:
         assert cov[1, 1] == pytest.approx(1.0, rel=0.10)
         assert cov[0, 1] == pytest.approx(k01, rel=0.10)
         assert cov[1, 2] == pytest.approx(k01, rel=0.10)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_draw_uses_the_gp_kernel(self, seed):
+        # The objective is drawn from the very tables the GP is given:
+        # rbf_table over the grid and over the contexts, bit for bit.
+        metric = grid_metric(20, 20)
+        inst = synth_instance(seed, metric=metric)
+        rng = np.random.default_rng(seed)
+        contexts = np.sort(rng.uniform(0.0, 1.0, inst.n_contexts))
+        assert np.array_equal(contexts, inst.contexts)
+        Lx, Le = (
+            cholesky(rbf_table(points, inst.lengthscale) + 1e-8 * np.eye(len(points)), lower=True)
+            for points in (metric.coords, contexts)
+        )
+        G = rng.standard_normal((metric.n, inst.n_contexts))
+        assert np.array_equal(Lx @ G @ Le.T, inst.raw_sample)
 
 
 class TestCholWithJitter:

@@ -172,6 +172,12 @@ class TestTreeValidation:
                 tau=tau,
             )
 
+    @pytest.mark.parametrize("derived", ["children", "depth", "depth_layers", "point_index", "root"])
+    def test_derived_fields_not_accepted(self, derived):
+        # They are built from parent and leaf_vertex; a passed value would be replaced.
+        with pytest.raises(TypeError, match=derived):
+            HstTree(parent=[-1, 0, 0], weight=[0, 1, 1], leaf_vertex=[1, 2], tau=2.0, **{derived: 7})
+
 
 class TestFrtEmbed:
     def test_single_point(self):
