@@ -536,12 +536,19 @@ class TestCli:
         assert "is not a mapping" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "raw, message",
-        [("abc", "must be an integer, got 'abc'"), ("0", "must be at least 1, got '0'"),
-         ("-3", "must be at least 1, got '-3'")],
-    )
-    def test_bad_worker_count_is_a_config_error(self, tmp_path, capsys, monkeypatch, raw, message):
+    def test_non_integer_worker_count_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GPMD_WORKERS", "abc")
+        out = tmp_path / "o"
+        code = cli_main(
+            ["run", "--policies", "stationary", "--steps", "3", "--out", str(out),
+             "--set", "grid=[3,3]"]
+        )
+        assert code == 1
+        assert capsys.readouterr().out == "config error: GPMD_WORKERS: must be an integer, got 'abc'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_worker_count_below_one_is_a_config_error(self, tmp_path, capsys, monkeypatch, raw):
         monkeypatch.setenv("GPMD_WORKERS", raw)
         out = tmp_path / "o"
         code = cli_main(
@@ -549,7 +556,7 @@ class TestCli:
              "--set", "grid=[3,3]"]
         )
         assert code == 1
-        assert capsys.readouterr().out == f"config error: GPMD_WORKERS: {message}\n"
+        assert capsys.readouterr().out == f"config error: GPMD_WORKERS: must be at least 1, got '{raw}'\n"
         assert not out.exists()
 
     def test_mts_demo_prints_walkthrough(self, capsys):
