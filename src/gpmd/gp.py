@@ -90,6 +90,9 @@ class GpModel:
     ``_KC[i]``, its observation count ``_c[i]`` and sum ``_s[i]``; only rows
     ``[:_u]`` are valid, and only the lower triangle of ``_L``. ``_W`` holds
     L^-1 in rows ``[:_w]``, with zeros above the diagonal.
+
+    ``posterior`` keeps each context id's read-only arrays until the next
+    ``update``, which drops them before anything in it can raise.
     """
 
     def __init__(
@@ -128,6 +131,7 @@ class GpModel:
         self._KA, self._KC = np.zeros((0, self.n_actions)), np.zeros((0, self.n_contexts))
         self._L, self._W = np.zeros((0, 0)), None
         self._z = self._c = self._s = np.zeros(0)
+        self._posteriors: dict[int, tuple] = {}  # context id -> (mean, std) at this state
 
     # -- updates ---------------------------------------------------------
 
@@ -136,6 +140,7 @@ class GpModel:
 
         A ValueError for a kernel matrix that is not numerically positive
         definite leaves the model unusable."""
+        self._posteriors.clear()
         y_new = np.atleast_1d(np.asarray(y_new, dtype=float))
         if y_new.size == 0:
             return self
@@ -210,6 +215,14 @@ class GpModel:
         """Posterior mean and standard deviation of every action at context id ``c``."""
         if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c < self.n_contexts:
             raise _id_error("context", c, self.n_contexts)
+        served = self._posteriors.get(c)
+        if served is None:
+            served = self._posteriors[int(c)] = self._compute_posterior(c)
+            for array in served:
+                array.flags.writeable = False
+        return served
+
+    def _compute_posterior(self, c) -> tuple[np.ndarray, np.ndarray]:
         kdiag = self.ka.diagonal() * self.kc[c, c]
         if self.n == 0:
             return np.zeros(self.n_actions), np.sqrt(kdiag)

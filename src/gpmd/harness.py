@@ -540,9 +540,10 @@ def _execute_seed(args):
         try:
             steps, summary = run_cell(cfg, env, policy, rho, seed, start_used)
             phase = "write"
+            # Strict JSON first: a non-finite value fails the cell before any file.
+            text = json.dumps(summary, indent=1, sort_keys=True, allow_nan=False)
             write_steps_csv(out / f"{name}.steps.csv", steps, env.labels)
-            with open(out / f"{name}.summary.json", "w") as fh:
-                json.dump(summary, fh, indent=1, sort_keys=True)
+            (out / f"{name}.summary.json").write_text(text)
             results.append((name, None))
         except Exception as exc:
             err = traceback.format_exc()

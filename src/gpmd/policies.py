@@ -63,12 +63,6 @@ class GpServiceModel:
     ``to_cost(mean, std, beta)``, by default the lower bound; a model of
     another quantity (the wind runs model the windspeed) passes the map
     from its bounds to cost bounds.
-
-    The bounds are served once per context id per GP state: an id's array
-    is kept, read-only, until ``gp.n`` changes (by a flush here or a direct
-    ``gp.update``). Only a model frozen within an episode
-    (``update_mode="per-episode"``) sees an id twice between updates; a
-    per-step model learns after every query, so it always computes afresh.
     """
 
     def __init__(
@@ -86,24 +80,12 @@ class GpServiceModel:
         self.update_mode = update_mode
         self.to_cost = to_cost
         self._buffer: list = []  # (action, context id, y) per observation
-        self._served: dict = {}  # context id -> its cost bounds at GP state _served_n
-        self._served_n = 0
 
     def _context_id(self, key) -> int:
         return key if self.context_ids is None else int(self.context_ids[key])
 
     def lcb_costs(self, context) -> np.ndarray:
-        if self._served_n != self.gp.n:
-            # beta_t, like the posterior, changes only when the GP learns.
-            self._served.clear()
-            self._served_n = self.gp.n
-        c = self._context_id(context)
-        costs = self._served.get(c)
-        if costs is None:
-            costs = self.to_cost(*self.gp.posterior(c), self.gp.beta_t())
-            costs.flags.writeable = False
-            self._served[c] = costs
-        return costs
+        return self.to_cost(*self.gp.posterior(self._context_id(context)), self.gp.beta_t())
 
     def observe(self, action, context, y):
         self._buffer.append((action, self._context_id(context), float(y)))

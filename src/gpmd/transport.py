@@ -69,25 +69,29 @@ class _RowWalk:
         return sum(e[c] for c in self.children[v] if e[c] > 0.0)
 
     def deficit_leaves(self, v: int, lo: float, hi: float, e: list, js: list, ms: list):
-        """Append the deficit pieces in [lo, hi) of ``v``'s deficit queue."""
-        start = 0.0
-        for c in self.children[v]:
-            if e[c] >= 0.0:
+        """Append the deficit pieces in [lo, hi) of ``v``'s deficit queue, descending
+        on a stack of its own: a tree can be thousands of levels deep."""
+        stack = [(v, lo, hi)]
+        while stack:
+            v, lo, hi = stack.pop()
+            j = self.point_index[v]
+            if j >= 0:
+                if hi > lo:
+                    js.append(j)
+                    ms.append(hi - lo)
                 continue
-            end = start - e[c]
-            if end > lo:
-                a, b = max(lo, start) - start, min(hi, end) - start
-                j = self.point_index[c]
-                if j >= 0:
-                    if b > a:
-                        js.append(j)
-                        ms.append(b - a)
-                else:
-                    shift = self.surplus(c, e)
-                    self.deficit_leaves(c, a + shift, b + shift, e, js, ms)
-                if end >= hi:
-                    return
-            start = end
+            pieces, start = [], 0.0
+            for c in self.children[v]:
+                if e[c] >= 0.0:
+                    continue
+                end = start - e[c]
+                if end > lo:
+                    shift = self.surplus(c, e)  # 0 at a leaf
+                    pieces.append((c, max(lo, start) - start + shift, min(hi, end) - start + shift))
+                    if end >= hi:
+                        break
+                start = end
+            stack += reversed(pieces)  # so they come off in child order
 
 
 def _row_walk(tree: HstTree) -> _RowWalk:
@@ -169,8 +173,6 @@ def sample_next(tree: HstTree, z_prev, z_new, prev: int, rng: np.random.Generato
     directly.
     """
     js, ms = coupling_row(tree, z_prev, z_new, prev)
-    total = ms.sum()
-    if total <= 0.0:
-        probs = np.asarray(z_new, dtype=float)[tree.leaf_vertex]
-        return int(rng.choice(probs.shape[0], p=probs / probs.sum()))
-    return _draw(js, ms / total, rng)
+    if ms.sum() <= 0.0:
+        js, ms = np.arange(tree.n_leaves), np.asarray(z_new, dtype=float)[tree.leaf_vertex]
+    return _draw(js, ms / ms.sum(), rng)

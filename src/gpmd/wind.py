@@ -97,8 +97,8 @@ def ingest_wind_csv(path) -> WindTable:
     """Parse the bit-exact schema ``timestamp,altitude_m,windspeed_ms``.
 
     Rows are grouped by timestamp; every timestamp block must cover the full
-    altitude set, which is every altitude the file names. Malformed rows are
-    rejected with their line number.
+    altitude set, which is every altitude the file names, once. Malformed
+    and repeated rows are rejected with their line number.
     """
     header_expect = ["timestamp", "altitude_m", "windspeed_ms"]
     with open(path, newline="") as fh:
@@ -128,21 +128,24 @@ def ingest_wind_csv(path) -> WindTable:
     new_block = np.diff(code, prepend=-1) != 0
     starts, block = np.flatnonzero(new_block), np.cumsum(new_block) - 1
     speeds = np.full((altitudes.shape[0], starts.size), np.nan)
-    speeds[idx, block] = speed  # a repeated altitude keeps its last row
-    missing = np.flatnonzero(np.isnan(speeds).any(axis=0))[:1]
+    speeds[idx, block] = speed
+    empty = np.isnan(speeds)
 
-    # The first fault as a row-by-row pass meets them: at one row, a
-    # timestamp below the one before, then a block that misses altitudes
-    # (met at the next block's first row, or at the end).
+    # The first fault as a row-by-row pass meets them: at one row, a timestamp
+    # below the one before or a repeated altitude, then a block that misses
+    # altitudes (met at the next block's first row, or at the end).
+    faults = [(k, f"line {lines[k]}: timestamps not increasing")
+              for k in starts[1:][np.diff(code[starts]) < 0][:1]]
+    if len(body) > speeds.size - np.count_nonzero(empty):  # two rows filled one cell
+        first = np.unique(block * altitudes.shape[0] + idx, return_index=True)[1]
+        k = np.setdiff1d(np.arange(len(body)), first)[0]
+        stamp, alt = parsed[ts_col[k]], alt_of[alt_col[k]]
+        faults.append((k, f"line {lines[k]}: timestamp {stamp} repeats altitude {alt!r}"))
     ends = np.append(starts[1:], len(body))
-    faults = [(k, 0) for k in starts[1:][np.diff(code[starts]) < 0][:1]]
-    faults += [(ends[b], 1) for b in missing]
+    for b in np.flatnonzero(empty.any(axis=0))[:1]:
+        faults.append((ends[b], f"timestamp {parsed[ts_col[starts[b]]]} misses altitudes"))
     if faults:
-        k, kind = min(faults)
-        if kind == 0:
-            raise ValueError(f"{path}: line {lines[k]}: timestamps not increasing")
-        stamp = parsed[ts_col[starts[missing[0]]]]
-        raise ValueError(f"{path}: timestamp {stamp} misses altitudes")
+        raise ValueError(f"{path}: {min(faults, key=lambda f: f[0])[1]}")
 
     stamps = tuple(parsed[ts_col[k]] for k in starts)
     return WindTable(altitudes=altitudes, timestamps=stamps, speeds=speeds)

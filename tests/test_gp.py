@@ -167,6 +167,19 @@ class TestUpdate:
         assert model.n == 1 and model._u == 1  # the model is left as it was
         check_against_dense(model, dom, [0], [1], [0.3], 0)
 
+    def test_update_drops_kept_posteriors_first(self):
+        # Even an update that raises drops the kept arrays, so no query can
+        # read a posterior of a state the model has left.
+        dom = Domain(RbfKernel(), [[0.0], [0.5], [1.0]], (0.0, 1.0))
+        model = dom.model(LAM).update([0], [1], [0.3])
+        kept = model.posterior(0)
+        assert model.posterior(0) is kept
+        with pytest.raises(ValueError, match="finite"):
+            model.update([1], [0], [np.inf])
+        again = model.posterior(0)
+        assert again is not kept
+        assert all(np.array_equal(x, k) for x, k in zip(again, kept))
+
     def test_one_id_pair_per_observation(self):
         with pytest.raises(ValueError, match="one action and one context id per observation"):
             make_model([[0.0], [1.0]]).update([0, 1], [0], [1.0, 2.0])

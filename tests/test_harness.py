@@ -921,6 +921,27 @@ def test_env_failure_fails_only_its_seed(tmp_path, monkeypatch):
     assert len(manifest["cells"]) == 2 * 2 * 2
 
 
+def test_cell_on_a_tree_thousands_of_levels_deep(tmp_path):
+    # RunConfig takes any tau > 1; at 1.001 the 8x8 grid's FRT tree is over
+    # 2,000 levels deep, deeper than Python's recursion limit.
+    cfg = small_cfg(tmp_path, policies=["md-known"], seeds=[0], grid=[8, 8], tau=1.001, steps=20)
+    assert run(cfg) == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_non_finite_summary_fails_the_write(tmp_path):
+    # A competitive factor near the float maximum overflows the regret to
+    # -inf, which strict JSON rejects before either file of the cell is written.
+    cfg = small_cfg(tmp_path, regret_alpha=1.7e308)
+    assert run(cfg) == 2
+    out = tmp_path / "out"
+    (failed,) = out.glob("*.failed.json")
+    record = json.loads(failed.read_text())
+    assert record["cell"] == "stationary_seed1_rho1_startauto" and record["phase"] == "write"
+    assert "ValueError: Out of range float values are not JSON compliant" in record["error"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", failed.name]
+
+
 def test_cell_failure_spares_the_other_policies(tmp_path, monkeypatch):
     from gpmd import policies
 

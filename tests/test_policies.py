@@ -51,15 +51,16 @@ def gp_model_for(inst, update_mode="per-step", beta_mode="constant", perm=None) 
     return GpServiceModel(gp, update_mode=update_mode)
 
 
-def count_posteriors(gp) -> list:
-    """Record each later ``gp.posterior`` call in the returned list."""
-    calls, posterior = [], gp.posterior
+def count_computed(gp) -> list:
+    """Record each context whose posterior ``gp`` computes from here on
+    (rather than serves from its kept arrays) in the returned list."""
+    calls, compute = [], gp._compute_posterior
 
     def counted(context):
         calls.append(context)
-        return posterior(context)
+        return compute(context)
 
-    gp.posterior = counted
+    gp._compute_posterior = counted
     return calls
 
 
@@ -134,8 +135,9 @@ class TestArgminPolicies:
 
 class TestGpServiceModel:
     def test_to_cost_maps_the_posterior(self, small_world):
-        # The map gets the posterior of every action at the context and the
-        # model's beta_t; without a map the costs are the lower bound.
+        # The map gets the model's own posterior arrays of every action at
+        # the context and the model's beta_t; without a map the costs are
+        # the lower bound.
         inst, _ = small_world
         base = gp_model_for(inst)
         base.observe(4, 2, float(inst.f_table[4, 2]))
@@ -149,7 +151,7 @@ class TestGpServiceModel:
         costs = mapped.lcb_costs(3)
         [(mean, std, beta)] = calls
         ref_mean, ref_std = base.gp.posterior(3)
-        assert np.array_equal(mean, ref_mean) and np.array_equal(std, ref_std)
+        assert mean is ref_mean and std is ref_std
         assert beta == base.gp.beta_t() == 2.0
         assert np.array_equal(costs, ref_mean + ref_std)
         assert np.array_equal(base.lcb_costs(3), ref_mean - 2.0 * ref_std)
@@ -158,41 +160,44 @@ class TestGpServiceModel:
         inst, tree = small_world
         model = gp_model_for(inst, update_mode="per-episode")
         model.gp.update([4], [1], [float(inst.f_table[4, 1])])
-        gp, calls = model.gp, count_posteriors(model.gp)
+        gp, calls = model.gp, count_computed(model.gp)
         pol = MirrorDescentPolicy(tree, model, rng=np.random.default_rng(2))
         pol.begin_episode(0)
+        kept = gp.posterior(0)
         for c in (0, 1, 0, 0):
-            a = pol.act(c)  # mirror descent runs on the served read-only arrays
+            a = pol.act(c)  # mirror descent runs on bounds from the kept arrays
             pol.observe(a, c, float(inst.f_table[a, c]))
-        assert len(calls) == 2
-        served = model.lcb_costs(0)
-        assert len(calls) == 2
-        assert np.array_equal(served, lower_bound(*gp.posterior(0), gp.beta_t()))
-        assert not served.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            served[0] = 0.0
+        assert calls == [0, 1]
+        assert gp.posterior(0) is kept and calls == [0, 1]
+        assert np.array_equal(model.lcb_costs(0), lower_bound(*kept, gp.beta_t()))
+        for array in kept:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
     @pytest.mark.parametrize(
         "event, beta_mode",
         [("flush", "constant"), ("gp.update", "constant"), ("flush", "theory")],
     )
     def test_learning_drops_served_bounds(self, small_world, event, beta_mode):
-        # Whatever makes the GP learn, by this model's flush or by a direct
+        # Whatever makes the GP learn, the service model's flush or a direct
         # update, the next query sees the new posterior and beta_t.
         inst, _ = small_world
         model = gp_model_for(inst, update_mode="per-episode", beta_mode=beta_mode)
         model.gp.update([4], [1], [float(inst.f_table[4, 1])])
-        gp, calls = model.gp, count_posteriors(model.gp)
-        before = model.lcb_costs(2)
+        gp, calls = model.gp, count_computed(model.gp)
+        before, kept = model.lcb_costs(2), gp.posterior(2)
         beta_before = gp.beta_t()
         if event == "flush":
             model.observe(6, 2, float(inst.f_table[6, 2]))
-            assert model.lcb_costs(2) is before
+            assert gp.posterior(2) is kept
+            assert np.array_equal(model.lcb_costs(2), before)
             model.end_episode()
         else:
             gp.update([6], [3], [float(inst.f_table[6, 3])])
         after = model.lcb_costs(2)
-        assert len(calls) == 2
+        assert calls == [2, 2]
+        assert gp.posterior(2) is not kept
         assert not np.array_equal(after, before)
         assert np.array_equal(after, lower_bound(*gp.posterior(2), gp.beta_t()))
         assert (gp.beta_t() != beta_before) == (beta_mode == "theory")
@@ -202,12 +207,12 @@ class TestGpServiceModel:
         # context gets a fresh posterior at each step.
         class Unmemoized(GpServiceModel):
             def lcb_costs(self, context):
-                return self.to_cost(*self.gp.posterior(context), self.gp.beta_t())
+                return self.to_cost(*self.gp._compute_posterior(context), self.gp.beta_t())
 
         inst, tree = small_world
         model = gp_model_for(inst)
         ref = Unmemoized(gp_model_for(inst).gp)
-        calls = count_posteriors(model.gp)
+        calls = count_computed(model.gp)
         pol = MirrorDescentPolicy(tree, model, rng=np.random.default_rng(4))
         pol_ref = MirrorDescentPolicy(tree, ref, rng=np.random.default_rng(4))
         pol.begin_episode(0)
@@ -220,7 +225,7 @@ class TestGpServiceModel:
             y = float(inst.f_table[a, c])
             pol.observe(a, c, y)
             pol_ref.observe(a, c, y)
-        assert len(calls) == len(contexts)
+        assert calls == list(contexts)
 
 
 class TestBeginEpisode:

@@ -113,9 +113,12 @@ def test_zero_marginal_fallback(rng):
     a[0] = 1.0
     b = rng.dirichlet(np.ones(5))
     za, zb = tree.subtree_sums(a), tree.subtree_sums(b)
-    # leaf 3 has no mass in the previous marginal: fall back to next marginal
-    draws = [sample_next(tree, za, zb, 3, rng) for _ in range(200)]
-    assert all(0 <= d < 5 for d in draws)
+    # leaf 3 has no mass in the previous marginal: fall back to next marginal,
+    # drawn as rng.choice draws it
+    sampler, twin = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(200):
+        assert sample_next(tree, za, zb, 3, sampler) == twin.choice(5, p=b / b.sum())
+    assert sampler.random() == twin.random()
 
 
 def test_first_step_conditional_equals_target(rng):
@@ -273,6 +276,17 @@ def test_point_mass_row_is_the_next_distribution(rng):
     dense = np.zeros(12)
     dense[js] = ms
     assert np.abs(dense - b).max() <= 1e-12
+
+
+def test_row_on_a_tree_thousands_of_levels_deep():
+    # tau just above 1 makes FRT levels that rarely split a cluster: the walk
+    # descends the tree without recursion and still gives the reference's row.
+    tree = frt_embed(grid_metric(8, 8), tau=1.001, rng_seed=4)
+    assert tree.depth.max() > 2000
+    a = np.zeros(64)
+    a[0] = 1.0
+    b = np.random.default_rng(5).dirichlet(np.ones(64))
+    assert_row_matches_coupling(tree, tree.subtree_sums(a), tree.subtree_sums(b), 0)
 
 
 def test_zero_previous_mass_falls_back_to_next_distribution(rng):

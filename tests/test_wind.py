@@ -273,6 +273,29 @@ class TestWindCsv:
             ingest_wind_csv(path)
 
     @pytest.mark.parametrize(
+        "rows, match",
+        [
+            # the repeat is rejected, not written over the first row's 5.0
+            (["00,100.0,5.0", "00,200.0,6.0", "00,100.0,9.0", "01,100.0,5.5", "01,200.0,6.5"],
+             r"line 4: timestamp 2016-07-01 00:00:00 repeats altitude 100.0"),
+            # the repeat comes before the block ends short of 200 m
+            (["00,100.0,5.0", "00,100.0,9.0", "01,100.0,5.5", "01,200.0,6.5"], "line 3: .* repeats"),
+            # the first block misses 200 m before the second one repeats it
+            (["00,100.0,5.0", "01,100.0,5.5", "01,200.0,6.5", "01,200.0,9.0"],
+             "2016-07-01 00:00:00 misses altitudes"),
+            # the timestamps fall before the repeat
+            (["01,100.0,5.0", "00,100.0,5.5", "00,100.0,9.0"], "line 3: timestamps not increasing"),
+        ],
+        ids=["repeat", "repeat-then-missing", "missing-then-repeat", "decrease-then-repeat"],
+    )
+    def test_repeated_altitude_rejected(self, tmp_path, rows, match):
+        path = tmp_path / "w.csv"
+        body = "".join(f"2016-07-01T{row}\n" for row in rows)
+        path.write_text("timestamp,altitude_m,windspeed_ms\n" + body)
+        with pytest.raises(ValueError, match=match):
+            ingest_wind_csv(path)
+
+    @pytest.mark.parametrize(
         "row, match",
         [
             ("2016-07-01T00:00:00,200.0,nan", "line 3: non-finite windspeed"),

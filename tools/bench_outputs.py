@@ -1,6 +1,6 @@
 """Write the benchmark workloads' step CSVs and summaries at program seeds 0-5,
-one long-horizon GP cell, one theory-width GP cell and one large-action
-cell: 90 files in all.
+one long-horizon GP cell, one theory-width GP cell, one large-action cell
+and one deep-tree cell: 92 files in all.
 
     python3 tools/bench_outputs.py OUT_DIR
 
@@ -16,7 +16,9 @@ per-step gp-md on the 20x20 grid for 200 steps at program seed 0 with
 diagonal of its Cholesky factor). The large-action cell (``OUT_DIR/wide-md``)
 is md-known on the 40x40 grid (1,600 actions) for one 200-step episode at
 program seed 0, so its offline DP drops predecessors by both of its
-domination tests. One worker and one BLAS thread; the manifests are
+domination tests. The deep-tree cell (``OUT_DIR/deep-md``) is md-known on
+the 20x20 grid for 200 steps at program seed 0 with ``tau=1.01``, an FRT
+tree 333 levels deep, so the coupling walk descends long chains. One worker and one BLAS thread; the manifests are
 dropped. Run it in two checkouts and ``diff -r`` the two output trees to
 check that a change leaves every cell's output unchanged.
 """
@@ -56,6 +58,8 @@ def main(out_dir) -> int:
          ["--set", "beta_mode=theory"]),
         (Workload("wide-md", "synthetic", ("md-known",), "md-known", episodes=1, steps=200,
                   grid=(40, 40)), []),
+        (Workload("deep-md", "synthetic", ("md-known",), "md-known", episodes=1, steps=200),
+         ["--set", "tau=1.01"]),
     )
     for w, extra in singles:
         out = Path(out_dir) / w.name
